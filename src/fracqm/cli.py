@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 import time
 from dataclasses import dataclass
 
@@ -27,11 +28,11 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigurationError
-from .numerics import PhysicalParams, adaptive_quadrature, make_grid
+from .numerics import PhysicalParams, adaptive_quadrature, apply_symbol, make_grid
 from .propagator import KernelQuery, chapman_kolmogorov_residual, free_kernel
 from .pimc import estimate_density_matrix, fractal_scaling_exponent
 from .spectral import EvolverConfig, Potential, energy_expectation, evolve
-from .stable import StableParams, levy_density
+from .stable import StableParams, levy_cdf, levy_density
 from .statmech import (
     ThermoQuery,
     bloch_density_matrix,
@@ -52,20 +53,8 @@ from .wavepacket import (
     uncertainty_report,
 )
 
-EXPERIMENTS = (
-    "density",
-    "kernel-check",
-    "evolve",
-    "packet",
-    "uncertainty",
-    "pimc",
-    "statmech",
-    "scaling",
-)
-
 def _float_list(s) -> list[float]:
     return [float(v) for v in str(s).split(",") if str(v).strip()]
-
 
 
 _SCHEMAS: dict[str, dict[str, tuple]] = {
@@ -154,6 +143,7 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
         "n_samples": (int, 20000),
     },
 }
+EXPERIMENTS = tuple(_SCHEMAS)
 
 
 @dataclass
@@ -179,8 +169,9 @@ class RunReport:
 
 
 def parse_flat(text: str) -> dict[str, str]:
-    """Parse ``key = value`` lines; '#' starts a comment."""
+    """Parse ``key = value`` lines; '#' starts a comment; a key may appear once."""
     raw: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -190,7 +181,13 @@ def parse_flat(text: str) -> dict[str, str]:
                 f"line {lineno}: expected 'key = value', got {line.strip()!r}"
             )
         key, value = stripped.split("=", 1)
-        raw[key.strip()] = value.strip()
+        key = key.strip()
+        if key in raw:
+            raise ConfigurationError(
+                f"line {lineno}: duplicate key {key!r} (first set on line {first_line[key]})"
+            )
+        raw[key] = value.strip()
+        first_line[key] = lineno
     return raw
 
 
@@ -483,16 +480,23 @@ def _run_pimc(p, seed):
         pot, p["x0"], p["beta"], params, p["n_slices"], p["n_chains"],
         p["n_paths"], bin_grid, seed,
     )
+    # the histogram holds bin averages, so the oracles are bin averages too
     if p["potential"] == "free":
-        oracle = np.array(
-            [free_density_matrix(x, p["x0"], p["beta"], params) for x in bin_grid.positions]
-        )
-        anchor = "free_thermal_kernel_quadrature"
+        edges = np.append(bin_grid.positions, bin_grid.length / 2.0) - bin_grid.spacing / 2.0
+        scale = p["beta"] * params.d_alpha * params.hbar**params.alpha
+        cdf = levy_cdf(edges - p["x0"], StableParams(params.alpha, scale))
+        oracle = np.diff(cdf) / bin_grid.spacing
+        anchor = "free_thermal_kernel_bin_average"
     else:
-        fine = make_grid(1024, p["bin_length"], params.hbar)
+        # averaging over a cell of width w multiplies the row's spectrum by
+        # sin(p w / 2 hbar) / (p w / 2 hbar); the fine grid shares the bin
+        # grid's domain, so every r-th node is a bin centre
+        fine = make_grid(max(1024, p["bin_points"]), p["bin_length"], params.hbar)
         row = bloch_density_matrix(pot, p["beta"], params, fine, p["x0"])
-        oracle = np.interp(bin_grid.positions, fine.positions, row)
-        anchor = "thermal_kernel_equation_solution"
+        box = np.sinc(fine.momenta * bin_grid.spacing / (2.0 * math.pi * params.hbar))
+        r = fine.n_points // p["bin_points"]
+        oracle = apply_symbol(row, box).real[::r]
+        anchor = "thermal_kernel_bin_average"
     cov = est.covered & (est.std_error > 0)
     within = np.abs(est.mean[cov] - oracle[cov]) <= 3.0 * est.std_error[cov]
     frac = float(within.mean()) if cov.any() else 0.0
@@ -632,10 +636,20 @@ def _fmt(x) -> str:
 
 
 def _atomic_write(path: str, data: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    """Write a unique temp file beside path, then rename it over path; the
+    file gets the mode open(path, "w") would give, not mkstemp's 0600."""
+    directory, name = os.path.split(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(prefix=f"{name}.", suffix=".tmp", dir=directory)
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(data)
+            umask = os.umask(0)  # the umask is read by setting it; restore at once
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def write_report(report: RunReport, prefix: str, fmt: str) -> list[str]:

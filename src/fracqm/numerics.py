@@ -35,6 +35,7 @@ __all__ = [
     "transform_pair",
     "to_momentum_space",
     "to_position_space",
+    "apply_symbol",
     "inner_product",
     "adaptive_quadrature",
 ]
@@ -168,6 +169,15 @@ def to_position_space(phi: ComplexField) -> ComplexField:
     n = phi.grid.n_points
     psi = np.fft.ifft(_phase_signs(n) * phi.values) / phi.grid.spacing
     return ComplexField(psi, phi.grid)
+
+
+def apply_symbol(values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+    """Fourier multiplier ifft(symbol * fft(values)), symbol on the grid momenta.
+
+    The transform pair's grid factors, dx (-1)^k forward and (-1)^k / dx
+    inverse, cancel around a diagonal multiplier, so the bare FFTs suffice.
+    """
+    return np.fft.ifft(symbol * np.fft.fft(values))
 
 
 def transform_pair(psi: ComplexField, direction: str) -> ComplexField:

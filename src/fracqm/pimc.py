@@ -30,7 +30,6 @@ from .stable import StableParams, chain_rngs, sample_stable
 
 __all__ = [
     "PathConfig",
-    "LevyPath",
     "McEstimate",
     "sample_free_path",
     "estimate_density_matrix",
@@ -59,18 +58,6 @@ class PathConfig:
         """sigma = hbar * beta / N (seconds of imaginary time)."""
         return self.params.hbar * self.beta / self.n_slices
 
-    @property
-    def increment_scale(self) -> float:
-        """Stable scale of one increment: hbar^(alpha-1) * D_alpha * sigma."""
-        p = self.params
-        return p.hbar ** (p.alpha - 1.0) * p.d_alpha * self.slice_time
-
-
-@dataclass
-class LevyPath:
-    positions: np.ndarray
-    increments: np.ndarray
-
 
 @dataclass
 class McEstimate:
@@ -97,25 +84,31 @@ def wander_scale(beta: float, params: PhysicalParams) -> float:
     return params.hbar * (beta * params.d_alpha) ** (1.0 / params.alpha)
 
 
-def sample_free_path(config: PathConfig, rng: np.random.Generator) -> LevyPath:
-    """One free Levy path of N increments starting at config.start."""
+def _increment_scale(params: PhysicalParams, sigma: float) -> float:
+    """Stable scale of one increment over slice time sigma: hbar^(alpha-1) D sigma."""
+    return params.hbar ** (params.alpha - 1.0) * params.d_alpha * sigma
+
+
+def sample_free_path(config: PathConfig, rng: np.random.Generator) -> np.ndarray:
+    """Positions (N + 1,) of one free Levy path of N increments from config.start."""
     incs = sample_stable(
-        StableParams(config.params.alpha, config.increment_scale),
+        StableParams(config.params.alpha, _increment_scale(config.params, config.slice_time)),
         rng,
         size=config.n_slices,
     )
-    positions = np.empty(config.n_slices + 1)
-    positions[0] = config.start
-    np.cumsum(incs, out=positions[1:])
-    positions[1:] += config.start
-    return LevyPath(positions=positions, increments=incs)
+    return config.start + np.concatenate(([0.0], np.cumsum(incs)))
 
 
 def _max_workers() -> int:
     env = os.environ.get("FRACQM_THREADS", "")
-    if env.strip():
+    if not env.strip():
+        return 1
+    try:
         return max(1, int(env))
-    return 1
+    except ValueError:
+        raise ConfigurationError(
+            f"FRACQM_THREADS must be an integer, got {env!r}"
+        ) from None
 
 
 def _chain_histogram(
@@ -130,11 +123,7 @@ def _chain_histogram(
     slice_rule: str,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
     incs = sample_stable(
-        StableParams(
-            params.alpha,
-            params.hbar ** (params.alpha - 1.0) * params.d_alpha
-            * params.hbar * beta / n_slices,
-        ),
+        StableParams(params.alpha, _increment_scale(params, params.hbar * beta / n_slices)),
         rng,
         size=(n_samples, n_slices),
     )
@@ -267,7 +256,7 @@ def fractal_scaling_exponent(
     rngs = chain_rngs(master_seed, n_chains)
     log_s, y, y_err = [], [], []
     for sigma in slice_ladder:
-        scale = params.hbar ** (params.alpha - 1.0) * params.d_alpha * sigma
+        scale = _increment_scale(params, sigma)
         chain_means = np.array(
             [
                 np.mean(

@@ -24,8 +24,8 @@ from .numerics import (
     ComplexField,
     GridSpec,
     PhysicalParams,
+    apply_symbol,
     make_grid,
-    to_momentum_space,
     to_position_space,
 )
 
@@ -252,9 +252,7 @@ def propagate_free(field: ComplexField, t: float, params: PhysicalParams) -> Com
         raise ConfigurationError(f"propagation time must be >= 0, got {t}")
     if t == 0.0:
         return field.copy()
-    phi = to_momentum_space(field)
     phase = np.exp(
         -1j * params.d_alpha * np.abs(field.grid.momenta) ** params.alpha * t / params.hbar
     )
-    phi.values *= phase
-    return to_position_space(phi)
+    return ComplexField(apply_symbol(field.values, phase), field.grid)

@@ -23,14 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, ContractError, DivergenceError
-from .numerics import (
-    ComplexField,
-    GridSpec,
-    PhysicalParams,
-    inner_product,
-    to_momentum_space,
-    to_position_space,
-)
+from .numerics import ComplexField, GridSpec, PhysicalParams, apply_symbol, inner_product
 
 __all__ = [
     "Potential",
@@ -60,12 +53,6 @@ class Potential:
             return 0.5 * mass * omega**2 * (np.asarray(x, dtype=float) - center) ** 2
 
         return Potential(v, "harmonic")
-
-    @staticmethod
-    def from_table(x_nodes, v_nodes) -> "Potential":
-        xn = np.asarray(x_nodes, dtype=float)
-        vn = np.asarray(v_nodes, dtype=float)
-        return Potential(lambda x: np.interp(x, xn, vn), "table")
 
     def on_grid(self, grid: GridSpec) -> np.ndarray:
         v = np.asarray(self.func(grid.positions), dtype=float)
@@ -103,9 +90,8 @@ def kinetic_symbol(grid: GridSpec, params: PhysicalParams) -> np.ndarray:
 
 def apply_riesz(field: ComplexField, params: PhysicalParams) -> ComplexField:
     """(hbar nabla)^alpha field: multiply by -|p|^alpha in momentum space."""
-    phi = to_momentum_space(field)
-    phi.values *= -np.abs(field.grid.momenta) ** params.alpha
-    return to_position_space(phi)
+    symbol = -np.abs(field.grid.momenta) ** params.alpha
+    return ComplexField(apply_symbol(field.values, symbol), field.grid)
 
 
 def evolve(
@@ -132,9 +118,7 @@ def evolve(
         psi = field.values.copy()
         for step in range(config.n_steps):
             psi = half_v * psi
-            # diagonal kinetic multiply; the grid-offset phases of the full
-            # transform pair cancel for a pure momentum-space multiplier
-            psi = np.fft.ifft(kin_fac * np.fft.fft(psi))
+            psi = apply_symbol(psi, kin_fac)
             psi = half_v * psi
             if not np.all(np.isfinite(psi)):
                 raise DivergenceError(step)

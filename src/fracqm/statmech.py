@@ -4,10 +4,15 @@ Free thermal density matrix (the imaginary-time analogue of the free
 kernel), its partition function, the classical-limit partition function,
 and grid solutions of the thermal-kernel equation
 
-    -d rho / d beta = [-D_alpha (hbar nabla)^alpha + V] rho,
-    rho(x, 0 | x0) = delta(x - x0)
+    -d rho / d beta = H rho,   H = -D_alpha (hbar nabla)^alpha + V,
+    rho(x, 0 | x0) = delta(x - x0),
 
-by imaginary-time split-operator stepping of a discrete delta spike.
+on a periodic grid of n points.  Kernel matrices and traces diagonalize
+the Fourier-grid Hamiltonian H = U diag(E) U^T once (Marston & Balint-Kurti,
+J. Chem. Phys. 91, 3571 (1989)): rho(beta) = U e^{-beta E} U^T / dx and
+Z(beta) = sum e^{-beta E}, exact on the grid for every beta.  Single rows,
+wanted at n = 2048-4096 where a dense eigh needs O(n^2) memory and O(n^3)
+time, step a delta spike by imaginary-time split-operator evolution.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, linalg
 
 from .errors import ConfigurationError, NumericalError
 from .numerics import ComplexField, GridSpec, PhysicalParams
@@ -190,28 +195,40 @@ def bloch_density_matrix(
     return out.values.real.copy()
 
 
+def _grid_hamiltonian(
+    potential: Potential, params: PhysicalParams, grid: GridSpec
+) -> np.ndarray:
+    """H = C + diag(V) (erg), C the circulant matrix of the kinetic multiplier:
+    its first column is the inverse FFT of the real, even symbol D |p|^alpha."""
+    h = linalg.circulant(np.fft.ifft(kinetic_symbol(grid, params)).real)
+    h[np.diag_indices_from(h)] += potential.on_grid(grid)
+    return h
+
+
+def _boltzmann_weights(energies: np.ndarray, beta: float) -> np.ndarray:
+    """e^{-beta E} for the grid energies; overflow means V is unbounded below."""
+    if not (beta > 0):
+        raise ConfigurationError(f"beta must be positive, got {beta}")
+    with np.errstate(over="ignore"):
+        weights = np.exp(-beta * energies)
+    if not np.all(np.isfinite(weights)):
+        raise NumericalError(
+            f"thermal kernel diverged at beta={beta}: "
+            f"lowest grid energy {float(energies[0]):.3e}"
+        )
+    return weights
+
+
 def bloch_matrix(
     potential: Potential,
     beta: float,
     params: PhysicalParams,
     grid: GridSpec,
-    n_steps: int | None = None,
 ) -> np.ndarray:
-    """Full kernel matrix rho[i, j] = rho(x_i, beta | x_j), all columns at once."""
-    if n_steps is None:
-        n_steps = _pick_steps(potential, beta, params, grid, 0.0)
-    dt = beta / n_steps
-    v = potential.on_grid(grid)
-    half_v = np.exp(-0.5 * v * dt)[:, None]
-    kin_fac = np.exp(-kinetic_symbol(grid, params) * dt)[:, None]
-    rho = np.eye(grid.n_points, dtype=complex) / grid.spacing
-    for step in range(n_steps):
-        rho = half_v * rho
-        rho = np.fft.ifft(kin_fac * np.fft.fft(rho, axis=0), axis=0)
-        rho = half_v * rho
-        if not np.all(np.isfinite(rho)):
-            raise NumericalError(f"thermal kernel diverged at step {step}")
-    return rho.real
+    """Kernel matrix rho[i, j] = rho(x_i, beta | x_j) = [U e^{-beta E} U^T]_ij / dx."""
+    energies, vecs = np.linalg.eigh(_grid_hamiltonian(potential, params, grid))
+    weights = _boltzmann_weights(energies, beta)
+    return (vecs * weights) @ vecs.T / grid.spacing
 
 
 def bloch_trace(
@@ -219,11 +236,9 @@ def bloch_trace(
     beta: float,
     params: PhysicalParams,
     grid: GridSpec,
-    n_steps: int | None = None,
 ) -> float:
-    """Grid trace integral of the kernel diagonal, sum rho(x, beta | x) dx."""
-    rho = bloch_matrix(potential, beta, params, grid, n_steps)
-    return float(np.trace(rho) * grid.spacing)
+    """Grid trace of the kernel, sum rho(x, beta | x) dx = sum e^{-beta E}."""
+    return bloch_trace_ladder(potential, beta, 0, params, grid)[0][1]
 
 
 def bloch_trace_ladder(
@@ -232,22 +247,11 @@ def bloch_trace_ladder(
     n_doublings: int,
     params: PhysicalParams,
     grid: GridSpec,
-    n_steps: int | None = None,
 ) -> list[tuple[float, float]]:
-    """Traces at beta_min * 2^k, k = 0..n_doublings, by matrix squaring.
-
-    The kernel composes over imaginary time (rho_{2b} = rho_b rho_b dx), so
-    one evolution to beta_min plus repeated squaring covers the whole ladder
-    at the cost of the shortest leg.
-    """
-    rho = bloch_matrix(potential, beta_min, params, grid, n_steps)
-    out = [(beta_min, float(np.trace(rho) * grid.spacing))]
-    beta = beta_min
-    for _ in range(n_doublings):
-        rho = (rho @ rho) * grid.spacing
-        beta *= 2.0
-        out.append((beta, float(np.trace(rho) * grid.spacing)))
-    return out
+    """Traces at beta_min * 2^k, k = 0..n_doublings, from one set of grid energies."""
+    energies = np.linalg.eigvalsh(_grid_hamiltonian(potential, params, grid))
+    betas = [beta_min * 2.0**k for k in range(n_doublings + 1)]
+    return [(b, float(np.sum(_boltzmann_weights(energies, b)))) for b in betas]
 
 
 def momentum_density_matrix_weight(p, beta: float, params: PhysicalParams):

@@ -285,10 +285,7 @@ def observable_means(
     """
     _check_nu(packet, params)
     if method == "closed_form":
-        mean_x = (
-            params.alpha * params.d_alpha * packet.p0 ** (params.alpha - 1.0) * t
-        )
-        return mean_x, packet.p0
+        return drift_velocity(packet, params) * t, packet.p0
     if method != "grid":
         raise ConfigurationError(f"method must be 'closed_form' or 'grid', got {method!r}")
     psi = packet_position_state(t, packet, params, grid)

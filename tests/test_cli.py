@@ -1,5 +1,8 @@
 import json
+import math
+import os
 
+import numpy as np
 import pytest
 
 from fracqm.cli import (
@@ -7,8 +10,11 @@ from fracqm.cli import (
     parse_flat,
     run_experiment,
     validate_config,
+    write_report,
 )
 from fracqm.errors import ConfigurationError
+from fracqm.numerics import PhysicalParams, adaptive_quadrature
+from fracqm.statmech import free_density_matrix
 
 
 def test_parse_flat_values_and_comments():
@@ -19,6 +25,13 @@ def test_parse_flat_values_and_comments():
 def test_parse_flat_rejects_garbage():
     with pytest.raises(ConfigurationError):
         parse_flat("this is not a config")
+
+
+def test_parse_flat_rejects_duplicate_key():
+    with pytest.raises(ConfigurationError) as exc:
+        parse_flat("alpha = 1.5\n# comment\nbeta = 1\nalpha = 1.7\n")
+    msg = str(exc.value)
+    assert "'alpha'" in msg and "line 4" in msg and "line 1" in msg
 
 
 def test_alpha_out_of_range_message():
@@ -162,3 +175,56 @@ def test_seventeen_digit_csv_floats(tmp_path):
     # a third of pi-ish density values need >= 16 digits to round-trip
     value = body[2].split(",")[1]
     assert float(value) and len(value.split(".")[-1]) >= 10
+
+
+def _pimc_oracle(overrides):
+    config = validate_config(
+        {"experiment": "pimc", "n_chains": "2", "n_paths": "100", **overrides}
+    )
+    rows = np.array(run_experiment(config).results["histogram"]["rows"])
+    return config.parameters, rows[:, 0], rows[:, 3]
+
+
+def test_pimc_free_oracle_is_bin_average():
+    # the histogram estimates bin averages, so its oracle must be one too:
+    # (1 / width) * integral of rho_0 over each bin
+    p, centers, oracle = _pimc_oracle({"x0": "0.3"})
+    params = PhysicalParams(p["hbar"], p["d_alpha"], p["alpha"])
+    width = centers[1] - centers[0]
+    for x, o in zip(centers, oracle):
+        cell = adaptive_quadrature(
+            lambda y: free_density_matrix(y, p["x0"], p["beta"], params),
+            x - width / 2.0, x + width / 2.0, rel_tol=1e-11, abs_tol=1e-14,
+        )
+        assert abs(o - cell.value / width) <= 1e-8
+
+
+def test_pimc_harmonic_oracle_is_bin_average():
+    # alpha = 2 harmonic row is Mehler's kernel; its bin averages are erf differences
+    p, centers, oracle = _pimc_oracle(
+        {"potential": "harmonic", "alpha": "2.0", "bin_length": "20.0"}
+    )
+    beta = p["beta"]
+    width = centers[1] - centers[0]
+    sd = math.sqrt(math.tanh(beta))  # rho(x, beta | 0) ~ exp(-x^2 / (2 tanh beta))
+    amp = math.sqrt(1.0 / (2.0 * math.pi * math.sinh(beta)))
+    cdf = [math.erf((x + s * width / 2.0) / (math.sqrt(2.0) * sd))
+           for x in centers for s in (-1.0, 1.0)]
+    exact = amp * math.sqrt(math.pi / 2.0) * sd * np.diff(cdf)[::2] / width
+    assert np.max(np.abs(oracle - exact)) <= 1e-6 * np.max(exact)
+
+
+def test_atomic_write_uses_unique_temp_file(tmp_path):
+    prefix = tmp_path / "run"
+    stale = tmp_path / "run.json.tmp"
+    stale.write_text("another run's partial output")
+    report = run_experiment(validate_config(
+        {"experiment": "density", "n_points": "5", "out": str(prefix)}
+    ))
+    (path,) = write_report(report, str(prefix), "json")
+    assert stale.read_text() == "another run's partial output"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json", "run.json.tmp"]
+    # same mode as a file made by open(path, "w")
+    with open(tmp_path / "plain", "w"):
+        pass
+    assert os.stat(path).st_mode == os.stat(tmp_path / "plain").st_mode

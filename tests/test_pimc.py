@@ -14,7 +14,7 @@ from fracqm.pimc import (
     wander_scale,
 )
 from fracqm.spectral import Potential
-from fracqm.stable import chain_rngs
+from fracqm.stable import StableParams, chain_rngs, sample_stable
 from fracqm.statmech import bloch_density_matrix, free_density_matrix
 
 P15 = PhysicalParams(1.0, 1.0, 1.5)
@@ -24,8 +24,11 @@ P2 = PhysicalParams.gaussian(mass=1.0)
 def test_path_starts_at_origin_and_cumsums():
     cfg = PathConfig(32, 1.0, 0.7, P15)
     path = sample_free_path(cfg, np.random.default_rng(0))
-    assert path.positions[0] == 0.7
-    assert np.allclose(path.positions[1:], 0.7 + np.cumsum(path.increments))
+    # same stream drawn directly: hbar = D = 1, so the increment scale is sigma
+    incs = sample_stable(StableParams(1.5, cfg.slice_time), np.random.default_rng(0), size=32)
+    assert path.shape == (33,)
+    assert path[0] == 0.7
+    assert np.allclose(path[1:], 0.7 + np.cumsum(incs))
 
 
 def test_wiener_reduction_increment_distribution():
@@ -33,7 +36,7 @@ def test_wiener_reduction_increment_distribution():
     cfg = PathConfig(64, 1.0, 0.0, P2)
     rng = np.random.default_rng(12)
     incs = np.concatenate(
-        [sample_free_path(cfg, rng).increments for _ in range(800)]
+        [np.diff(sample_free_path(cfg, rng)) for _ in range(800)]
     )
     std = math.sqrt(1.0 * cfg.slice_time / 1.0)
     res = stats.kstest(incs, lambda x: stats.norm.cdf(x, scale=std))
@@ -45,8 +48,8 @@ def test_increment_median_scales_with_slice_time():
     rng1, rng2 = chain_rngs(31, 2)
     cfg1 = PathConfig(1, 1.0, 0.0, P15)
     cfg2 = PathConfig(1, 2.0, 0.0, P15)
-    a = np.abs([sample_free_path(cfg1, rng1).increments[0] for _ in range(20000)])
-    b = np.abs([sample_free_path(cfg2, rng2).increments[0] for _ in range(20000)])
+    a = np.abs([np.diff(sample_free_path(cfg1, rng1))[0] for _ in range(20000)])
+    b = np.abs([np.diff(sample_free_path(cfg2, rng2))[0] for _ in range(20000)])
     med_a, med_b = np.median(a), np.median(b)
     se = 1.6 * med_a / math.sqrt(len(a))  # rough median standard error
     assert med_b == pytest.approx(2.0 ** (1.0 / 1.5) * med_a, abs=3.0 * 2.0 * se)
@@ -57,7 +60,7 @@ def test_paths_bit_identical_for_fixed_master_seed():
     a = sample_free_path(cfg, chain_rngs(123, 1)[0])
     # second draw with the same master seed reproduces the stream exactly
     b = sample_free_path(cfg, chain_rngs(123, 1)[0])
-    assert np.array_equal(a.positions, b.positions)
+    assert np.array_equal(a, b)
 
 
 def test_config_validation():
@@ -193,6 +196,14 @@ def test_fractal_scaling_rejects_divergent_moment():
         fractal_scaling_exponent(P15, 1.5, [0.1, 0.2], 100, 1)
     with pytest.raises(ContractError):
         fractal_scaling_exponent(P15, 1.7, [0.1, 0.2], 100, 1)
+
+
+def test_non_integer_thread_count_rejected(monkeypatch):
+    grid = make_grid(32, 24.0)
+    monkeypatch.setenv("FRACQM_THREADS", "two")
+    with pytest.raises(ConfigurationError) as exc:
+        estimate_density_matrix(Potential.free(), 0.0, 1.0, P15, 4, 2, 10, grid, 1)
+    assert "FRACQM_THREADS" in str(exc.value) and "'two'" in str(exc.value)
 
 
 def test_deterministic_rows_independent_of_thread_count(monkeypatch):

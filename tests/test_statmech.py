@@ -9,6 +9,7 @@ from fracqm.spectral import EvolverConfig, Potential, evolve
 from fracqm.statmech import (
     ThermoQuery,
     bloch_density_matrix,
+    bloch_matrix,
     bloch_trace,
     bloch_trace_ladder,
     classical_partition_function,
@@ -156,6 +157,39 @@ def test_trace_identity_free():
     tr = bloch_trace(Potential.free(), 1.0, P15, grid)
     z = free_partition_function(ThermoQuery(1.0, 120.0, P15))
     assert tr == pytest.approx(z, rel=1e-4)
+
+
+def test_bloch_matrix_symmetric_and_composes():
+    grid = make_grid(256, 30.0)
+    pot = Potential.harmonic(1.0, 1.0)
+    rho = bloch_matrix(pot, 0.5, P15, grid)
+    scale = np.max(np.abs(rho))
+    assert np.max(np.abs(rho - rho.T)) <= 1e-13 * scale
+    # imaginary-time composition rho(2b) = rho(b) rho(b) dx
+    rho2 = bloch_matrix(pot, 1.0, P15, grid)
+    composed = rho @ rho * grid.spacing
+    assert np.max(np.abs(rho2 - composed)) <= 1e-12 * np.max(np.abs(rho2))
+
+
+def test_free_trace_equals_grid_momentum_sum():
+    grid = make_grid(512, 40.0)
+    closed = float(np.sum(np.exp(-1.0 * P15.d_alpha * np.abs(grid.momenta) ** P15.alpha)))
+    assert bloch_trace(Potential.free(), 1.0, P15, grid) == pytest.approx(closed, rel=1e-12)
+
+
+def test_harmonic_ladder_alpha2_matches_oscillator_partition_function():
+    grid = make_grid(512, 50.0)
+    ladder = bloch_trace_ladder(Potential.harmonic(1.0, 1.0), 0.125, 4, P2, grid)
+    assert [b for b, _ in ladder] == [0.125, 0.25, 0.5, 1.0, 2.0]
+    for beta, tr in ladder:
+        assert tr == pytest.approx(1.0 / (2.0 * math.sinh(beta / 2.0)), rel=1e-10)
+
+
+def test_bloch_trace_unbounded_below_potential_rejected():
+    grid = make_grid(64, 20.0)
+    sinkhole = Potential(lambda x: -1e4 * np.asarray(x, dtype=float) ** 2)
+    with pytest.raises(NumericalError):
+        bloch_trace(sinkhole, 10.0, P15, grid)
 
 
 def test_classical_ratio_monotone_on_beta_ladder():
