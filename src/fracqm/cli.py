@@ -32,7 +32,7 @@ from .numerics import PhysicalParams, adaptive_quadrature, apply_symbol, make_gr
 from .propagator import KernelQuery, chapman_kolmogorov_residual, free_kernel
 from .pimc import estimate_density_matrix, fractal_scaling_exponent
 from .spectral import EvolverConfig, Potential, energy_expectation, evolve
-from .stable import StableParams, levy_cdf, levy_density
+from .stable import StableParams, levy_cdf, levy_density, thermal_law
 from .statmech import (
     ThermoQuery,
     bloch_density_matrix,
@@ -243,6 +243,9 @@ def validate_config(raw: str | dict) -> ExperimentConfig:
         errors.append(f"nu must lie in (1, alpha], got nu={nu}, alpha={alpha}")
     if mu is not None and nu is not None and not (0.0 < mu < nu):
         errors.append(f"mu must be < nu, got mu={mu}, nu={nu}")
+    potential = params.get("potential")
+    if potential is not None and potential not in ("free", "harmonic"):
+        errors.append(f"key 'potential' must be 'free' or 'harmonic', got {potential!r}")
     if params.get("d_alpha") is None and "d_alpha" in schema:
         params["d_alpha"] = 0.5 / params.get("mass", 1.0) if alpha == 2.0 else 1.0
     elif alpha == 2.0 and "d_alpha" in schema and "d_alpha" not in user_keys:
@@ -291,6 +294,12 @@ def _physical(p, alpha=None):
     mass = p.get("mass") if alpha == 2.0 else None
     return PhysicalParams(hbar=p.get("hbar", 1.0), d_alpha=p["d_alpha"],
                           alpha=alpha, mass=mass)
+
+
+def _potential(p):
+    if p["potential"] == "harmonic":
+        return Potential.harmonic(p["mass"], p["omega"])
+    return Potential.free()
 
 
 def _run_density(p, seed):
@@ -366,12 +375,7 @@ def _run_kernel_check(p, seed):
 def _run_evolve(p, seed):
     params = _physical(p)
     grid = make_grid(p["n_points"], p["length"], params.hbar)
-    if p["potential"] == "harmonic":
-        pot = Potential.harmonic(p["mass"], p["omega"])
-    elif p["potential"] == "free":
-        pot = Potential.free()
-    else:
-        raise ConfigurationError(f"potential must be 'free' or 'harmonic', got {p['potential']!r}")
+    pot = _potential(p)
     psi0 = np.exp(-((grid.positions - p["x0"]) ** 2) / (4.0 * p["sigma"] ** 2)).astype(complex)
     psi0 /= math.sqrt(float(np.sum(np.abs(psi0) ** 2) * grid.spacing))
     from .numerics import ComplexField
@@ -472,10 +476,7 @@ def _run_uncertainty(p, seed):
 def _run_pimc(p, seed):
     params = _physical(p)
     bin_grid = make_grid(p["bin_points"], p["bin_length"], params.hbar)
-    if p["potential"] == "harmonic":
-        pot = Potential.harmonic(p["mass"], p["omega"])
-    else:
-        pot = Potential.free()
+    pot = _potential(p)
     est = estimate_density_matrix(
         pot, p["x0"], p["beta"], params, p["n_slices"], p["n_chains"],
         p["n_paths"], bin_grid, seed,
@@ -483,8 +484,7 @@ def _run_pimc(p, seed):
     # the histogram holds bin averages, so the oracles are bin averages too
     if p["potential"] == "free":
         edges = np.append(bin_grid.positions, bin_grid.length / 2.0) - bin_grid.spacing / 2.0
-        scale = p["beta"] * params.d_alpha * params.hbar**params.alpha
-        cdf = levy_cdf(edges - p["x0"], StableParams(params.alpha, scale))
+        cdf = levy_cdf(edges - p["x0"], thermal_law(p["beta"], params))
         oracle = np.diff(cdf) / bin_grid.spacing
         anchor = "free_thermal_kernel_bin_average"
     else:

@@ -1,12 +1,12 @@
 """Imaginary-time Levy path-integral Monte Carlo.
 
 Paths are sampled forward from x0 under the free Levy measure: with N time
-slices of imaginary duration sigma = hbar * beta / N, each increment is an
-independent symmetric stable(alpha) variate with characteristic scale
-hbar^(alpha-1) * D_alpha * sigma (the alpha=2 case reduces to the Wiener
-measure with increment variance hbar * sigma / m).  The external potential
-enters as the per-path importance weight exp{-(beta/N) sum_j V(x_j)}
-(right-endpoint Riemann rule; midpoint available as an option), and the
+slices of imaginary duration hbar * beta / N, each increment is an
+independent draw of the free thermal law at beta / N (`stable.thermal_law`,
+stable(alpha) of scale (beta / N) D_alpha hbar^alpha; the alpha=2 case
+reduces to the Wiener measure with increment variance hbar^2 beta / (N m)).
+The external potential enters as the per-path importance weight
+exp{-(beta/N) sum_j V(x_j)} (right-endpoint Riemann rule), and the
 density-matrix row rho(x, beta | x0) is the weighted endpoint histogram.
 
 Chains are independent: chain i uses SeedSequence(master_seed).spawn child i,
@@ -26,37 +26,18 @@ import numpy as np
 from .errors import ConfigurationError, ContractError
 from .numerics import GridSpec, PhysicalParams
 from .spectral import Potential
-from .stable import StableParams, chain_rngs, sample_stable
+from .stable import chain_rngs, sample_stable, thermal_law
 
 __all__ = [
-    "PathConfig",
     "McEstimate",
-    "sample_free_path",
+    "sample_free_paths",
     "estimate_density_matrix",
     "fractal_scaling_exponent",
     "wander_scale",
 ]
 
-
-@dataclass(frozen=True)
-class PathConfig:
-    """N imaginary-time slices over total duration hbar*beta, starting at x0."""
-
-    n_slices: int
-    beta: float
-    start: float
-    params: PhysicalParams
-
-    def __post_init__(self):
-        if self.n_slices < 1:
-            raise ConfigurationError(f"n_slices must be >= 1, got {self.n_slices}")
-        if not (self.beta > 0):
-            raise ConfigurationError(f"beta must be positive, got {self.beta}")
-
-    @property
-    def slice_time(self) -> float:
-        """sigma = hbar * beta / N (seconds of imaginary time)."""
-        return self.params.hbar * self.beta / self.n_slices
+# least effective sample size (sum w)^2 / sum w^2 of a covered bin
+_MIN_EFFECTIVE = 16.0
 
 
 @dataclass
@@ -81,22 +62,24 @@ class McEstimate:
 
 def wander_scale(beta: float, params: PhysicalParams) -> float:
     """Typical free-path excursion hbar * (beta * D_alpha)^(1/alpha)."""
-    return params.hbar * (beta * params.d_alpha) ** (1.0 / params.alpha)
+    return thermal_law(beta, params).scale ** (1.0 / params.alpha)
 
 
-def _increment_scale(params: PhysicalParams, sigma: float) -> float:
-    """Stable scale of one increment over slice time sigma: hbar^(alpha-1) D sigma."""
-    return params.hbar ** (params.alpha - 1.0) * params.d_alpha * sigma
+def sample_free_paths(
+    params: PhysicalParams,
+    beta: float,
+    n_slices: int,
+    x0: float,
+    rng: np.random.Generator,
+    n_paths: int,
+) -> np.ndarray:
+    """Positions (n_paths, n_slices) of free Levy paths from x0 after each slice.
 
-
-def sample_free_path(config: PathConfig, rng: np.random.Generator) -> np.ndarray:
-    """Positions (N + 1,) of one free Levy path of N increments from config.start."""
-    incs = sample_stable(
-        StableParams(config.params.alpha, _increment_scale(config.params, config.slice_time)),
-        rng,
-        size=config.n_slices,
-    )
-    return config.start + np.concatenate(([0.0], np.cumsum(incs)))
+    The increments are one `sample_stable` draw of the thermal law at
+    beta / n_slices; x0 itself is not a column.
+    """
+    incs = sample_stable(thermal_law(beta / n_slices, params), rng, size=(n_paths, n_slices))
+    return x0 + np.cumsum(incs, axis=1)
 
 
 def _max_workers() -> int:
@@ -120,27 +103,12 @@ def _chain_histogram(
     n_slices: int,
     n_samples: int,
     edges: np.ndarray,
-    slice_rule: str,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
-    incs = sample_stable(
-        StableParams(params.alpha, _increment_scale(params, params.hbar * beta / n_slices)),
-        rng,
-        size=(n_samples, n_slices),
-    )
-    positions = x0 + np.cumsum(incs, axis=1)
+    positions = sample_free_paths(params, beta, n_slices, x0, rng, n_samples)
     if potential.kind == "free":
         weights = np.ones(n_samples)
     else:
-        if slice_rule == "endpoint":
-            v_nodes = positions
-        elif slice_rule == "midpoint":
-            left = np.empty_like(positions)
-            left[:, 0] = x0
-            left[:, 1:] = positions[:, :-1]
-            v_nodes = 0.5 * (left + positions)
-        else:
-            raise ConfigurationError(f"slice_rule must be 'endpoint' or 'midpoint', got {slice_rule!r}")
-        v_vals = potential.func(v_nodes)
+        v_vals = potential.func(positions)
         with np.errstate(over="ignore"):
             weights = np.exp(-(beta / n_slices) * np.sum(v_vals, axis=1))
         if not np.all(np.isfinite(weights)):
@@ -169,9 +137,6 @@ def estimate_density_matrix(
     n_samples_per_chain: int,
     bin_grid: GridSpec,
     master_seed: int,
-    *,
-    slice_rule: str = "endpoint",
-    min_effective: float = 16.0,
 ) -> McEstimate:
     """Monte Carlo estimate of the density-matrix row rho(., beta | x0).
 
@@ -180,10 +145,12 @@ def estimate_density_matrix(
     fewer than two chains ever hit are marked uncovered (their std_error is
     meaningless), not zero-filled silently.
     """
-    if bin_grid.length / 2.0 < 2.0 * wander_scale(beta, params):
+    if n_slices < 1:
+        raise ConfigurationError(f"n_slices must be >= 1, got {n_slices}")
+    spread = 2.0 * wander_scale(beta, params)
+    if bin_grid.length / 2.0 < spread:
         raise ConfigurationError(
-            "bin grid must cover the free-path spread "
-            f"(need half-length >= {2*wander_scale(beta, params):.3g})"
+            f"bin grid must cover the free-path spread (need half-length >= {spread:.3g})"
         )
     edges = np.concatenate(
         [bin_grid.positions - bin_grid.spacing / 2.0,
@@ -194,7 +161,7 @@ def estimate_density_matrix(
     def run(i: int):
         return _chain_histogram(
             rngs[i], potential, x0, beta, params,
-            n_slices, n_samples_per_chain, edges, slice_rule,
+            n_slices, n_samples_per_chain, edges,
         )
 
     workers = _max_workers()
@@ -216,7 +183,7 @@ def estimate_density_matrix(
     # excursions dominating a far bin) collapse it toward one
     with np.errstate(invalid="ignore", divide="ignore"):
         ess = np.where(w_sq_sum > 0.0, w_sum * w_sum / w_sq_sum, 0.0)
-    covered = ((rows > 0).sum(axis=0) >= 2) & (ess >= min_effective)
+    covered = ((rows > 0).sum(axis=0) >= 2) & (ess >= _MIN_EFFECTIVE)
     return McEstimate(
         mean=mean,
         std_error=std_error,
@@ -250,21 +217,15 @@ def fractal_scaling_exponent(
         raise ContractError(
             f"need 0 < mu < alpha for finite moments, got mu={mu}, alpha={params.alpha}"
         )
-    if len(slice_ladder) < 2:
-        raise ConfigurationError("slice ladder needs at least two rungs")
+    if len(slice_ladder) < 2 or not min(slice_ladder) > 0:
+        raise ConfigurationError(f"slice ladder needs two or more positive rungs, got {slice_ladder}")
     per_chain = max(1, n_samples // n_chains)
     rngs = chain_rngs(master_seed, n_chains)
     log_s, y, y_err = [], [], []
     for sigma in slice_ladder:
-        scale = _increment_scale(params, sigma)
+        law = thermal_law(sigma / params.hbar, params)
         chain_means = np.array(
-            [
-                np.mean(
-                    np.abs(sample_stable(StableParams(params.alpha, scale), rng, per_chain))
-                    ** mu
-                )
-                for rng in rngs
-            ]
+            [np.mean(np.abs(sample_stable(law, rng, per_chain)) ** mu) for rng in rngs]
         )
         m = chain_means.mean()
         se = chain_means.std(ddof=1) / math.sqrt(n_chains)

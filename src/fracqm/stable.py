@@ -10,6 +10,11 @@ evaluated on |x| (the law is even).  alpha exactly 2 and exactly 1 dispatch
 to the Gaussian and Cauchy closed forms.  Sampling uses the Chambers,
 Mallows and Stuck (1976) transform specialized to the symmetric case, which
 is exact and needs two uniforms per variate.
+
+The free thermal density matrix rho_0(x, beta | x0) (the paper's Fox H
+function) is this density at x - x0 with c = beta D_alpha hbar^alpha, and a
+Levy path's increment over imaginary time hbar * tau is a draw of the same
+law at beta = tau; `thermal_law` is the one place that scale is written.
 """
 
 from __future__ import annotations
@@ -21,10 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericalError
+from .numerics import PhysicalParams
 
 __all__ = [
     "StableParams",
+    "thermal_law",
     "levy_density",
     "levy_cdf",
     "tail_probability",
@@ -51,23 +58,34 @@ class StableParams:
             raise ConfigurationError(f"scale must be positive, got {self.scale}")
 
 
+def thermal_law(beta: float, params: PhysicalParams) -> StableParams:
+    """Law of x - x0 under the free thermal kernel: scale beta D_alpha hbar^alpha."""
+    if not (beta > 0):
+        raise ConfigurationError(f"beta must be positive, got {beta}")
+    return StableParams(params.alpha, beta * params.d_alpha * params.hbar**params.alpha)
+
+
 def _std_density(z: float, alpha: float) -> float:
     """Unit-scale density at z >= 0."""
     if alpha == 2.0:
         return math.exp(-z * z / 4.0) / (2.0 * math.sqrt(math.pi))
     if alpha == 1.0:
         return 1.0 / (math.pi * (1.0 + z * z))
-    if z == 0.0:
-        return math.gamma(1.0 + 1.0 / alpha) / math.pi
     # truncate where the damping reaches e^-45; the finite-interval
     # oscillatory rule is more robust than the infinite-interval one
     k_max = 45.0 ** (1.0 / alpha)
     with warnings.catch_warnings():
+        # convergence is checked explicitly on err below
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, _ = integrate.quad(
+        val, err = integrate.quad(
             lambda k: math.exp(-(k ** alpha)),
             0.0, k_max, weight="cos", wvar=z,
             epsabs=1e-13, epsrel=1e-12, limit=2000,
+        )
+    if not math.isfinite(val) or (err > 1e-8 * abs(val) and err > 1e-12):
+        raise NumericalError(
+            f"stable density quadrature did not converge at z={z} (error {err:.2e})",
+            residual=err,
         )
     return val / math.pi
 

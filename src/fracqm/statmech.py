@@ -1,8 +1,9 @@
 """Analytic fractional statistical mechanics and the thermal-kernel solver.
 
 Free thermal density matrix (the imaginary-time analogue of the free
-kernel), its partition function, the classical-limit partition function,
-and grid solutions of the thermal-kernel equation
+kernel: the stable density of `stable.thermal_law`), its partition
+function, the classical-limit partition function, and grid solutions of
+the thermal-kernel equation
 
     -d rho / d beta = H rho,   H = -D_alpha (hbar nabla)^alpha + V,
     rho(x, 0 | x0) = delta(x - x0),
@@ -18,7 +19,6 @@ time, step a delta spike by imaginary-time split-operator evolution.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +27,7 @@ from scipy import integrate, linalg
 from .errors import ConfigurationError, NumericalError
 from .numerics import ComplexField, GridSpec, PhysicalParams
 from .spectral import EvolverConfig, Potential, evolve, kinetic_symbol, refine_time_step
+from .stable import levy_density, thermal_law
 
 __all__ = [
     "ThermoQuery",
@@ -37,7 +38,6 @@ __all__ = [
     "bloch_matrix",
     "bloch_trace",
     "bloch_trace_ladder",
-    "momentum_density_matrix_weight",
 ]
 
 
@@ -59,35 +59,11 @@ class ThermoQuery:
 def free_density_matrix(x: float, x0: float, beta: float, params: PhysicalParams) -> float:
     """rho_0(x, beta | x0) = (1/2 pi hbar) integral dp e^{ip(x-x0)/hbar - beta D |p|^alpha}.
 
-    Evaluated by cosine-transform quadrature (even in x - x0, maximal on the
-    diagonal); integrates to one over x.
+    The symmetric stable density of x - x0 with scale beta D_alpha hbar^alpha
+    (`stable.thermal_law`): even in x - x0, maximal on the diagonal, and
+    integrates to one over x.
     """
-    if not (beta > 0):
-        raise ConfigurationError(f"beta must be positive, got {beta}")
-    c = beta * params.d_alpha * params.hbar**params.alpha
-    dx = abs(x - x0)
-    # truncate where the damping reaches e^-45, then use the finite-interval
-    # oscillatory rule (the infinite-interval cosine rule is unreliable for
-    # rapidly decaying integrands)
-    k_max = (45.0 / c) ** (1.0 / params.alpha)
-    with warnings.catch_warnings():
-        # convergence is checked explicitly on err below
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        if dx == 0.0:
-            val, err = integrate.quad(
-                lambda k: math.exp(-c * k**params.alpha), 0.0, k_max,
-                epsabs=1e-14, epsrel=1e-13, limit=400,
-            )
-        else:
-            val, err = integrate.quad(
-                lambda k: math.exp(-c * k**params.alpha), 0.0, k_max,
-                weight="cos", wvar=dx, epsabs=1e-14, epsrel=1e-13, limit=2000,
-            )
-    if not np.isfinite(val) or (err > 1e-8 * max(abs(val), 1e-30) and err > 1e-12):
-        raise NumericalError(
-            f"free density quadrature did not converge (error {err:.2e})", residual=err
-        )
-    return val / math.pi
+    return levy_density(x - x0, thermal_law(beta, params))
 
 
 def _kinetic_trace_factor(beta: float, params: PhysicalParams) -> float:
@@ -173,16 +149,14 @@ def bloch_density_matrix(
     params: PhysicalParams,
     grid: GridSpec,
     x0: float,
-    n_steps: int | None = None,
 ) -> np.ndarray:
     """Row rho(., beta | x0) from split-operator imaginary-time evolution.
 
     The delta initial condition is a unit-mass grid spike; for V = 0 the
-    splitting is exact and the result matches the free quadrature up to grid
-    truncation.
+    splitting is exact and the result matches the free stable density up to
+    grid truncation.
     """
-    if n_steps is None:
-        n_steps = _pick_steps(potential, beta, params, grid, x0)
+    n_steps = _pick_steps(potential, beta, params, grid, x0)
     cfg = EvolverConfig(dt=beta / n_steps, n_steps=n_steps, mode="imaginary_time")
     out = evolve(_delta_field(grid, x0), potential, params, cfg)
     imag_max = float(np.max(np.abs(out.values.imag)))
@@ -253,11 +227,3 @@ def bloch_trace_ladder(
     betas = [beta_min * 2.0**k for k in range(n_doublings + 1)]
     return [(b, float(np.sum(_boltzmann_weights(energies, b)))) for b in betas]
 
-
-def momentum_density_matrix_weight(p, beta: float, params: PhysicalParams):
-    """Diagonal momentum-space weight e^{-beta D |p|^alpha}; one at p = 0."""
-    if not (beta > 0):
-        raise ConfigurationError(f"beta must be positive, got {beta}")
-    p = np.asarray(p, dtype=float)
-    out = np.exp(-beta * params.d_alpha * np.abs(p) ** params.alpha)
-    return float(out) if out.ndim == 0 else out

@@ -43,6 +43,7 @@ from fracqm.wavepacket import (
     time_from_reduced,
     uncertainty_report,
 )
+from oracles import mehler_bin_averages
 
 ALPHAS = (1.2, 1.5, 1.8, 2.0)
 
@@ -336,15 +337,7 @@ def test_criterion_10_path_integral_monte_carlo():
     est_h = estimate_density_matrix(
         pot, 0.0, 1.0, p2, 256, 64, 10_000, bins_h, 20240810
     )
-    fine = make_grid(2048, 20.0)
-    row = bloch_density_matrix(pot, 1.0, p2, fine, 0.0)
-    cell = bins_h.spacing
-    oracle_h = np.array(
-        [
-            np.mean(row[(fine.positions >= x - cell / 2) & (fine.positions < x + cell / 2)])
-            for x in bins_h.positions
-        ]
-    )
+    oracle_h = mehler_bin_averages(bins_h.positions, bins_h.spacing, 1.0)
     cov_h = est_h.covered & (est_h.std_error > 0)
     frac_h = float(
         np.mean(np.abs(est_h.mean[cov_h] - oracle_h[cov_h]) <= 3.0 * est_h.std_error[cov_h])

@@ -1,5 +1,4 @@
 import json
-import math
 import os
 
 import numpy as np
@@ -15,6 +14,7 @@ from fracqm.cli import (
 from fracqm.errors import ConfigurationError
 from fracqm.numerics import PhysicalParams, adaptive_quadrature
 from fracqm.statmech import free_density_matrix
+from oracles import mehler_bin_averages
 
 
 def test_parse_flat_values_and_comments():
@@ -74,6 +74,20 @@ def test_all_violations_reported_together():
 def test_unknown_experiment_rejected():
     with pytest.raises(ConfigurationError):
         validate_config({"experiment": "teleport"})
+
+
+@pytest.mark.parametrize("experiment", ["evolve", "pimc"])
+def test_unknown_potential_named(experiment):
+    with pytest.raises(ConfigurationError) as exc:
+        validate_config({"experiment": experiment, "potential": "harmonc"})
+    msg = str(exc.value)
+    assert "'potential'" in msg and "'harmonc'" in msg
+
+
+def test_pimc_nonpositive_beta_named():
+    config = validate_config({"experiment": "pimc", "beta": "-1"})
+    with pytest.raises(ConfigurationError, match="^beta must be positive"):
+        run_experiment(config)
 
 
 def test_alpha2_defaults_couple_diffusion_to_mass():
@@ -204,13 +218,7 @@ def test_pimc_harmonic_oracle_is_bin_average():
     p, centers, oracle = _pimc_oracle(
         {"potential": "harmonic", "alpha": "2.0", "bin_length": "20.0"}
     )
-    beta = p["beta"]
-    width = centers[1] - centers[0]
-    sd = math.sqrt(math.tanh(beta))  # rho(x, beta | 0) ~ exp(-x^2 / (2 tanh beta))
-    amp = math.sqrt(1.0 / (2.0 * math.pi * math.sinh(beta)))
-    cdf = [math.erf((x + s * width / 2.0) / (math.sqrt(2.0) * sd))
-           for x in centers for s in (-1.0, 1.0)]
-    exact = amp * math.sqrt(math.pi / 2.0) * sd * np.diff(cdf)[::2] / width
+    exact = mehler_bin_averages(centers, centers[1] - centers[0], p["beta"])
     assert np.max(np.abs(oracle - exact)) <= 1e-6 * np.max(exact)
 
 

@@ -7,67 +7,60 @@ from scipy import stats
 from fracqm.errors import ConfigurationError, ContractError
 from fracqm.numerics import PhysicalParams, make_grid
 from fracqm.pimc import (
-    PathConfig,
     estimate_density_matrix,
     fractal_scaling_exponent,
-    sample_free_path,
+    sample_free_paths,
     wander_scale,
 )
 from fracqm.spectral import Potential
 from fracqm.stable import StableParams, chain_rngs, sample_stable
-from fracqm.statmech import bloch_density_matrix, free_density_matrix
+from oracles import mehler_bin_averages
 
 P15 = PhysicalParams(1.0, 1.0, 1.5)
 P2 = PhysicalParams.gaussian(mass=1.0)
 
 
 def test_path_starts_at_origin_and_cumsums():
-    cfg = PathConfig(32, 1.0, 0.7, P15)
-    path = sample_free_path(cfg, np.random.default_rng(0))
-    # same stream drawn directly: hbar = D = 1, so the increment scale is sigma
-    incs = sample_stable(StableParams(1.5, cfg.slice_time), np.random.default_rng(0), size=32)
-    assert path.shape == (33,)
-    assert path[0] == 0.7
-    assert np.allclose(path[1:], 0.7 + np.cumsum(incs))
+    paths = sample_free_paths(P15, 1.0, 32, 0.7, np.random.default_rng(0), 3)
+    # same stream drawn directly: hbar = D = 1, so the increment scale is beta / N
+    incs = sample_stable(StableParams(1.5, 1.0 / 32), np.random.default_rng(0), size=(3, 32))
+    assert paths.shape == (3, 32)
+    assert np.array_equal(paths, 0.7 + np.cumsum(incs, axis=1))
 
 
 def test_wiener_reduction_increment_distribution():
-    # alpha=2, D=1/2m: increments are Normal with variance hbar*sigma/m
-    cfg = PathConfig(64, 1.0, 0.0, P2)
-    rng = np.random.default_rng(12)
-    incs = np.concatenate(
-        [np.diff(sample_free_path(cfg, rng)) for _ in range(800)]
-    )
-    std = math.sqrt(1.0 * cfg.slice_time / 1.0)
+    # alpha=2, D=1/2m: increments are Normal with variance hbar^2 beta / (N m)
+    paths = sample_free_paths(P2, 1.0, 64, 0.0, np.random.default_rng(12), 800)
+    incs = np.diff(paths, axis=1, prepend=0.0).ravel()
+    std = math.sqrt(1.0 / 64)
     res = stats.kstest(incs, lambda x: stats.norm.cdf(x, scale=std))
     assert res.pvalue > 0.01
 
 
 def test_increment_median_scales_with_slice_time():
-    # doubling sigma multiplies |increment| quantiles by 2^(1/alpha)
+    # doubling the slice time multiplies |increment| quantiles by 2^(1/alpha)
     rng1, rng2 = chain_rngs(31, 2)
-    cfg1 = PathConfig(1, 1.0, 0.0, P15)
-    cfg2 = PathConfig(1, 2.0, 0.0, P15)
-    a = np.abs([np.diff(sample_free_path(cfg1, rng1))[0] for _ in range(20000)])
-    b = np.abs([np.diff(sample_free_path(cfg2, rng2))[0] for _ in range(20000)])
+    a = np.abs(sample_free_paths(P15, 1.0, 1, 0.0, rng1, 20000)[:, 0])
+    b = np.abs(sample_free_paths(P15, 2.0, 1, 0.0, rng2, 20000)[:, 0])
     med_a, med_b = np.median(a), np.median(b)
     se = 1.6 * med_a / math.sqrt(len(a))  # rough median standard error
     assert med_b == pytest.approx(2.0 ** (1.0 / 1.5) * med_a, abs=3.0 * 2.0 * se)
 
 
 def test_paths_bit_identical_for_fixed_master_seed():
-    cfg = PathConfig(16, 0.5, 0.0, P15)
-    a = sample_free_path(cfg, chain_rngs(123, 1)[0])
+    a = sample_free_paths(P15, 0.5, 16, 0.0, chain_rngs(123, 1)[0], 4)
     # second draw with the same master seed reproduces the stream exactly
-    b = sample_free_path(cfg, chain_rngs(123, 1)[0])
+    b = sample_free_paths(P15, 0.5, 16, 0.0, chain_rngs(123, 1)[0], 4)
     assert np.array_equal(a, b)
 
 
-def test_config_validation():
-    with pytest.raises(ConfigurationError):
-        PathConfig(0, 1.0, 0.0, P15)
-    with pytest.raises(ConfigurationError):
-        PathConfig(8, -1.0, 0.0, P15)
+@pytest.mark.parametrize(
+    "beta,n_slices,name", [(-1.0, 8, "beta"), (0.0, 8, "beta"), (1.0, 0, "n_slices")]
+)
+def test_bad_input_rejected_naming_argument(beta, n_slices, name):
+    grid = make_grid(32, 24.0)
+    with pytest.raises(ConfigurationError, match=f"^{name} must"):
+        estimate_density_matrix(Potential.free(), 0.0, beta, P15, n_slices, 2, 10, grid, 1)
 
 
 def bin_averaged_free_oracle(grid, beta, params, x0=0.0):
@@ -113,15 +106,7 @@ def test_harmonic_row_matches_thermal_kernel():
     est = estimate_density_matrix(
         pot, 0.0, 1.0, P2, 128, 32, 4000, grid, 55
     )
-    fine = make_grid(1024, 20.0)
-    row = bloch_density_matrix(pot, 1.0, P2, fine, 0.0)
-    cell = grid.spacing
-    oracle = np.array(
-        [
-            np.mean(row[(fine.positions >= x - cell / 2) & (fine.positions < x + cell / 2)])
-            for x in grid.positions
-        ]
-    )
+    oracle = mehler_bin_averages(grid.positions, grid.spacing, 1.0)
     cov = est.covered & (est.std_error > 0)
     frac = np.mean(np.abs(est.mean[cov] - oracle[cov]) <= 3.0 * est.std_error[cov])
     assert frac >= 0.95
@@ -171,15 +156,6 @@ def test_bin_grid_must_cover_wander_scale():
         estimate_density_matrix(Potential.free(), 0.0, 1.0, P15, 8, 2, 10, grid, 1)
 
 
-def test_midpoint_slice_rule_accepted():
-    grid = make_grid(32, 20.0)
-    pot = Potential.harmonic(1.0, 1.0)
-    est = estimate_density_matrix(
-        pot, 0.0, 1.0, P2, 32, 8, 1000, grid, 9, slice_rule="midpoint"
-    )
-    assert np.all(np.isfinite(est.mean))
-
-
 @pytest.mark.parametrize(
     "alpha,mu,target",
     [(2.0, 1.0, 0.5), (1.5, 1.0, 2.0 / 3.0), (1.2, 0.6, 0.5)],
@@ -196,6 +172,12 @@ def test_fractal_scaling_rejects_divergent_moment():
         fractal_scaling_exponent(P15, 1.5, [0.1, 0.2], 100, 1)
     with pytest.raises(ContractError):
         fractal_scaling_exponent(P15, 1.7, [0.1, 0.2], 100, 1)
+
+
+@pytest.mark.parametrize("ladder", [[0.1], [-0.02, -0.04]])
+def test_fractal_scaling_rejects_bad_ladder(ladder):
+    with pytest.raises(ConfigurationError, match="^slice ladder"):
+        fractal_scaling_exponent(P15, 1.0, ladder, 100, 1)
 
 
 def test_non_integer_thread_count_rejected(monkeypatch):

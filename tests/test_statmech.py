@@ -15,7 +15,6 @@ from fracqm.statmech import (
     classical_partition_function,
     free_density_matrix,
     free_partition_function,
-    momentum_density_matrix_weight,
 )
 
 P15 = PhysicalParams(1.0, 1.0, 1.5)
@@ -114,7 +113,7 @@ def test_bloch_small_beta_concentrates_at_start():
     grid = make_grid(1024, 60.0)
     second_moments = []
     for beta in (0.2, 0.05, 0.01):
-        row = bloch_density_matrix(Potential.free(), beta, P15, grid, 0.0, n_steps=16)
+        row = bloch_density_matrix(Potential.free(), beta, P15, grid, 0.0)
         m0 = np.sum(row) * grid.spacing
         second_moments.append(float(np.sum(grid.positions**2 * row) / m0 * grid.spacing))
     assert second_moments[0] > second_moments[1] > second_moments[2]
@@ -200,22 +199,6 @@ def test_classical_ratio_monotone_on_beta_ladder():
     gaps = [abs(r - 1.0) for r in ratios]
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
     assert ratios[-1] == pytest.approx(1.0, abs=5e-3)
-
-
-def test_momentum_weight_values():
-    assert momentum_density_matrix_weight(0.0, 1.0, P15) == 1.0
-    assert momentum_density_matrix_weight(1.0, 1.0, P15) == pytest.approx(
-        math.exp(-1.0), rel=1e-14
-    )
-    # alpha=2 Maxwell weight e^{-beta p^2 / 2m}
-    assert momentum_density_matrix_weight(1.3, 0.7, P2) == pytest.approx(
-        math.exp(-0.7 * 1.3**2 / 2.0), rel=1e-14
-    )
-    ps = np.array([0.5, 1.5])
-    assert np.array_equal(
-        momentum_density_matrix_weight(ps, 1.0, P15),
-        momentum_density_matrix_weight(-ps, 1.0, P15),
-    )
 
 
 def test_thermo_query_validation():
