@@ -10,7 +10,6 @@ from .numerics import (
     make_grid,
     to_momentum_space,
     to_position_space,
-    transform_pair,
 )
 
 __all__ = [
@@ -22,5 +21,4 @@ __all__ = [
     "make_grid",
     "to_momentum_space",
     "to_position_space",
-    "transform_pair",
 ]

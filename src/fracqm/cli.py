@@ -67,7 +67,7 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
     "kernel-check": {
         "alpha": (float, 2.0),
         "hbar": (float, 1.0),
-        "d_alpha": (float, None),
+        "d_alpha": (float, 1.0),
         "t_values": (_float_list, [0.5, 1.0, 1.5]),
         "dx_values": (_float_list, [0.0, 0.5, 1.0]),
         "t_split": (float, None),
@@ -246,15 +246,25 @@ def validate_config(raw: str | dict) -> ExperimentConfig:
     potential = params.get("potential")
     if potential is not None and potential not in ("free", "harmonic"):
         errors.append(f"key 'potential' must be 'free' or 'harmonic', got {potential!r}")
-    if params.get("d_alpha") is None and "d_alpha" in schema:
-        params["d_alpha"] = 0.5 / params.get("mass", 1.0) if alpha == 2.0 else 1.0
-    elif alpha == 2.0 and "d_alpha" in schema and "d_alpha" not in user_keys:
+    if alpha == 2.0 and "d_alpha" in schema and "d_alpha" not in user_keys:
         # at alpha=2 an unset diffusion coefficient follows the mass
         params["d_alpha"] = 0.5 / params.get("mass", 1.0)
     for key in ("n_points", "n_slices", "n_chains", "n_paths", "n_rungs",
                 "bin_points", "n_samples", "table_points", "n_steps"):
         if key in params and params[key] is not None and params[key] < 1:
             errors.append(f"{key} must be positive, got {params[key]}")
+    if params.get("n_chains") == 1:
+        # the PIMC error bar is the spread of the chain means
+        errors.append("n_chains must be >= 2, got 1")
+    for key in ("t_values", "dx_values", "tau_values"):
+        if key in params and not params[key]:
+            errors.append(f"key {key!r} must list at least one value")
+    t_split, t_values = params.get("t_split"), params.get("t_values")
+    if t_split is not None and t_values and not (0.0 < t_split < t_values[0]):
+        errors.append(
+            f"key 't_split' must lie in (0, {t_values[0]}), the first t_values entry; "
+            f"got {t_split}"
+        )
 
     if errors:
         raise ConfigurationError("invalid config:\n  - " + "\n  - ".join(errors))
@@ -289,11 +299,10 @@ def _cmp(name, value, oracle, tol, kind, anchor):
     }
 
 
-def _physical(p, alpha=None):
-    alpha = alpha if alpha is not None else p["alpha"]
-    mass = p.get("mass") if alpha == 2.0 else None
+def _physical(p):
+    mass = p.get("mass") if p["alpha"] == 2.0 else None
     return PhysicalParams(hbar=p.get("hbar", 1.0), d_alpha=p["d_alpha"],
-                          alpha=alpha, mass=mass)
+                          alpha=p["alpha"], mass=mass)
 
 
 def _potential(p):

@@ -32,7 +32,6 @@ __all__ = [
     "ComplexField",
     "QuadResult",
     "make_grid",
-    "transform_pair",
     "to_momentum_space",
     "to_position_space",
     "apply_symbol",
@@ -180,15 +179,6 @@ def apply_symbol(values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
     return np.fft.ifft(symbol * np.fft.fft(values))
 
 
-def transform_pair(psi: ComplexField, direction: str) -> ComplexField:
-    """Dispatch to the forward or inverse half of the transform pair."""
-    if direction == "forward":
-        return to_momentum_space(psi)
-    if direction == "inverse":
-        return to_position_space(psi)
-    raise ConfigurationError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-
-
 def inner_product(a: ComplexField, b: ComplexField) -> complex:
     """(a, b) = sum conj(a_j) b_j dx.  Fields must share a grid."""
     if a.grid is not b.grid and (
@@ -202,21 +192,19 @@ def inner_product(a: ComplexField, b: ComplexField) -> complex:
 
 @dataclass(frozen=True)
 class QuadResult:
-    value: float | complex
+    value: float
     error: float
     converged: bool
 
 
 def adaptive_quadrature(
-    integrand: Callable[[float], float | complex],
+    integrand: Callable[[float], float],
     lower: float,
     upper: float,
     rel_tol: float = 1e-10,
     *,
     abs_tol: float = 0.0,
     points: list[float] | None = None,
-    complex_valued: bool = False,
-    limit: int = 400,
 ) -> QuadResult:
     """Adaptive Gauss-Kronrod quadrature with infinite-limit support.
 
@@ -231,7 +219,7 @@ def adaptive_quadrature(
 
     def wrapped(x: float):
         v = integrand(x)
-        if not np.all(np.isfinite([np.real(v), np.imag(v)])):
+        if not np.all(np.isfinite(v)):
             raise QuadraturePointError(x)
         return v
 
@@ -239,24 +227,18 @@ def adaptive_quadrature(
     if points and infinite:
         cuts = sorted(p for p in points if lower < p < upper)
         edges = [lower, *cuts, upper]
-        total = 0.0 + 0.0j if complex_valued else 0.0
+        total = 0.0
         err = 0.0
         for a, b in zip(edges[:-1], edges[1:]):
-            part = adaptive_quadrature(
-                integrand, a, b, rel_tol,
-                abs_tol=abs_tol, complex_valued=complex_valued, limit=limit,
-            )
+            part = adaptive_quadrature(integrand, a, b, rel_tol, abs_tol=abs_tol)
             total += part.value
             err += part.error
-        scale = max(abs(total), 0.0)
-        return QuadResult(total, err, err <= max(rel_tol * scale, abs_tol))
+        return QuadResult(total, err, err <= max(rel_tol * abs(total), abs_tol))
 
     kwargs = dict(epsabs=abs_tol if abs_tol > 0 else 1.49e-13,
-                  epsrel=rel_tol, limit=limit, full_output=True)
+                  epsrel=rel_tol, limit=400, full_output=True)
     if points and not infinite:
         kwargs["points"] = points
-    if complex_valued:
-        kwargs["complex_func"] = True
     out = integrate.quad(wrapped, lower, upper, **kwargs)
     value, err = out[0], out[1]
     converged = err <= max(rel_tol * abs(value), abs_tol) or err <= 1.49e-13

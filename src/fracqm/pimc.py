@@ -38,6 +38,8 @@ __all__ = [
 
 # least effective sample size (sum w)^2 / sum w^2 of a covered bin
 _MIN_EFFECTIVE = 16.0
+# independent chains behind each rung of fractal_scaling_exponent
+_SCALING_CHAINS = 16
 
 
 @dataclass
@@ -143,10 +145,13 @@ def estimate_density_matrix(
     Endpoint binning on bin_grid cells; mass landing outside the grid is
     accumulated in the overflow fields, never silently dropped.  Bins that
     fewer than two chains ever hit are marked uncovered (their std_error is
-    meaningless), not zero-filled silently.
+    meaningless), not zero-filled silently.  The error bar is the spread of
+    the chain means, so n_chains must be at least 2.
     """
     if n_slices < 1:
         raise ConfigurationError(f"n_slices must be >= 1, got {n_slices}")
+    if n_chains < 2:
+        raise ConfigurationError(f"n_chains must be >= 2, got {n_chains}")
     spread = 2.0 * wander_scale(beta, params)
     if bin_grid.length / 2.0 < spread:
         raise ConfigurationError(
@@ -203,15 +208,13 @@ def fractal_scaling_exponent(
     slice_ladder: list[float],
     n_samples: int,
     master_seed: int,
-    *,
-    n_chains: int = 16,
 ) -> McEstimate:
     """Slope of log E|dx|^mu against log sigma over a ladder of slice times.
 
     The free-measure increments scale as sigma^(1/alpha), so the fitted
     slope estimates mu / alpha.  Requires mu < alpha (higher moments of the
     stable law diverge).  The fit is weighted least squares with per-rung
-    errors taken across chains.
+    errors taken across 16 chains (`_SCALING_CHAINS`).
     """
     if not (0.0 < mu < params.alpha):
         raise ContractError(
@@ -219,8 +222,8 @@ def fractal_scaling_exponent(
         )
     if len(slice_ladder) < 2 or not min(slice_ladder) > 0:
         raise ConfigurationError(f"slice ladder needs two or more positive rungs, got {slice_ladder}")
-    per_chain = max(1, n_samples // n_chains)
-    rngs = chain_rngs(master_seed, n_chains)
+    per_chain = max(1, n_samples // _SCALING_CHAINS)
+    rngs = chain_rngs(master_seed, _SCALING_CHAINS)
     log_s, y, y_err = [], [], []
     for sigma in slice_ladder:
         law = thermal_law(sigma / params.hbar, params)
@@ -228,7 +231,7 @@ def fractal_scaling_exponent(
             [np.mean(np.abs(sample_stable(law, rng, per_chain)) ** mu) for rng in rngs]
         )
         m = chain_means.mean()
-        se = chain_means.std(ddof=1) / math.sqrt(n_chains)
+        se = chain_means.std(ddof=1) / math.sqrt(_SCALING_CHAINS)
         log_s.append(math.log(sigma))
         y.append(math.log(m))
         y_err.append(se / m)
@@ -243,7 +246,7 @@ def fractal_scaling_exponent(
     return McEstimate(
         mean=slope,
         std_error=stderr,
-        n_chains=n_chains,
+        n_chains=_SCALING_CHAINS,
         n_samples_per_chain=per_chain * len(slice_ladder),
         master_seed=master_seed,
     )

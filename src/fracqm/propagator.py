@@ -8,8 +8,9 @@ The kernel is the conditionally convergent Fourier integral
 evaluated by damping the integrand with exp(-eps |p|^alpha) for a decreasing
 ladder of eps and Richardson-extrapolating eps -> 0.  The extrapolation
 spread plus an aliasing bound is reported as the error bar.  State
-propagation never goes through the position-space kernel: it uses the exact
-spectral multiplier exp(-i D |p|^alpha t / hbar).
+propagation never goes through the position-space kernel: it is
+`spectral.evolve`, whose V = 0 step is the exact spectral multiplier
+exp(-i D |p|^alpha t / hbar).
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .numerics import (
     ComplexField,
     GridSpec,
     PhysicalParams,
-    apply_symbol,
     make_grid,
     to_position_space,
 )
@@ -36,12 +36,13 @@ __all__ = [
     "kernel_row",
     "composition_grid",
     "chapman_kolmogorov_residual",
-    "propagate_free",
 ]
 
 # relative (to D t / hbar) regularization strengths, strongest first
 _EPS_LADDER = (0.04, 0.02, 0.01, 0.005, 0.0025)
 _TRUNC_LOG = 30.0  # keep exp(-eps p^alpha) above e^-30 on the p grid
+# free_kernel's aliasing budget, relative to the on-axis kernel magnitude
+_ALIAS_REL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -116,39 +117,41 @@ def _eps_sensitivity(dx: float, t: float, params: PhysicalParams) -> float:
     return max(base, p_star**alpha)
 
 
-def free_kernel(
-    query: KernelQuery,
-    *,
-    rel_tol: float = 1e-8,
-    alias_length: float | None = None,
-) -> KernelEstimate:
+def _grid_points(eps_min: float, alias_length: float, params: PhysicalParams) -> int:
+    """Power-of-two point count at momentum spacing 2 pi hbar / alias_length
+    whose reach holds exp(-eps_min |p|^alpha) down to e^-30; at most 2^23."""
+    p_max = (_TRUNC_LOG / eps_min) ** (1.0 / params.alpha)
+    dp = 2.0 * math.pi * params.hbar / alias_length
+    n = 1 << max(8, int(math.ceil(2.0 * p_max / dp)) - 1).bit_length()
+    if n > (1 << 23):
+        raise NumericalError(f"kernel momentum grid would need {n} points")
+    return n
+
+
+def free_kernel(query: KernelQuery) -> KernelEstimate:
     """Free kernel amplitude at (x_b - x_a, t); translation invariant, even.
 
-    rel_tol sets the aliasing budget relative to the on-axis kernel
-    magnitude; the returned error adds the Richardson spread to that bound.
+    The periodic domain holds aliasing below 1e-8 of the on-axis kernel
+    magnitude (`_ALIAS_REL_TOL`) and spans at least 40 x_c + 4 |dx|, x_c
+    the kernel length scale; the returned error adds the Richardson spread
+    to the aliasing bound.
     """
     params = query.params
     alpha, hbar = params.alpha, params.hbar
     dx = abs(query.x_b - query.x_a)
     a_phase, x_c = _char_scales(query.t, params)
     center_mag = math.gamma(1.0 + 1.0 / alpha) / (math.pi * hbar) * a_phase ** (-1.0 / alpha)
-    target_abs = rel_tol * center_mag
+    target_abs = _ALIAS_REL_TOL * center_mag
     eps = np.array(_EPS_LADDER) / _eps_sensitivity(dx, query.t, params)
-    if alias_length is None:
-        if alpha == 2.0:
-            need = math.log(max(center_mag / target_abs, 4.0)) + 4.0
-            alias_length = dx + 2.0 * hbar * math.sqrt(a_phase**2 * need / eps[-1])
-        else:
-            coeff = 2.0 * a_phase * hbar**alpha * math.gamma(1.0 + alpha) / math.pi
-            alias_length = dx + (4.0 * coeff / target_abs) ** (1.0 / (1.0 + alpha))
-        alias_length = max(alias_length, 40.0 * x_c + 4.0 * dx)
-    p_max = (_TRUNC_LOG / eps[-1]) ** (1.0 / alpha)
+    if alpha == 2.0:
+        need = math.log(max(center_mag / target_abs, 4.0)) + 4.0
+        alias_length = dx + 2.0 * hbar * math.sqrt(a_phase**2 * need / eps[-1])
+    else:
+        coeff = 2.0 * a_phase * hbar**alpha * math.gamma(1.0 + alpha) / math.pi
+        alias_length = dx + (4.0 * coeff / target_abs) ** (1.0 / (1.0 + alpha))
+    alias_length = max(alias_length, 40.0 * x_c + 4.0 * dx)
+    n = _grid_points(eps[-1], alias_length, params)
     dp = 2.0 * math.pi * hbar / alias_length
-    n = 1 << max(8, int(math.ceil(2.0 * p_max / dp)) - 1).bit_length()
-    if n > (1 << 23):
-        raise NumericalError(
-            f"kernel momentum grid would need {n} points; relax rel_tol"
-        )
     p = dp * (np.arange(n) - n // 2)
     r = np.abs(p) ** alpha
     base = np.exp(1j * p * dx / hbar - 1j * a_phase * r)
@@ -191,20 +194,14 @@ def composition_grid(
     params: PhysicalParams,
     *,
     t_alias: float | None = None,
-    alias_length: float | None = None,
 ) -> GridSpec:
     """Grid for kernel rows: momentum reach sized by the shortest leg time
-    (weakest damping), domain length by the longest (widest kernel)."""
+    (weakest damping), domain length 400 kernel length scales of the
+    longest (widest kernel)."""
     a_min, _ = _char_scales(t_min, params)
     _, x_c = _char_scales(t_alias if t_alias is not None else t_min, params)
-    if alias_length is None:
-        alias_length = 400.0 * x_c
-    eps_min = _EPS_LADDER[-1] * a_min
-    p_max = (_TRUNC_LOG / eps_min) ** (1.0 / params.alpha)
-    dp = 2.0 * math.pi * params.hbar / alias_length
-    n = 1 << max(8, int(math.ceil(2.0 * p_max / dp)) - 1).bit_length()
-    if n > (1 << 23):
-        raise NumericalError(f"composition grid would need {n} points")
+    alias_length = 400.0 * x_c
+    n = _grid_points(_EPS_LADDER[-1] * a_min, alias_length, params)
     return make_grid(n, alias_length, params.hbar)
 
 
@@ -214,19 +211,16 @@ def chapman_kolmogorov_residual(
     t_total: float,
     t_split: float,
     params: PhysicalParams,
-    *,
-    grid: GridSpec | None = None,
 ) -> float:
     """|K(x_b, t_total | x_a) - int dx' K(x_b, t_total - t_split | x') K(x', t_split | x_a)|.
 
-    Both sides are evaluated on a shared offset grid (endpoints snapped to
-    grid nodes); the intermediate integral is the periodic convolution sum.
+    Both sides are evaluated on a shared `composition_grid` (endpoints
+    snapped to grid nodes); the intermediate integral is the periodic
+    convolution sum.
     """
     if not (0.0 < t_split < t_total):
         raise ConfigurationError("need 0 < t_split < t_total")
-    if grid is None:
-        t_min = min(t_split, t_total - t_split)
-        grid = composition_grid(t_min, params, t_alias=t_total)
+    grid = composition_grid(min(t_split, t_total - t_split), params, t_alias=t_total)
     n, dx = grid.n_points, grid.spacing
     ib = int(round((x_b + grid.length / 2.0) / dx)) % n
     ia = int(round((x_a + grid.length / 2.0) / dx)) % n
@@ -244,15 +238,3 @@ def chapman_kolmogorov_residual(
     composed = np.sum(second * first) * dx
     direct = rows["direct"][0][(ib - ia + n // 2) % n]
     return float(abs(direct - composed))
-
-
-def propagate_free(field: ComplexField, t: float, params: PhysicalParams) -> ComplexField:
-    """Exact spectral free evolution phi(p) -> phi(p) exp(-i D |p|^alpha t / hbar)."""
-    if t < 0:
-        raise ConfigurationError(f"propagation time must be >= 0, got {t}")
-    if t == 0.0:
-        return field.copy()
-    phase = np.exp(
-        -1j * params.d_alpha * np.abs(field.grid.momenta) ** params.alpha * t / params.hbar
-    )
-    return ComplexField(apply_symbol(field.values, phase), field.grid)

@@ -35,6 +35,10 @@ __all__ = [
     "refine_time_step",
 ]
 
+# refine_time_step's acceptance level and its halving budget
+_DEFECT_TOL = 1e-8
+_MAX_HALVINGS = 30
+
 
 @dataclass(frozen=True)
 class Potential:
@@ -48,9 +52,9 @@ class Potential:
         return Potential(lambda x: np.zeros_like(np.asarray(x, dtype=float)), "free")
 
     @staticmethod
-    def harmonic(mass: float, omega: float, center: float = 0.0) -> "Potential":
+    def harmonic(mass: float, omega: float) -> "Potential":
         def v(x):
-            return 0.5 * mass * omega**2 * (np.asarray(x, dtype=float) - center) ** 2
+            return 0.5 * mass * omega**2 * np.asarray(x, dtype=float) ** 2
 
         return Potential(v, "harmonic")
 
@@ -70,7 +74,6 @@ class EvolverConfig:
     dt: float
     n_steps: int
     mode: str = "real_time"
-    renormalize: bool = False
 
     def __post_init__(self):
         if self.mode not in ("real_time", "imaginary_time"):
@@ -79,8 +82,6 @@ class EvolverConfig:
             raise ConfigurationError(f"dt must be positive, got {self.dt}")
         if self.n_steps < 0:
             raise ConfigurationError(f"n_steps must be >= 0, got {self.n_steps}")
-        if self.mode == "real_time" and self.renormalize:
-            raise ConfigurationError("real_time mode never renormalizes")
 
 
 def kinetic_symbol(grid: GridSpec, params: PhysicalParams) -> np.ndarray:
@@ -122,11 +123,6 @@ def evolve(
             psi = half_v * psi
             if not np.all(np.isfinite(psi)):
                 raise DivergenceError(step)
-            if config.renormalize:
-                nrm = np.sqrt(np.sum(np.abs(psi) ** 2) * grid.spacing)
-                if nrm == 0.0:
-                    raise DivergenceError(step)
-                psi = psi / nrm
     return ComplexField(psi, grid)
 
 
@@ -163,10 +159,9 @@ def refine_time_step(
     params: PhysicalParams,
     dt0: float,
     mode: str = "real_time",
-    defect_tol: float = 1e-8,
-    max_halvings: int = 30,
 ) -> float:
-    """Halve dt until the Strang defect on `field` drops below defect_tol.
+    """Halve dt, at most 30 times (`_MAX_HALVINGS`), until the Strang defect
+    on `field` drops below 1e-8 (`_DEFECT_TOL`).
 
     The defect compares one full step against two half steps, in L2 norm
     relative to the state norm.
@@ -175,15 +170,15 @@ def refine_time_step(
     ref = field.norm()
     if ref == 0.0:
         raise ContractError("cannot calibrate dt on a zero field")
-    for _ in range(max_halvings):
+    for _ in range(_MAX_HALVINGS):
         one = evolve(field, potential, params, EvolverConfig(dt, 1, mode))
         two = evolve(field, potential, params, EvolverConfig(dt / 2.0, 2, mode))
         defect = np.sqrt(
             np.sum(np.abs(one.values - two.values) ** 2) * field.grid.spacing
         ) / ref
-        if defect < defect_tol:
+        if defect < _DEFECT_TOL:
             return dt
         dt /= 2.0
     raise ConfigurationError(
-        f"could not meet splitting defect {defect_tol} within {max_halvings} halvings"
+        f"could not meet splitting defect {_DEFECT_TOL} within {_MAX_HALVINGS} halvings"
     )

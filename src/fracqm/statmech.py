@@ -137,9 +137,7 @@ def _pick_steps(
     x0: float,
 ) -> int:
     field = _delta_field(grid, x0)
-    dt = refine_time_step(
-        field, potential, params, beta / 16.0, mode="imaginary_time", defect_tol=1e-8
-    )
+    dt = refine_time_step(field, potential, params, beta / 16.0, mode="imaginary_time")
     return max(16, int(math.ceil(beta / dt)))
 
 

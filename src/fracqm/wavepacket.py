@@ -61,6 +61,12 @@ __all__ = [
     "uncertainty_report",
 ]
 
+# suggest_grid's wrapped-tail budget (a share of the norm) and point cap
+_NORM_TOL = 1e-9
+_N_MAX = 1 << 20
+# packet_position_state's largest allowed off-grid probability mass
+_TAIL_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class PacketParams:
@@ -163,11 +169,9 @@ def suggest_grid(
     packet: PacketParams,
     params: PhysicalParams,
     t: float = 0.0,
-    *,
-    norm_tol: float = 1e-9,
-    n_max: int = 1 << 20,
 ) -> GridSpec:
-    """Grid sized so the packet's wrapped tails stay below norm_tol.
+    """Grid sized so the packet's wrapped tails stay below 1e-9 of its norm
+    (`_NORM_TOL`), with at most 2^20 points (`_N_MAX`).
 
     For nu < 2 the position density has |x|^(-2-2nu) power tails, so the
     domain length comes from the image-mass bound; the momentum reach covers
@@ -178,10 +182,10 @@ def suggest_grid(
     hbar, l, nu = params.hbar, packet.l, packet.nu
     s = 2.0 ** (1.0 / nu) * l  # conservative image scale of |phi|^2 in x (cm)
     if nu == 2.0:
-        length_norm = s * (4.0 + 2.0 * math.sqrt(math.log(1.0 / norm_tol)))
+        length_norm = s * (4.0 + 2.0 * math.sqrt(math.log(1.0 / _NORM_TOL)))
     else:
         c_nu = math.gamma(1.0 + nu) * math.sin(math.pi * nu / 2.0) / math.gamma(1.0 + 1.0 / nu)
-        length_norm = s * (2.0 * c_nu / norm_tol) ** (1.0 / (1.0 + nu))
+        length_norm = s * (2.0 * c_nu / _NORM_TOL) ** (1.0 / (1.0 + nu))
     drift = abs(observable_means(t, packet, params, "closed_form")[0])
     tau = abs(reduced_time(t, packet, params))
     length = max(length_norm, 2.0 * (drift + 40.0 * l * (1.0 + tau)), 40.0 * l)
@@ -192,9 +196,7 @@ def suggest_grid(
     p_need = packet.p0 + q_max + 6.0 * hbar / l
     dx_target = math.pi * hbar / p_need
     n = 1 << max(8, int(math.ceil(length / dx_target)) - 1).bit_length()
-    if n > n_max:
-        n = n_max
-    return make_grid(n, length, hbar)
+    return make_grid(min(n, _N_MAX), length, hbar)
 
 
 def tail_mass_estimate(
@@ -229,21 +231,19 @@ def packet_position_state(
     packet: PacketParams,
     params: PhysicalParams,
     grid: GridSpec | None = None,
-    *,
-    tail_tol: float = 1e-6,
 ) -> ComplexField:
     """psi_L(., t) on the grid, unit-normalized by construction.
 
     Raises DomainTooSmallError when the estimated off-grid mass exceeds
-    tail_tol.
+    1e-6 (`_TAIL_TOL`).
     """
     _check_nu(packet, params)
     if grid is None:
         grid = suggest_grid(packet, params, t)
     tail = tail_mass_estimate(t, packet, params, grid)
-    if tail > tail_tol:
+    if tail > _TAIL_TOL:
         raise DomainTooSmallError(
-            f"estimated off-grid probability mass {tail:.3e} exceeds {tail_tol:.1e}; "
+            f"estimated off-grid probability mass {tail:.3e} exceeds {_TAIL_TOL:.1e}; "
             "enlarge the domain", tail,
         )
     return ComplexField(_position_values(t, packet, params, grid), grid)
@@ -302,14 +302,13 @@ def mean_mu_deviation(
     t: float,
     packet: PacketParams,
     params: PhysicalParams,
-    grid: GridSpec | None = None,
 ) -> float:
     """mu-root of the mean-mu deviation <|q - <q>|^mu>^(1/mu).
 
     target 'momentum' integrates the analytic w(p) by adaptive quadrature
     (time independent); target 'position' takes the self-normalized grid
-    moment of rho(x, t).  Requires mu < nu strictly, else the moment may
-    diverge.
+    moment of rho(x, t) on the `suggest_grid` grid.  Requires mu < nu
+    strictly, else the moment may diverge.
     """
     _check_nu(packet, params)
     if not (0.0 < mu < packet.nu):
@@ -324,7 +323,7 @@ def mean_mu_deviation(
         return float(res.value) ** (1.0 / mu)
     if target != "position":
         raise ConfigurationError(f"target must be 'position' or 'momentum', got {target!r}")
-    psi = packet_position_state(t, packet, params, grid)
+    psi = packet_position_state(t, packet, params)
     rho = np.abs(psi.values) ** 2
     x = psi.grid.positions
     # deviations are taken about the closed-form drift (the group-velocity
@@ -366,15 +365,13 @@ def packet_spread_factor(
     nu: float,
     tau: float,
     eta0: float,
-    *,
-    n_fft: int = 1 << 18,
-    sigma_nyquist: float = 1024.0,
 ) -> float:
     """The dimensionless position-spread factor N(alpha, mu, nu; tau, eta0).
 
     Evaluates g(sigma) on a fine sigma grid with one FFT of the
-    zero-padded eta window, then integrates |sigma|^mu |g|^2 by midpoint
-    rule with an analytic treatment of the |sigma|^mu cusp cells.  The
+    zero-padded eta window (at least 2^18 points; sigma reach 1024 past
+    the drift), then integrates |sigma|^mu |g|^2 by midpoint rule with an
+    analytic treatment of the |sigma|^mu cusp cells.  The
     result is self-normalized by the mu = 0 sum, which equals one exactly
     in the continuum.
     """
@@ -384,10 +381,9 @@ def packet_spread_factor(
         )
     c0 = alpha * tau * eta0 ** (alpha - 1.0)
     half_width = math.log(1e16) ** (1.0 / nu) + 2.0
-    d_eta = math.pi / (sigma_nyquist + abs(c0))
+    d_eta = math.pi / (1024.0 + abs(c0))
     n_phys = int(math.ceil(2.0 * half_width / d_eta))
-    if n_phys > n_fft // 2:
-        n_fft = 1 << (2 * n_phys - 1).bit_length()
+    n_fft = max(1 << 18, 1 << (2 * n_phys - 1).bit_length())
     eta = eta0 - half_width + d_eta * np.arange(n_phys)
     f = np.exp(
         1j * eta * c0

@@ -84,6 +84,26 @@ def test_unknown_potential_named(experiment):
     assert "'potential'" in msg and "'harmonc'" in msg
 
 
+def test_pimc_single_chain_rejected():
+    # one chain has no chain spread, so every std_error would be NaN
+    with pytest.raises(ConfigurationError, match="n_chains must be >= 2"):
+        validate_config({"experiment": "pimc", "n_chains": "1"})
+
+
+@pytest.mark.parametrize(
+    "experiment,key,value",
+    [
+        ("uncertainty", "tau_values", ""),
+        ("kernel-check", "t_values", ""),
+        ("kernel-check", "dx_values", ""),
+        ("kernel-check", "t_split", "2.0"),  # beyond the first t_values entry, 0.5
+    ],
+)
+def test_bad_list_input_named(experiment, key, value):
+    with pytest.raises(ConfigurationError, match=f"key '{key}' must"):
+        validate_config({"experiment": experiment, key: value})
+
+
 def test_pimc_nonpositive_beta_named():
     config = validate_config({"experiment": "pimc", "beta": "-1"})
     with pytest.raises(ConfigurationError, match="^beta must be positive"):

@@ -12,7 +12,6 @@ from fracqm.numerics import (
     make_grid,
     to_momentum_space,
     to_position_space,
-    transform_pair,
 )
 
 
@@ -79,19 +78,12 @@ def test_plane_wave_against_direct_summation():
     direct = np.array(
         [np.sum(np.exp(-1j * pk * g.positions) * psi) * g.spacing for pk in g.momenta]
     )
-    phi = transform_pair(ComplexField(psi, g), "forward")
+    phi = to_momentum_space(ComplexField(psi, g))
     assert np.max(np.abs(phi.values - direct)) < 1e-12
     mags = np.abs(phi.values)
     k0 = int(np.argmax(mags))
     assert g.momenta[k0] == p0
     assert np.max(np.delete(mags, k0)) < 1e-12 * mags[k0]
-
-
-def test_transform_pair_rejects_unknown_direction():
-    g = make_grid(8, 8.0)
-    f = ComplexField(np.ones(8, dtype=complex), g)
-    with pytest.raises(ConfigurationError):
-        transform_pair(f, "sideways")
 
 
 def test_inner_product_requires_matching_grids():

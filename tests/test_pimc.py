@@ -55,12 +55,15 @@ def test_paths_bit_identical_for_fixed_master_seed():
 
 
 @pytest.mark.parametrize(
-    "beta,n_slices,name", [(-1.0, 8, "beta"), (0.0, 8, "beta"), (1.0, 0, "n_slices")]
+    "beta,n_slices,name",
+    [(-1.0, 8, "beta"), (0.0, 8, "beta"), (1.0, 0, "n_slices"), (1.0, 8, "n_chains")],
 )
 def test_bad_input_rejected_naming_argument(beta, n_slices, name):
     grid = make_grid(32, 24.0)
+    n_chains = 1 if name == "n_chains" else 2
     with pytest.raises(ConfigurationError, match=f"^{name} must"):
-        estimate_density_matrix(Potential.free(), 0.0, beta, P15, n_slices, 2, 10, grid, 1)
+        estimate_density_matrix(Potential.free(), 0.0, beta, P15, n_slices, n_chains, 10,
+                                grid, 1)
 
 
 def bin_averaged_free_oracle(grid, beta, params, x0=0.0):

@@ -12,8 +12,8 @@ from fracqm.propagator import (
     composition_grid,
     free_kernel,
     kernel_row,
-    propagate_free,
 )
+from fracqm.spectral import EvolverConfig, Potential, evolve
 
 P15 = PhysicalParams(1.0, 1.0, 1.5)
 P2 = PhysicalParams.gaussian(mass=1.0)
@@ -104,10 +104,14 @@ def gaussian_field(grid, sigma=1.0, p0=0.0, x0=0.0):
     return ComplexField(psi, grid)
 
 
+# free state propagation is spectral.evolve with V = 0: one step of size t
+# applies the exact multiplier exp(-i D |p|^alpha t / hbar)
+
+
 def test_propagate_free_identity_at_zero_time():
     grid = make_grid(256, 40.0)
     f = gaussian_field(grid)
-    out = propagate_free(f, 0.0, P15)
+    out = evolve(f, Potential.free(), P15, EvolverConfig(1.0, 0))
     assert np.array_equal(out.values, f.values)
 
 
@@ -115,7 +119,7 @@ def test_propagate_free_plane_wave_phase():
     grid = make_grid(256, 32.0)
     p0 = grid.momenta[9]
     f = ComplexField(np.exp(1j * p0 * grid.positions), grid)
-    out = propagate_free(f, 0.7, P15)
+    out = evolve(f, Potential.free(), P15, EvolverConfig(0.7, 1))
     expected = f.values * np.exp(-1j * abs(p0) ** 1.5 * 0.7)
     assert np.max(np.abs(out.values - expected)) < 1e-12
 
@@ -123,8 +127,9 @@ def test_propagate_free_plane_wave_phase():
 def test_propagate_free_norm_and_spectral_composition():
     grid = make_grid(512, 60.0)
     f = gaussian_field(grid, sigma=1.5, p0=1.0)
-    a = propagate_free(propagate_free(f, 0.4, P15), 0.6, P15)
-    b = propagate_free(f, 1.0, P15)
+    free = Potential.free()
+    a = evolve(evolve(f, free, P15, EvolverConfig(0.4, 1)), free, P15, EvolverConfig(0.6, 1))
+    b = evolve(f, free, P15, EvolverConfig(1.0, 1))
     assert np.max(np.abs(a.values - b.values)) < 1e-14
     assert abs(b.norm() - 1.0) < 1e-12
 
@@ -135,7 +140,7 @@ def test_propagate_free_gaussian_spreading_closed_form():
     sigma0 = 1.0
     f = gaussian_field(grid, sigma=sigma0)
     t = 1.3
-    out = propagate_free(f, t, P2)
+    out = evolve(f, Potential.free(), P2, EvolverConfig(t, 1))
     m = 1.0
     st2 = sigma0**2 * (1.0 + (t / (2.0 * m * sigma0**2)) ** 2)
     rho_ref = np.exp(-grid.positions**2 / (2.0 * st2)) / math.sqrt(2.0 * math.pi * st2)
@@ -143,7 +148,5 @@ def test_propagate_free_gaussian_spreading_closed_form():
 
 
 def test_propagate_free_rejects_negative_time():
-    grid = make_grid(64, 8.0)
-    f = gaussian_field(grid)
     with pytest.raises(ConfigurationError):
-        propagate_free(f, -0.1, P15)
+        EvolverConfig(-0.1, 1)

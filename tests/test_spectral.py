@@ -164,8 +164,10 @@ def test_imaginary_time_projects_ground_state():
     grid = make_grid(512, 30.0)
     pot = Potential.harmonic(m, omega)
     field = gaussian_state(grid, x0=0.8, sigma=0.9)
-    cfg = EvolverConfig(0.001, 9000, mode="imaginary_time", renormalize=True)
+    cfg = EvolverConfig(0.001, 9000, mode="imaginary_time")
     out = evolve(field, pot, params, cfg)
+    # the evolution is linear, so one normalization at the end suffices
+    out = ComplexField(out.values / out.norm(), grid)
     assert energy_expectation(out, pot, params) == pytest.approx(0.5, abs=1e-5)
 
 
@@ -182,8 +184,9 @@ def test_imaginary_projection_matches_dense_diagonalization():
     e0_dense = float(np.linalg.eigvalsh((h + h.conj().T) / 2.0)[0])
 
     field = gaussian_state(grid, sigma=0.8)
-    cfg = EvolverConfig(0.002, 8000, mode="imaginary_time", renormalize=True)
+    cfg = EvolverConfig(0.002, 8000, mode="imaginary_time")
     ground = evolve(field, pot, params, cfg)
+    ground = ComplexField(ground.values / ground.norm(), grid)
     e0_projected = energy_expectation(ground, pot, params)
     assert e0_projected == pytest.approx(e0_dense, rel=1e-6)
 
@@ -199,11 +202,6 @@ def test_imaginary_time_norm_nonincreasing_for_positive_potential():
         state = evolve(state, pot, params, EvolverConfig(0.05, 4, mode="imaginary_time"))
         norms.append(state.norm())
     assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
-
-
-def test_real_time_renormalize_rejected():
-    with pytest.raises(ConfigurationError):
-        EvolverConfig(0.01, 10, mode="real_time", renormalize=True)
 
 
 @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8, 2.0])
