@@ -6,12 +6,20 @@ independent draw of the free thermal law at beta / N (`stable.thermal_law`,
 stable(alpha) of scale (beta / N) D_alpha hbar^alpha; the alpha=2 case
 reduces to the Wiener measure with increment variance hbar^2 beta / (N m)).
 The external potential enters as the per-path importance weight
-exp{-(beta/N) sum_j V(x_j)} (right-endpoint Riemann rule), and the
+exp{-(beta/N) [V(x0)/2 + V(x_1) + ... + V(x_{N-1}) + V(x_N)/2]}, the
+symmetric (trapezoid) slice rule of the primitive approximation, and the
 density-matrix row rho(x, beta | x0) is the weighted endpoint histogram.
+
+With V = 0 every weight is one and only the endpoint is binned; a sum of N
+free increments is one draw of the same law at the full beta, so a free
+chain draws each endpoint directly, x0 + one `thermal_law(beta)` variate.
+Otherwise paths are sampled, weighted and binned `_BLOCK_PATHS` at a time,
+so memory per worker does not grow as paths x slices.
 
 Chains are independent: chain i uses SeedSequence(master_seed).spawn child i,
 and the reduction over chains is done in chain-index order, so results are
-bit-reproducible at any parallelism degree (cap workers with FRACQM_THREADS).
+bit-reproducible at any parallelism degree.  Chains run on every available
+core by default; FRACQM_THREADS caps the worker count.
 """
 
 from __future__ import annotations
@@ -40,6 +48,9 @@ __all__ = [
 _MIN_EFFECTIVE = 16.0
 # independent chains behind each rung of fractal_scaling_exponent
 _SCALING_CHAINS = 16
+# paths sampled, weighted and binned together; fixed, so a chain's random
+# stream never depends on the worker count
+_BLOCK_PATHS = 256
 
 
 @dataclass
@@ -85,15 +96,30 @@ def sample_free_paths(
 
 
 def _max_workers() -> int:
+    """FRACQM_THREADS if set, else the cores this process may run on."""
     env = os.environ.get("FRACQM_THREADS", "")
     if not env.strip():
-        return 1
+        try:
+            return len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity call on this platform
+            return os.cpu_count() or 1
     try:
         return max(1, int(env))
     except ValueError:
         raise ConfigurationError(
             f"FRACQM_THREADS must be an integer, got {env!r}"
         ) from None
+
+
+def _binned(endpoints: np.ndarray, weights: np.ndarray | None, edges: np.ndarray):
+    """Sums of w and of w^2 in slot i for cell [edges[i-1], edges[i]); slot 0
+    holds the mass below edges[0], the last slot the mass at or above edges[-1]."""
+    slot = np.searchsorted(edges, endpoints, side="right")
+    if weights is None:
+        counts = np.bincount(slot, minlength=len(edges) + 1).astype(float)
+        return counts, counts
+    return (np.bincount(slot, weights, minlength=len(edges) + 1),
+            np.bincount(slot, weights * weights, minlength=len(edges) + 1))
 
 
 def _chain_histogram(
@@ -106,27 +132,34 @@ def _chain_histogram(
     n_samples: int,
     edges: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
-    positions = sample_free_paths(params, beta, n_slices, x0, rng, n_samples)
     if potential.kind == "free":
-        weights = np.ones(n_samples)
+        endpoints = x0 + sample_stable(thermal_law(beta, params), rng, n_samples)
+        w_sum, w_sq = _binned(endpoints, None, edges)
     else:
-        v_vals = potential.func(positions)
-        with np.errstate(over="ignore"):
-            weights = np.exp(-(beta / n_slices) * np.sum(v_vals, axis=1))
-        if not np.all(np.isfinite(weights)):
-            bad = int(np.sum(~np.isfinite(weights)))
-            raise ContractError(
-                "potential appears unbounded below on the sampled support: "
-                f"{bad} of {n_samples} path weights overflowed "
-                f"(min sampled V = {float(np.min(v_vals)):.3e})"
-            )
-    endpoints = positions[:, -1]
-    hist, _ = np.histogram(endpoints, bins=edges, weights=weights)
-    w_sq, _ = np.histogram(endpoints, bins=edges, weights=weights * weights)
-    low = float(np.sum(weights[endpoints < edges[0]]))
-    high = float(np.sum(weights[endpoints >= edges[-1]]))
+        eps = beta / n_slices
+        v0 = 0.5 * float(potential.func(np.array(x0)))
+        w_sum, w_sq = np.zeros(len(edges) + 1), np.zeros(len(edges) + 1)
+        for start in range(0, n_samples, _BLOCK_PATHS):
+            m = min(_BLOCK_PATHS, n_samples - start)
+            positions = sample_free_paths(params, beta, n_slices, x0, rng, m)
+            v_vals = potential.func(positions)
+            action = v0 + np.sum(v_vals[:, :-1], axis=1) + 0.5 * v_vals[:, -1]
+            with np.errstate(over="ignore"):
+                weights = np.exp(-eps * action)
+            if not np.all(np.isfinite(weights)):
+                bad = int(np.sum(~np.isfinite(weights)))
+                raise ContractError(
+                    "potential appears unbounded below on the sampled support: "
+                    f"{bad} of {m} path weights in a block overflowed "
+                    f"(min sampled V = {float(np.min(v_vals)):.3e})"
+                )
+            block_sum, block_sq = _binned(positions[:, -1], weights, edges)
+            w_sum += block_sum
+            w_sq += block_sq
+    hist = w_sum[1:-1]
     width = edges[1] - edges[0]
-    return hist / (n_samples * width), hist, w_sq, low / n_samples, high / n_samples
+    return (hist / (n_samples * width), hist, w_sq[1:-1],
+            w_sum[0] / n_samples, w_sum[-1] / n_samples)
 
 
 def estimate_density_matrix(
@@ -169,7 +202,7 @@ def estimate_density_matrix(
             n_slices, n_samples_per_chain, edges,
         )
 
-    workers = _max_workers()
+    workers = min(_max_workers(), n_chains)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, range(n_chains)))

@@ -128,6 +128,24 @@ def _grid_points(eps_min: float, alias_length: float, params: PhysicalParams) ->
     return n
 
 
+def _free_kernel_grid(dx: float, t: float, params: PhysicalParams):
+    """free_kernel's damping ladder, periodic domain length and point count at
+    offset |dx| and time t; raises NumericalError past 2^23 points."""
+    alpha, hbar = params.alpha, params.hbar
+    a_phase, x_c = _char_scales(t, params)
+    center_mag = math.gamma(1.0 + 1.0 / alpha) / (math.pi * hbar) * a_phase ** (-1.0 / alpha)
+    target_abs = _ALIAS_REL_TOL * center_mag
+    eps = np.array(_EPS_LADDER) / _eps_sensitivity(dx, t, params)
+    if alpha == 2.0:
+        need = math.log(max(center_mag / target_abs, 4.0)) + 4.0
+        alias_length = dx + 2.0 * hbar * math.sqrt(a_phase**2 * need / eps[-1])
+    else:
+        coeff = 2.0 * a_phase * hbar**alpha * math.gamma(1.0 + alpha) / math.pi
+        alias_length = dx + (4.0 * coeff / target_abs) ** (1.0 / (1.0 + alpha))
+    alias_length = max(alias_length, 40.0 * x_c + 4.0 * dx)
+    return eps, alias_length, _grid_points(eps[-1], alias_length, params)
+
+
 def free_kernel(query: KernelQuery) -> KernelEstimate:
     """Free kernel amplitude at (x_b - x_a, t); translation invariant, even.
 
@@ -139,18 +157,8 @@ def free_kernel(query: KernelQuery) -> KernelEstimate:
     params = query.params
     alpha, hbar = params.alpha, params.hbar
     dx = abs(query.x_b - query.x_a)
-    a_phase, x_c = _char_scales(query.t, params)
-    center_mag = math.gamma(1.0 + 1.0 / alpha) / (math.pi * hbar) * a_phase ** (-1.0 / alpha)
-    target_abs = _ALIAS_REL_TOL * center_mag
-    eps = np.array(_EPS_LADDER) / _eps_sensitivity(dx, query.t, params)
-    if alpha == 2.0:
-        need = math.log(max(center_mag / target_abs, 4.0)) + 4.0
-        alias_length = dx + 2.0 * hbar * math.sqrt(a_phase**2 * need / eps[-1])
-    else:
-        coeff = 2.0 * a_phase * hbar**alpha * math.gamma(1.0 + alpha) / math.pi
-        alias_length = dx + (4.0 * coeff / target_abs) ** (1.0 / (1.0 + alpha))
-    alias_length = max(alias_length, 40.0 * x_c + 4.0 * dx)
-    n = _grid_points(eps[-1], alias_length, params)
+    a_phase, _ = _char_scales(query.t, params)
+    eps, alias_length, n = _free_kernel_grid(dx, query.t, params)
     dp = 2.0 * math.pi * hbar / alias_length
     p = dp * (np.arange(n) - n // 2)
     r = np.abs(p) ** alpha

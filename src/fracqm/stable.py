@@ -9,7 +9,8 @@ its Fourier inversion
 evaluated on |x| (the law is even).  alpha exactly 2 and exactly 1 dispatch
 to the Gaussian and Cauchy closed forms.  Sampling uses the Chambers,
 Mallows and Stuck (1976) transform specialized to the symmetric case, which
-is exact and needs two uniforms per variate.
+is exact and needs two uniforms per variate; at alpha = 2 it draws one
+standard normal per variate instead.
 
 The free thermal density matrix rho_0(x, beta | x0) (the paper's Fox H
 function) is this density at x - x0 with c = beta D_alpha hbar^alpha, and a
@@ -165,11 +166,16 @@ def sample_stable(params: StableParams, rng: np.random.Generator, size=None):
         X = sin(alpha V) / cos(V)^(1/alpha)
             * (cos((1-alpha) V) / W)^((1-alpha)/alpha)
 
-    is standard (c=1); the scale-c variate is c^(1/alpha) * X.  The draw
-    order is fixed (V batch, then W batch) so a given generator state yields
-    the same sequence at any call site.
+    is standard (c=1); the scale-c variate is c^(1/alpha) * X.  At alpha
+    exactly 2 the law is the Gaussian of variance 2c (the transform reduces
+    to 2 sin(V) sqrt(W)), drawn as sqrt(2c) times one standard normal batch.
+    The draw order is fixed per branch (one normal batch at alpha = 2, else a
+    V batch, then a W batch), so a given generator state yields the same
+    sequence at any call site.
     """
     alpha = params.alpha
+    if alpha == 2.0:
+        return math.sqrt(2.0 * params.scale) * rng.standard_normal(size)
     v = rng.uniform(-np.pi / 2.0, np.pi / 2.0, size=size)
     w = rng.exponential(1.0, size=size)
     if alpha == 1.0:

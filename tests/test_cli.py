@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -12,8 +13,9 @@ from fracqm.cli import (
     write_report,
 )
 from fracqm.errors import ConfigurationError
-from fracqm.numerics import PhysicalParams, adaptive_quadrature
-from fracqm.statmech import free_density_matrix
+from fracqm.numerics import PhysicalParams, adaptive_quadrature, apply_symbol, make_grid
+from fracqm.spectral import Potential
+from fracqm.statmech import bloch_density_matrix, free_density_matrix
 from oracles import mehler_bin_averages
 
 
@@ -97,6 +99,8 @@ def test_pimc_single_chain_rejected():
         ("kernel-check", "t_values", ""),
         ("kernel-check", "dx_values", ""),
         ("kernel-check", "t_split", "2.0"),  # beyond the first t_values entry, 0.5
+        ("kernel-check", "t_values", "0.0, 1.0"),
+        ("kernel-check", "t_values", "1e-9"),  # ~1e12 grid points against dx = 0.5
     ],
 )
 def test_bad_list_input_named(experiment, key, value):
@@ -240,6 +244,31 @@ def test_pimc_harmonic_oracle_is_bin_average():
     )
     exact = mehler_bin_averages(centers, centers[1] - centers[0], p["beta"])
     assert np.max(np.abs(oracle - exact)) <= 1e-6 * np.max(exact)
+
+
+def test_pimc_harmonic_oracle_keeps_periodic_images_out():
+    # at alpha < 2 the row has power tails: on a periodic domain of only
+    # bin_length the images summed to 3.5e-3 relative at the centre, 23% at x = 10
+    p, centers, oracle = _pimc_oracle({"potential": "harmonic"})
+    params = PhysicalParams(p["hbar"], p["d_alpha"], p["alpha"])
+    wide = make_grid(8192, 240.0)
+    row = bloch_density_matrix(Potential.harmonic(p["mass"], p["omega"]), p["beta"],
+                               params, wide, p["x0"])
+    width = centers[1] - centers[0]
+    box = np.sinc(wide.momenta * width / (2.0 * math.pi * params.hbar))
+    nodes = np.rint((centers + wide.length / 2.0) / wide.spacing).astype(int)
+    reference = apply_symbol(row, box).real[nodes]
+    core = np.abs(centers) < 3.0
+    assert np.max(np.abs(oracle[core] / reference[core] - 1.0)) <= 1e-3
+
+
+def test_pimc_harmonic_alpha15_matches_oracle():
+    # trapezoid slice rule at 64 slices against the wide-domain oracle; the
+    # right-endpoint rule and the bin_length-periodic oracle read 0.63 here
+    config = validate_config({"experiment": "pimc", "potential": "harmonic",
+                              "n_slices": "64", "n_paths": "50000"})
+    report = run_experiment(config)
+    assert report.passed, report.comparisons
 
 
 def test_atomic_write_uses_unique_temp_file(tmp_path):

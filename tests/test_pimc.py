@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -7,13 +8,14 @@ from scipy import stats
 from fracqm.errors import ConfigurationError, ContractError
 from fracqm.numerics import PhysicalParams, make_grid
 from fracqm.pimc import (
+    _max_workers,
     estimate_density_matrix,
     fractal_scaling_exponent,
     sample_free_paths,
     wander_scale,
 )
 from fracqm.spectral import Potential
-from fracqm.stable import StableParams, chain_rngs, sample_stable
+from fracqm.stable import StableParams, chain_rngs, sample_stable, thermal_law
 from oracles import mehler_bin_averages
 
 P15 = PhysicalParams(1.0, 1.0, 1.5)
@@ -45,6 +47,16 @@ def test_increment_median_scales_with_slice_time():
     med_a, med_b = np.median(a), np.median(b)
     se = 1.6 * med_a / math.sqrt(len(a))  # rough median standard error
     assert med_b == pytest.approx(2.0 ** (1.0 / 1.5) * med_a, abs=3.0 * 2.0 * se)
+
+
+@pytest.mark.parametrize("params,seed", [(P15, 8101), (P2, 8102)])
+def test_sliced_endpoint_matches_direct_draw(params, seed):
+    # a sum of free slice increments is one draw of the same law at the full
+    # beta, the identity behind a free chain's single endpoint draw
+    rng_paths, rng_direct = chain_rngs(seed, 2)
+    sliced = sample_free_paths(params, 1.0, 16, 0.4, rng_paths, 20000)[:, -1]
+    direct = 0.4 + sample_stable(thermal_law(1.0, params), rng_direct, 20000)
+    assert stats.ks_2samp(sliced, direct).pvalue > 1e-3
 
 
 def test_paths_bit_identical_for_fixed_master_seed():
@@ -109,6 +121,18 @@ def test_harmonic_row_matches_thermal_kernel():
     est = estimate_density_matrix(
         pot, 0.0, 1.0, P2, 128, 32, 4000, grid, 55
     )
+    oracle = mehler_bin_averages(grid.positions, grid.spacing, 1.0)
+    cov = est.covered & (est.std_error > 0)
+    frac = np.mean(np.abs(est.mean[cov] - oracle[cov]) <= 3.0 * est.std_error[cov])
+    assert frac >= 0.95
+
+
+def test_trapezoid_rule_harmonic_16_slices():
+    # the symmetric slice weight is O(1/N^2): at 16 slices the harmonic row
+    # already sits on Mehler's kernel (the right-endpoint rule read 0.42 here)
+    grid = make_grid(64, 20.0)
+    pot = Potential.harmonic(1.0, 1.0)
+    est = estimate_density_matrix(pot, 0.0, 1.0, P2, 16, 64, 10_000, grid, 20240810)
     oracle = mehler_bin_averages(grid.positions, grid.spacing, 1.0)
     cov = est.covered & (est.std_error > 0)
     frac = np.mean(np.abs(est.mean[cov] - oracle[cov]) <= 3.0 * est.std_error[cov])
@@ -191,11 +215,25 @@ def test_non_integer_thread_count_rejected(monkeypatch):
     assert "FRACQM_THREADS" in str(exc.value) and "'two'" in str(exc.value)
 
 
+def test_worker_default_is_available_cores(monkeypatch):
+    monkeypatch.delenv("FRACQM_THREADS", raising=False)
+    assert _max_workers() == len(os.sched_getaffinity(0))
+    monkeypatch.setenv("FRACQM_THREADS", "3")
+    assert _max_workers() == 3
+
+
 def test_deterministic_rows_independent_of_thread_count(monkeypatch):
+    # unset, one and four workers; 600 paths per chain span three path
+    # blocks in the harmonic case
     grid = make_grid(32, 24.0)
-    monkeypatch.setenv("FRACQM_THREADS", "1")
-    a = estimate_density_matrix(Potential.free(), 0.0, 1.0, P15, 16, 8, 500, grid, 77)
-    monkeypatch.setenv("FRACQM_THREADS", "4")
-    b = estimate_density_matrix(Potential.free(), 0.0, 1.0, P15, 16, 8, 500, grid, 77)
-    assert np.array_equal(a.mean, b.mean)
-    assert np.array_equal(a.std_error, b.std_error)
+    for pot in (Potential.free(), Potential.harmonic(1.0, 1.0)):
+        rows = []
+        for threads in (None, "1", "4"):
+            if threads is None:
+                monkeypatch.delenv("FRACQM_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("FRACQM_THREADS", threads)
+            rows.append(estimate_density_matrix(pot, 0.0, 1.0, P15, 16, 8, 600, grid, 77))
+        for est in rows[1:]:
+            assert np.array_equal(est.mean, rows[0].mean)
+            assert np.array_equal(est.std_error, rows[0].std_error)

@@ -78,11 +78,11 @@ def test_params_validation():
 
 
 def test_sampler_gaussian_variance():
-    # exp(-k^2) characteristic function is Normal(0, 2)
-    rng = np.random.default_rng(11)
-    x = sample_stable(StableParams(2.0, 1.0), rng, size=400_000)
-    se = math.sqrt(2.0) * 2.0 / math.sqrt(len(x))  # Var(X^2) = 2 sigma^4
-    assert x.var() == pytest.approx(2.0, abs=3.0 * se)
+    # exp(-c k^2) characteristic function is Normal(0, 2c)
+    for c, seed, size in ((1.0, 11, 400_000), (0.37, 20261018, 100_000)):
+        x = sample_stable(StableParams(2.0, c), np.random.default_rng(seed), size=size)
+        se = math.sqrt(2.0) * 2.0 * c / math.sqrt(len(x))  # Var(X^2) = 2 sigma^4
+        assert x.var() == pytest.approx(2.0 * c, abs=3.0 * se)
 
 
 def test_sampler_deterministic():
