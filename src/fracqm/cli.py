@@ -9,6 +9,10 @@ byte-identical output files.
 
     fracqm <experiment> --config <file> [--seed N] [--out PREFIX] [--format csv|json]
 
+Each experiment's schema maps its keys to a converter and a default; the
+physical constants ``hbar`` and ``d_alpha`` come from one shared fragment,
+``_PHYSICAL``, which every experiment with dynamics includes.
+
 Exit status is nonzero iff any comparison fails or a module raises.
 """
 
@@ -28,16 +32,17 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigurationError, NumericalError
-from .numerics import PhysicalParams, adaptive_quadrature, apply_symbol, make_grid
+from .numerics import ComplexField, PhysicalParams, adaptive_quadrature, apply_symbol, make_grid
 from .propagator import (
     KernelQuery,
+    _composition_size,
     _free_kernel_grid,
     chapman_kolmogorov_residual,
     free_kernel,
 )
 from .pimc import estimate_density_matrix, fractal_scaling_exponent
 from .spectral import EvolverConfig, Potential, energy_expectation, evolve
-from .stable import StableParams, levy_cdf, levy_density, thermal_law
+from .stable import StableParams, levy_cdf, levy_density, peak_density, thermal_law
 from .statmech import (
     ThermoQuery,
     bloch_density_matrix,
@@ -58,36 +63,43 @@ from .wavepacket import (
     uncertainty_report,
 )
 
+
 def _float_list(s) -> list[float]:
     return [float(v) for v in str(s).split(",") if str(v).strip()]
 
 
+def _count(s) -> int:
+    n = int(s)
+    if n < 1:
+        raise ValueError("must be a positive integer")
+    return n
+
+
+_PHYSICAL = {"hbar": (float, 1.0), "d_alpha": (float, 1.0)}
 _SCHEMAS: dict[str, dict[str, tuple]] = {
     "density": {
         "alpha": (float, 1.5),
         "scale": (float, 1.0),
         "x_max": (float, 8.0),
-        "n_points": (int, 81),
+        "n_points": (_count, 81),
     },
     "kernel-check": {
         "alpha": (float, 2.0),
-        "hbar": (float, 1.0),
-        "d_alpha": (float, 1.0),
+        **_PHYSICAL,
         "t_values": (_float_list, [0.5, 1.0, 1.5]),
         "dx_values": (_float_list, [0.0, 0.5, 1.0]),
         "t_split": (float, None),
     },
     "evolve": {
         "alpha": (float, 1.5),
-        "hbar": (float, 1.0),
-        "d_alpha": (float, 1.0),
+        **_PHYSICAL,
         "potential": (str, "harmonic"),
         "mass": (float, 1.0),
         "omega": (float, 1.0),
-        "n_points": (int, 1024),
+        "n_points": (_count, 1024),
         "length": (float, 40.0),
         "dt": (float, 0.005),
-        "n_steps": (int, 1000),
+        "n_steps": (_count, 1000),
         "x0": (float, 1.0),
         "sigma": (float, 0.7),
     },
@@ -96,11 +108,10 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
         "nu": (float, None),
         "l": (float, 1.0),
         "p0": (float, 2.0),
-        "hbar": (float, 1.0),
-        "d_alpha": (float, 1.0),
+        **_PHYSICAL,
         "t": (float, 1.0),
         "mu": (float, None),
-        "table_points": (int, 65),
+        "table_points": (_count, 65),
     },
     "uncertainty": {
         "alpha": (float, 1.8),
@@ -108,44 +119,40 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
         "mu": (float, None),
         "l": (float, 1.0),
         "p0": (float, 2.0),
-        "hbar": (float, 1.0),
-        "d_alpha": (float, 1.0),
+        **_PHYSICAL,
         "tau_values": (_float_list, [0.0, 1.0, 5.0]),
     },
     "pimc": {
         "alpha": (float, 1.5),
-        "hbar": (float, 1.0),
-        "d_alpha": (float, 1.0),
+        **_PHYSICAL,
         "mass": (float, 1.0),
         "omega": (float, 1.0),
         "potential": (str, "free"),
         "beta": (float, 1.0),
         "x0": (float, 0.0),
-        "n_slices": (int, 32),
-        "n_chains": (int, 16),
-        "n_paths": (int, 2000),
-        "bin_points": (int, 64),
+        "n_slices": (_count, 32),
+        "n_chains": (_count, 16),
+        "n_paths": (_count, 2000),
+        "bin_points": (_count, 64),
         "bin_length": (float, 30.0),
     },
     "statmech": {
         "alpha": (float, 1.5),
-        "hbar": (float, 1.0),
-        "d_alpha": (float, 1.0),
+        **_PHYSICAL,
         "beta": (float, 1.0),
         "omega_size": (float, 60.0),
         "mass": (float, 1.0),
         "omega": (float, 1.0),
-        "n_points": (int, 512),
+        "n_points": (_count, 512),
         "length": (float, 50.0),
     },
     "scaling": {
         "alpha": (float, 1.5),
-        "hbar": (float, 1.0),
-        "d_alpha": (float, 1.0),
+        **_PHYSICAL,
         "mu": (float, 1.0),
         "sigma0": (float, 0.02),
-        "n_rungs": (int, 6),
-        "n_samples": (int, 20000),
+        "n_rungs": (_count, 6),
+        "n_samples": (_count, 20000),
     },
 }
 EXPERIMENTS = tuple(_SCHEMAS)
@@ -220,10 +227,11 @@ def validate_config(raw: str | dict) -> ExperimentConfig:
     user_keys = set(raw)
     for key, (conv, default) in schema.items():
         if key in raw:
+            value = raw.pop(key)
             try:
-                params[key] = conv(raw.pop(key))
-            except (TypeError, ValueError):
-                errors.append(f"key {key!r}: cannot parse value")
+                params[key] = conv(value)
+            except (TypeError, ValueError) as exc:
+                errors.append(f"key {key!r}: bad value {value!r} ({exc})")
         else:
             params[key] = default
     if raw:
@@ -254,10 +262,6 @@ def validate_config(raw: str | dict) -> ExperimentConfig:
     if alpha == 2.0 and "d_alpha" in schema and "d_alpha" not in user_keys:
         # at alpha=2 an unset diffusion coefficient follows the mass
         params["d_alpha"] = 0.5 / params.get("mass", 1.0)
-    for key in ("n_points", "n_slices", "n_chains", "n_paths", "n_rungs",
-                "bin_points", "n_samples", "table_points", "n_steps"):
-        if key in params and params[key] is not None and params[key] < 1:
-            errors.append(f"{key} must be positive, got {params[key]}")
     if params.get("n_chains") == 1:
         # the PIMC error bar is the spread of the chain means
         errors.append("n_chains must be >= 2, got 1")
@@ -268,17 +272,7 @@ def validate_config(raw: str | dict) -> ExperimentConfig:
     if t_values and not all(t > 0.0 for t in t_values):
         errors.append(f"key 't_values' must hold positive times, got {t_values}")
     elif t_values and params.get("dx_values"):
-        # a time short against an offset needs a finer kernel grid than fits
-        try:
-            physical = _physical(params)
-            for t in t_values:
-                for dx in params["dx_values"]:
-                    _free_kernel_grid(abs(dx), t, physical)
-        except NumericalError as exc:
-            errors.append(f"key 't_values' must keep the kernel grid within 2^23 points; "
-                          f"{exc} at t={t}, dx={dx}")
-        except ConfigurationError:
-            pass  # a bad physical key fails where the run builds its parameters
+        errors += _kernel_grid_errors(params)
     if t_split is not None and t_values and not (0.0 < t_split < t_values[0]):
         errors.append(
             f"key 't_split' must lie in (0, {t_values[0]}), the first t_values entry; "
@@ -288,6 +282,35 @@ def validate_config(raw: str | dict) -> ExperimentConfig:
     if errors:
         raise ConfigurationError("invalid config:\n  - " + "\n  - ".join(errors))
     return ExperimentConfig(experiment, seed, str(out), fmt, params)
+
+
+def _t_split(p) -> float:
+    return p["t_split"] if p["t_split"] is not None else p["t_values"][0] / 2.0
+
+
+def _kernel_grid_errors(p) -> list[str]:
+    """kernel-check times whose kernel grids would pass 2^23 points: a time
+    short against an offset, or a short leg of the composition check."""
+    try:
+        physical = _physical(p)
+    except ConfigurationError:
+        return []  # a bad physical key fails where the run builds its parameters
+    errors = []
+    try:
+        for t in p["t_values"]:
+            for dx in p["dx_values"]:
+                _free_kernel_grid(abs(dx), t, physical)
+    except NumericalError as exc:
+        errors.append(f"key 't_values' must keep the kernel grid within 2^23 points; "
+                      f"{exc} at t={t}, dx={dx}")
+    t_total, t_split = p["t_values"][0], _t_split(p)
+    if 0.0 < t_split < t_total:
+        try:
+            _composition_size(min(t_split, t_total - t_split), t_total, physical)
+        except NumericalError as exc:
+            errors.append(f"key 't_split' must keep the composition grid within 2^23 "
+                          f"points; {exc} at t_split={t_split}")
+    return errors
 
 
 def _cmp(name, value, oracle, tol, kind, anchor):
@@ -318,9 +341,13 @@ def _cmp(name, value, oracle, tol, kind, anchor):
     }
 
 
+def _table(anchor, columns, rows):
+    return {"anchor": anchor, "columns": columns, "rows": rows}
+
+
 def _physical(p):
     mass = p.get("mass") if p["alpha"] == 2.0 else None
-    return PhysicalParams(hbar=p.get("hbar", 1.0), d_alpha=p["d_alpha"],
+    return PhysicalParams(hbar=p["hbar"], d_alpha=p["d_alpha"],
                           alpha=p["alpha"], mass=mass)
 
 
@@ -334,17 +361,12 @@ def _run_density(p, seed):
     sp = StableParams(p["alpha"], p["scale"])
     xs = np.linspace(-p["x_max"], p["x_max"], p["n_points"])
     dens = levy_density(xs, sp)
-    results = {
-        "density": {
-            "anchor": "stable_characteristic_inversion",
-            "columns": ["x (cm)", "density (1/cm)"],
-            "rows": [[float(x), float(d)] for x, d in zip(xs, dens)],
-        }
-    }
-    peak_oracle = math.gamma(1.0 + 1.0 / p["alpha"]) / math.pi * p["scale"] ** (-1.0 / p["alpha"])
+    results = {"density": _table("stable_characteristic_inversion",
+                                 ["x (cm)", "density (1/cm)"],
+                                 [[float(x), float(d)] for x, d in zip(xs, dens)])}
     norm = adaptive_quadrature(lambda x: levy_density(x, sp), 0.0, np.inf, rel_tol=1e-9)
     comparisons = [
-        _cmp("peak value vs gamma integral", levy_density(0.0, sp), peak_oracle,
+        _cmp("peak value vs gamma integral", levy_density(0.0, sp), peak_density(sp),
              1e-8, "rel", "stable_density_peak_gamma"),
         _cmp("unit normalization", 2.0 * norm.value, 1.0, 1e-8, "rel",
              "stable_density_normalization"),
@@ -374,30 +396,22 @@ def _run_kernel_check(p, seed):
                          "gaussian_kernel_closed_form")
                 )
     center = free_kernel(KernelQuery(0.0, 0.0, p["t_values"][0], params))
+    # the stable peak continued to the imaginary scale i (D t / hbar) hbar^alpha
     a_phase = params.d_alpha * p["t_values"][0] / params.hbar
-    ref0 = (
-        math.gamma(1.0 + 1.0 / alpha) / (math.pi * params.hbar)
-        * a_phase ** (-1.0 / alpha)
-        * cmath.exp(-1j * math.pi / (2.0 * alpha))
-    )
+    ref0 = (peak_density(StableParams(alpha, a_phase * params.hbar**alpha))
+            * cmath.exp(-1j * math.pi / (2.0 * alpha)))
     comparisons.append(
         _cmp("on-axis value vs rotated gamma integral", abs(center.value - ref0),
              0.0, 1e-7 * abs(ref0), "abs", "kernel_on_axis_closed_form")
     )
-    t_split = p["t_split"] if p["t_split"] is not None else p["t_values"][0] / 2.0
-    res = chapman_kolmogorov_residual(0.0, 0.0, p["t_values"][0], t_split, params)
+    res = chapman_kolmogorov_residual(0.0, 0.0, p["t_values"][0], _t_split(p), params)
     comparisons.append(
         _cmp("composition-rule residual", res, 0.0, 1e-6, "abs",
              "kernel_composition_rule")
     )
-    results = {
-        "kernel": {
-            "anchor": "free_kernel_fourier_integral",
-            "columns": ["dx (cm)", "t (s)", "Re K (1/cm)", "Im K (1/cm)", "error (1/cm)"],
-            "rows": rows,
-        }
-    }
-    return results, comparisons
+    return {"kernel": _table("free_kernel_fourier_integral",
+                             ["dx (cm)", "t (s)", "Re K (1/cm)", "Im K (1/cm)",
+                              "error (1/cm)"], rows)}, comparisons
 
 
 def _run_evolve(p, seed):
@@ -406,8 +420,6 @@ def _run_evolve(p, seed):
     pot = _potential(p)
     psi0 = np.exp(-((grid.positions - p["x0"]) ** 2) / (4.0 * p["sigma"] ** 2)).astype(complex)
     psi0 /= math.sqrt(float(np.sum(np.abs(psi0) ** 2) * grid.spacing))
-    from .numerics import ComplexField
-
     field = ComplexField(psi0, grid)
     e0 = energy_expectation(field, pot, params)
     cfg = EvolverConfig(dt=p["dt"], n_steps=p["n_steps"], mode="real_time")
@@ -418,14 +430,8 @@ def _run_evolve(p, seed):
         _cmp("norm conservation", out.norm(), 1.0, 1e-10, "abs", "unitary_norm_conservation"),
         _cmp("energy drift", e1, e0, 5e-6, "rel", "strang_energy_drift"),
     ]
-    results = {
-        "evolution": {
-            "anchor": "fractional_schrodinger_split_step",
-            "columns": ["t (s)", "norm", "energy (erg)"],
-            "rows": rows,
-        }
-    }
-    return results, comparisons
+    return {"evolution": _table("fractional_schrodinger_split_step",
+                                ["t (s)", "norm", "energy (erg)"], rows)}, comparisons
 
 
 def _run_packet(p, seed):
@@ -437,18 +443,13 @@ def _run_packet(p, seed):
     rho = np.abs(psi.values) ** 2
     stride = max(1, grid.n_points // p["table_points"])
     results = {
-        "position_density": {
-            "anchor": "packet_position_density",
-            "columns": ["x (cm)", "rho (1/cm)"],
-            "rows": [[float(x), float(r)] for x, r in
-                     zip(grid.positions[::stride], rho[::stride])],
-        },
-        "momentum_density": {
-            "anchor": "packet_momentum_density",
-            "columns": ["p (g cm/s)", "w (s/(g cm))"],
-            "rows": [[float(q), float(momentum_density(q, packet, params))]
-                     for q in np.linspace(p["p0"] - 6, p["p0"] + 6, p["table_points"])],
-        },
+        "position_density": _table(
+            "packet_position_density", ["x (cm)", "rho (1/cm)"],
+            [[float(x), float(r)] for x, r in zip(grid.positions[::stride], rho[::stride])]),
+        "momentum_density": _table(
+            "packet_momentum_density", ["p (g cm/s)", "w (s/(g cm))"],
+            [[float(q), float(momentum_density(q, packet, params))]
+             for q in np.linspace(p["p0"] - 6, p["p0"] + 6, p["table_points"])]),
     }
     mean_x_cf, mean_p_cf = observable_means(t, packet, params, "closed_form")
     mean_x_g, mean_p_g = observable_means(t, packet, params, "grid", grid)
@@ -490,15 +491,10 @@ def _run_uncertainty(p, seed):
             _cmp(f"product exceeds bound at tau={tau}", rep.product, rep.bound,
                  0.0, "gt", "uncertainty_product_bound")
         )
-    results = {
-        "uncertainty": {
-            "anchor": "mean_mu_uncertainty_product",
-            "columns": ["tau", "dx_mu (cm)", "dp_mu (g cm/s)", "product (erg s)",
-                        "bound (erg s)", "spread_factor", "eta0"],
-            "rows": rows,
-        }
-    }
-    return results, comparisons
+    return {"uncertainty": _table(
+        "mean_mu_uncertainty_product",
+        ["tau", "dx_mu (cm)", "dp_mu (g cm/s)", "product (erg s)", "bound (erg s)",
+         "spread_factor", "eta0"], rows)}, comparisons
 
 
 # the harmonic oracle row's periodic domain, in bin-grid lengths (a power
@@ -538,16 +534,11 @@ def _run_pimc(p, seed):
     cov = est.covered & (est.std_error > 0)
     within = np.abs(est.mean[cov] - oracle[cov]) <= 3.0 * est.std_error[cov]
     frac = float(within.mean()) if cov.any() else 0.0
-    results = {
-        "histogram": {
-            "anchor": "levy_measure_endpoint_histogram",
-            "columns": ["x (cm)", "rho (1/cm)", "std_error (1/cm)", "oracle (1/cm)",
-                        "covered"],
-            "rows": [[float(x), float(m), float(s), float(o), int(c)]
-                     for x, m, s, o, c in zip(bin_grid.positions, est.mean,
-                                              est.std_error, oracle, cov)],
-        }
-    }
+    results = {"histogram": _table(
+        "levy_measure_endpoint_histogram",
+        ["x (cm)", "rho (1/cm)", "std_error (1/cm)", "oracle (1/cm)", "covered"],
+        [[float(x), float(m), float(s), float(o), int(c)]
+         for x, m, s, o, c in zip(bin_grid.positions, est.mean, est.std_error, oracle, cov)])}
     comparisons = [
         _cmp("fraction of covered bins within 3 std errors", frac, 0.95, 0.0,
              "ge", anchor),
@@ -597,22 +588,15 @@ def _run_statmech(p, seed):
              "rel", "classical_limit_ratio"),
     ]
     results = {
-        "classical_ratio": {
-            "anchor": "classical_limit_ratio",
-            "columns": ["beta (1/erg)", "Z_classical / bloch_trace"],
-            "rows": [[b, r] for (b, _), r in zip(ladder[::-1], ratios)],
-        },
-        "partition": {
-            "anchor": "free_partition_function",
-            "columns": ["beta (1/erg)", "Z_free"],
-            "rows": [[beta, z_free]],
-        },
-        "thermal_row": {
-            "anchor": "thermal_kernel_equation_solution",
-            "columns": ["x (cm)", "rho (1/cm)", "quadrature (1/cm)"],
-            "rows": [[float(row_grid.positions[i]), float(row[i]), float(v)]
-                     for i, v in zip(idx, quad_vals)],
-        },
+        "classical_ratio": _table("classical_limit_ratio",
+                                  ["beta (1/erg)", "Z_classical / bloch_trace"],
+                                  [[b, r] for (b, _), r in zip(ladder[::-1], ratios)]),
+        "partition": _table("free_partition_function", ["beta (1/erg)", "Z_free"],
+                            [[beta, z_free]]),
+        "thermal_row": _table("thermal_kernel_equation_solution",
+                              ["x (cm)", "rho (1/cm)", "quadrature (1/cm)"],
+                              [[float(row_grid.positions[i]), float(row[i]), float(v)]
+                               for i, v in zip(idx, quad_vals)]),
     }
     return results, comparisons
 
@@ -622,13 +606,8 @@ def _run_scaling(p, seed):
     ladder = [p["sigma0"] * 2.0**k for k in range(p["n_rungs"])]
     est = fractal_scaling_exponent(params, p["mu"], ladder, p["n_samples"], seed)
     target = p["mu"] / params.alpha
-    results = {
-        "scaling": {
-            "anchor": "increment_scaling_slope",
-            "columns": ["slope", "std_error", "target"],
-            "rows": [[est.mean, est.std_error, target]],
-        }
-    }
+    results = {"scaling": _table("increment_scaling_slope", ["slope", "std_error", "target"],
+                                 [[est.mean, est.std_error, target]])}
     comparisons = [
         _cmp("slope vs mu/alpha", est.mean, target, 3.0 * est.std_error, "abs",
              "increment_scaling_slope"),

@@ -35,7 +35,6 @@ __all__ = [
     "to_momentum_space",
     "to_position_space",
     "apply_symbol",
-    "inner_product",
     "adaptive_quadrature",
 ]
 
@@ -50,10 +49,6 @@ class GridSpec:
     spacing: float
     positions: np.ndarray = field(repr=False)
     momenta: np.ndarray = field(repr=False)
-
-    @property
-    def momentum_spacing(self) -> float:
-        return 2.0 * np.pi * self.hbar / self.length
 
     @property
     def max_momentum(self) -> float:
@@ -177,17 +172,6 @@ def apply_symbol(values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
     inverse, cancel around a diagonal multiplier, so the bare FFTs suffice.
     """
     return np.fft.ifft(symbol * np.fft.fft(values))
-
-
-def inner_product(a: ComplexField, b: ComplexField) -> complex:
-    """(a, b) = sum conj(a_j) b_j dx.  Fields must share a grid."""
-    if a.grid is not b.grid and (
-        a.grid.n_points != b.grid.n_points
-        or a.grid.length != b.grid.length
-        or a.grid.hbar != b.grid.hbar
-    ):
-        raise GridMismatchError("inner product requires fields on the same grid")
-    return complex(np.vdot(a.values, b.values) * a.grid.spacing)
 
 
 @dataclass(frozen=True)

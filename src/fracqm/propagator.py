@@ -28,6 +28,7 @@ from .numerics import (
     make_grid,
     to_position_space,
 )
+from .stable import StableParams, peak_density
 
 __all__ = [
     "KernelQuery",
@@ -133,13 +134,13 @@ def _free_kernel_grid(dx: float, t: float, params: PhysicalParams):
     offset |dx| and time t; raises NumericalError past 2^23 points."""
     alpha, hbar = params.alpha, params.hbar
     a_phase, x_c = _char_scales(t, params)
-    center_mag = math.gamma(1.0 + 1.0 / alpha) / (math.pi * hbar) * a_phase ** (-1.0 / alpha)
-    target_abs = _ALIAS_REL_TOL * center_mag
     eps = np.array(_EPS_LADDER) / _eps_sensitivity(dx, t, params)
     if alpha == 2.0:
-        need = math.log(max(center_mag / target_abs, 4.0)) + 4.0
+        need = math.log(1.0 / _ALIAS_REL_TOL) + 4.0
         alias_length = dx + 2.0 * hbar * math.sqrt(a_phase**2 * need / eps[-1])
     else:
+        # |K(0, t)| is the stable peak at the modulus (D t / hbar) hbar^alpha of its scale
+        target_abs = _ALIAS_REL_TOL * peak_density(StableParams(alpha, a_phase * hbar**alpha))
         coeff = 2.0 * a_phase * hbar**alpha * math.gamma(1.0 + alpha) / math.pi
         alias_length = dx + (4.0 * coeff / target_abs) ** (1.0 / (1.0 + alpha))
     alias_length = max(alias_length, 40.0 * x_c + 4.0 * dx)
@@ -206,11 +207,17 @@ def composition_grid(
     """Grid for kernel rows: momentum reach sized by the shortest leg time
     (weakest damping), domain length 400 kernel length scales of the
     longest (widest kernel)."""
+    n, length = _composition_size(t_min, t_alias if t_alias is not None else t_min, params)
+    return make_grid(n, length, params.hbar)
+
+
+def _composition_size(t_min: float, t_alias: float, params: PhysicalParams):
+    """composition_grid's point count and length, without building the grid;
+    raises NumericalError past 2^23 points."""
     a_min, _ = _char_scales(t_min, params)
-    _, x_c = _char_scales(t_alias if t_alias is not None else t_min, params)
+    _, x_c = _char_scales(t_alias, params)
     alias_length = 400.0 * x_c
-    n = _grid_points(_EPS_LADDER[-1] * a_min, alias_length, params)
-    return make_grid(n, alias_length, params.hbar)
+    return _grid_points(_EPS_LADDER[-1] * a_min, alias_length, params), alias_length
 
 
 def chapman_kolmogorov_residual(

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, ContractError, DivergenceError
-from .numerics import ComplexField, GridSpec, PhysicalParams, apply_symbol, inner_product
+from .numerics import ComplexField, GridSpec, PhysicalParams, apply_symbol
 
 __all__ = [
     "Potential",
@@ -31,7 +31,6 @@ __all__ = [
     "apply_riesz",
     "evolve",
     "energy_expectation",
-    "hermiticity_residual",
     "refine_time_step",
 ]
 
@@ -142,15 +141,6 @@ def energy_expectation(
             f"energy has a non-negligible imaginary residual {energy.imag}"
         )
     return float(energy.real)
-
-
-def hermiticity_residual(
-    phi: ComplexField, chi: ComplexField, params: PhysicalParams
-) -> float:
-    """|(phi, R chi) - (R phi, chi)| for the Riesz operator R; zero in exact arithmetic."""
-    lhs = inner_product(phi, apply_riesz(chi, params))
-    rhs = np.conj(inner_product(chi, apply_riesz(phi, params)))
-    return abs(lhs - rhs)
 
 
 def refine_time_step(

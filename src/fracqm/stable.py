@@ -34,8 +34,8 @@ __all__ = [
     "StableParams",
     "thermal_law",
     "levy_density",
+    "peak_density",
     "levy_cdf",
-    "tail_probability",
     "sample_stable",
     "chain_rngs",
 ]
@@ -104,6 +104,20 @@ def levy_density(x, params: StableParams):
     return out
 
 
+def peak_density(params: StableParams) -> float:
+    """Density at x = 0: (1/pi) integral_0^inf e^{-c k^alpha} dk
+    = Gamma(1 + 1/alpha) / (pi c^(1/alpha)).
+
+    At `thermal_law` scale this is the free thermal kernel's diagonal.  Mind
+    the constant: 2 Gamma(1 + 1/alpha) = (2/alpha) Gamma(1/alpha), and
+    dropping the 2/alpha (invisible at alpha = 2) would break the trace
+    identity.
+    """
+    return math.gamma(1.0 + 1.0 / params.alpha) / (
+        math.pi * params.scale ** (1.0 / params.alpha)
+    )
+
+
 def _std_cdf(z: float, alpha: float) -> float:
     """Unit-scale distribution function at z (any sign)."""
     if alpha == 2.0:
@@ -139,22 +153,6 @@ def levy_cdf(x, params: StableParams):
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out[0])
     return out
-
-
-def tail_probability(x: float, params: StableParams) -> float:
-    """Leading asymptotic one-sided tail P(X > x) for large x (alpha < 2).
-
-    P(X > x) ~ c Gamma(alpha) sin(pi alpha / 2) / (pi x^alpha).
-    """
-    if params.alpha == 2.0:
-        s = params.scale ** 0.5
-        return 0.5 * math.erfc(x / (2.0 * s))
-    return (
-        params.scale
-        * math.gamma(params.alpha)
-        * math.sin(math.pi * params.alpha / 2.0)
-        / (math.pi * x ** params.alpha)
-    )
 
 
 def sample_stable(params: StableParams, rng: np.random.Generator, size=None):

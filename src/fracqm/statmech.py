@@ -27,7 +27,7 @@ from scipy import integrate, linalg
 from .errors import ConfigurationError, NumericalError
 from .numerics import ComplexField, GridSpec, PhysicalParams
 from .spectral import EvolverConfig, Potential, evolve, kinetic_symbol, refine_time_step
-from .stable import levy_density, thermal_law
+from .stable import levy_density, peak_density, thermal_law
 
 __all__ = [
     "ThermoQuery",
@@ -36,7 +36,6 @@ __all__ = [
     "classical_partition_function",
     "bloch_density_matrix",
     "bloch_matrix",
-    "bloch_trace",
     "bloch_trace_ladder",
 ]
 
@@ -66,26 +65,13 @@ def free_density_matrix(x: float, x0: float, beta: float, params: PhysicalParams
     return levy_density(x - x0, thermal_law(beta, params))
 
 
-def _kinetic_trace_factor(beta: float, params: PhysicalParams) -> float:
-    """(1/2 pi hbar) integral dp e^{-beta D |p|^alpha}
-    = Gamma(1 + 1/alpha) / (pi hbar (beta D)^(1/alpha)).
-
-    This is the diagonal of the free thermal kernel.  Mind the constant:
-    2 Gamma(1 + 1/alpha) = (2/alpha) Gamma(1/alpha), and dropping the
-    2/alpha (invisible at alpha = 2) would break the trace identity.
-    """
-    return math.gamma(1.0 + 1.0 / params.alpha) / (
-        math.pi * params.hbar * (beta * params.d_alpha) ** (1.0 / params.alpha)
-    )
-
-
 def free_partition_function(query: ThermoQuery) -> float:
     """Z = Omega * (1/2 pi hbar) integral dp e^{-beta D |p|^alpha}.
 
     Linear in Omega, scaling as beta^(-1/alpha); reduces to the classical
     ideal-gas Omega sqrt(m / 2 pi beta hbar^2) at alpha = 2.
     """
-    return query.omega * _kinetic_trace_factor(query.beta, query.params)
+    return query.omega * peak_density(thermal_law(query.beta, query.params))
 
 
 def classical_partition_function(
@@ -99,8 +85,7 @@ def classical_partition_function(
     Valid when V changes little over the thermal wander scale; with V = 0 on
     a finite domain this reproduces free_partition_function.
     """
-    if not (beta > 0):
-        raise ConfigurationError(f"beta must be positive, got {beta}")
+    law = thermal_law(beta, params)
     lo, hi = domain if domain is not None else (-np.inf, np.inf)
     try:
         val, err = integrate.quad(
@@ -118,7 +103,7 @@ def classical_partition_function(
             f"is e^(-beta V) integrable on the domain? (error {err:.2e})",
             residual=err,
         )
-    return _kinetic_trace_factor(beta, params) * val
+    return peak_density(law) * val
 
 
 def _delta_field(grid: GridSpec, x0: float) -> ComplexField:
@@ -201,16 +186,6 @@ def bloch_matrix(
     energies, vecs = np.linalg.eigh(_grid_hamiltonian(potential, params, grid))
     weights = _boltzmann_weights(energies, beta)
     return (vecs * weights) @ vecs.T / grid.spacing
-
-
-def bloch_trace(
-    potential: Potential,
-    beta: float,
-    params: PhysicalParams,
-    grid: GridSpec,
-) -> float:
-    """Grid trace of the kernel, sum rho(x, beta | x) dx = sum e^{-beta E}."""
-    return bloch_trace_ladder(potential, beta, 0, params, grid)[0][1]
 
 
 def bloch_trace_ladder(

@@ -370,10 +370,10 @@ def packet_spread_factor(
 
     Evaluates g(sigma) on a fine sigma grid with one FFT of the
     zero-padded eta window (at least 2^18 points; sigma reach 1024 past
-    the drift), then integrates |sigma|^mu |g|^2 by midpoint rule with an
-    analytic treatment of the |sigma|^mu cusp cells.  The
-    result is self-normalized by the mu = 0 sum, which equals one exactly
-    in the continuum.
+    the drift), then integrates |sigma|^mu |g|^2 by the midpoint rule with
+    the cusp subtraction of `_cusp_weighted_sum` (the rule the grid moment
+    uses).  The result is self-normalized by the mu = 0 sum, which equals
+    one exactly in the continuum.
     """
     if not (0.0 < mu < nu <= alpha <= 2.0):
         raise ContractError(
@@ -390,32 +390,12 @@ def packet_spread_factor(
         - 1j * tau * np.abs(eta) ** alpha
         - np.abs(eta - eta0) ** nu
     )
-    padded = np.zeros(n_fft, dtype=complex)
-    padded[:n_phys] = f
-    g_mag2 = np.abs(d_eta * n_fft * np.fft.ifft(padded)) ** 2
+    g_mag2 = np.abs(d_eta * n_fft * np.fft.ifft(f, n_fft)) ** 2
     sigma = 2.0 * math.pi * np.fft.fftfreq(n_fft, d=d_eta)
     d_sigma = 2.0 * math.pi / (n_fft * d_eta)
 
-    def cusp_sum(order: float) -> float:
-        # midpoint cells, with the three cells around sigma=0 replaced by
-        # the exact integral of |s|^order against a local parabola
-        weights = np.abs(sigma) ** order
-        total = float(np.sum(weights * g_mag2)) * d_sigma
-        total -= float(
-            weights[0] * g_mag2[0]
-            + weights[1] * g_mag2[1]
-            + weights[-1] * g_mag2[-1]
-        ) * d_sigma
-        h0, hp, hm = g_mag2[0], g_mag2[1], g_mag2[-1]
-        curv = (hp + hm - 2.0 * h0) / (2.0 * d_sigma**2)
-        edge = 1.5 * d_sigma
-        total += 2.0 * (
-            h0 * edge ** (order + 1.0) / (order + 1.0)
-            + curv * edge ** (order + 3.0) / (order + 3.0)
-        )
-        return total
-
-    return cusp_sum(mu) / cusp_sum(0.0)
+    return (_cusp_weighted_sum(sigma, g_mag2, d_sigma, mu)
+            / _cusp_weighted_sum(sigma, g_mag2, d_sigma, 0.0))
 
 
 def uncertainty_report(

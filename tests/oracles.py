@@ -4,6 +4,27 @@ import math
 
 import numpy as np
 
+from fracqm.errors import GridMismatchError
+from fracqm.spectral import apply_riesz
+
+
+def inner_product(a, b):
+    """(a, b) = sum conj(a_j) b_j dx for two ComplexFields on the same grid."""
+    if a.grid is not b.grid and (
+        a.grid.n_points != b.grid.n_points
+        or a.grid.length != b.grid.length
+        or a.grid.hbar != b.grid.hbar
+    ):
+        raise GridMismatchError("inner product requires fields on the same grid")
+    return complex(np.vdot(a.values, b.values) * a.grid.spacing)
+
+
+def hermiticity_residual(phi, chi, params):
+    """|(phi, R chi) - (R phi, chi)| for the Riesz operator R; zero in exact arithmetic."""
+    lhs = inner_product(phi, apply_riesz(chi, params))
+    rhs = np.conj(inner_product(chi, apply_riesz(phi, params)))
+    return abs(lhs - rhs)
+
 
 def mehler_bin_averages(centers, width, beta):
     """Cell averages of Mehler's kernel rho(x, beta | 0) at alpha = 2, m = omega = hbar = 1.

@@ -24,7 +24,6 @@ from fracqm.spectral import (
     Potential,
     energy_expectation,
     evolve,
-    hermiticity_residual,
 )
 from fracqm.stable import StableParams, levy_cdf, levy_density, sample_stable
 from fracqm.statmech import (
@@ -43,7 +42,7 @@ from fracqm.wavepacket import (
     time_from_reduced,
     uncertainty_report,
 )
-from oracles import mehler_bin_averages
+from oracles import hermiticity_residual, mehler_bin_averages
 
 ALPHAS = (1.2, 1.5, 1.8, 2.0)
 

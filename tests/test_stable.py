@@ -12,8 +12,18 @@ from fracqm.stable import (
     levy_cdf,
     levy_density,
     sample_stable,
-    tail_probability,
 )
+
+
+def tail_probability(x, params):
+    """Leading asymptotic one-sided tail P(X > x) for large x; exact at alpha = 2.
+
+    P(X > x) ~ c Gamma(alpha) sin(pi alpha / 2) / (pi x^alpha) for alpha < 2.
+    """
+    if params.alpha == 2.0:
+        return 0.5 * math.erfc(x / (2.0 * params.scale**0.5))
+    return (params.scale * math.gamma(params.alpha) * math.sin(math.pi * params.alpha / 2.0)
+            / (math.pi * x**params.alpha))
 
 
 def interpolated_cdf(params, x_lo, x_hi, n_nodes=1501):

@@ -10,7 +10,6 @@ from fracqm.statmech import (
     ThermoQuery,
     bloch_density_matrix,
     bloch_matrix,
-    bloch_trace,
     bloch_trace_ladder,
     classical_partition_function,
     free_density_matrix,
@@ -153,7 +152,7 @@ def test_bloch_positivity_for_positive_potential():
 
 def test_trace_identity_free():
     grid = make_grid(2048, 120.0)
-    tr = bloch_trace(Potential.free(), 1.0, P15, grid)
+    tr = bloch_trace_ladder(Potential.free(), 1.0, 0, P15, grid)[0][1]
     z = free_partition_function(ThermoQuery(1.0, 120.0, P15))
     assert tr == pytest.approx(z, rel=1e-4)
 
@@ -173,7 +172,8 @@ def test_bloch_matrix_symmetric_and_composes():
 def test_free_trace_equals_grid_momentum_sum():
     grid = make_grid(512, 40.0)
     closed = float(np.sum(np.exp(-1.0 * P15.d_alpha * np.abs(grid.momenta) ** P15.alpha)))
-    assert bloch_trace(Potential.free(), 1.0, P15, grid) == pytest.approx(closed, rel=1e-12)
+    tr = bloch_trace_ladder(Potential.free(), 1.0, 0, P15, grid)[0][1]
+    assert tr == pytest.approx(closed, rel=1e-12)
 
 
 def test_harmonic_ladder_alpha2_matches_oscillator_partition_function():
@@ -188,7 +188,7 @@ def test_bloch_trace_unbounded_below_potential_rejected():
     grid = make_grid(64, 20.0)
     sinkhole = Potential(lambda x: -1e4 * np.asarray(x, dtype=float) ** 2)
     with pytest.raises(NumericalError):
-        bloch_trace(sinkhole, 10.0, P15, grid)
+        bloch_trace_ladder(sinkhole, 10.0, 0, P15, grid)
 
 
 def test_classical_ratio_monotone_on_beta_ladder():

@@ -181,11 +181,16 @@ def test_deviation_rejects_mu_at_or_above_nu():
         mean_mu_deviation("position", 2.0, 0.0, PK2, P2)
 
 
-@pytest.mark.parametrize("tau", [0.0, 1.0, 5.0])
-def test_spread_factor_gaussian_closed_form(tau):
-    mu = 1.2
+@pytest.mark.parametrize("mu,tau,rel", [
+    pytest.param(1.2, 0.0, 5e-6, id="0.0"),
+    pytest.param(1.2, 1.0, 5e-6, id="1.0"),
+    pytest.param(1.2, 5.0, 5e-6, id="5.0"),
+    # the cusp weighs most at small mu, where the sum leans on its cusp subtraction
+    pytest.param(0.5, 0.0, 1e-7, id="mu0.5-0.0"),
+])
+def test_spread_factor_gaussian_closed_form(mu, tau, rel):
     n = packet_spread_factor(2.0, mu, 2.0, tau, reduced_carrier(PK2, P2))
-    assert n == pytest.approx(gaussian_spread_factor(mu, tau), rel=5e-6)
+    assert n == pytest.approx(gaussian_spread_factor(mu, tau), rel=rel)
 
 
 @pytest.mark.parametrize("nu", [1.2, 1.5, 1.8, 2.0])
