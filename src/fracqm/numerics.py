@@ -10,6 +10,9 @@ p_k = 2 pi hbar k / L with k in the symmetric integer range (FFT layout,
 exactly one zero entry, one unpaired Nyquist value).  Parseval then reads
 
     sum |psi_j|^2 dx == (1 / 2 pi hbar) sum |phi_k|^2 dp
+
+scipy.integrate is imported inside `adaptive_quadrature`, on its first call,
+so importing this module (and every module built on it) loads numpy alone.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from .errors import (
     ConfigurationError,
@@ -218,6 +220,8 @@ def adaptive_quadrature(
             total += part.value
             err += part.error
         return QuadResult(total, err, err <= max(rel_tol * abs(total), abs_tol))
+
+    from scipy import integrate  # on first use: importing it costs ~0.6 s
 
     kwargs = dict(epsabs=abs_tol if abs_tol > 0 else 1.49e-13,
                   epsrel=rel_tol, limit=400, full_output=True)

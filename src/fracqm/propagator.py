@@ -198,16 +198,11 @@ def kernel_row(
     return value, spread
 
 
-def composition_grid(
-    t_min: float,
-    params: PhysicalParams,
-    *,
-    t_alias: float | None = None,
-) -> GridSpec:
+def composition_grid(t_min: float, params: PhysicalParams, *, t_alias: float) -> GridSpec:
     """Grid for kernel rows: momentum reach sized by the shortest leg time
-    (weakest damping), domain length 400 kernel length scales of the
-    longest (widest kernel)."""
-    n, length = _composition_size(t_min, t_alias if t_alias is not None else t_min, params)
+    t_min (weakest damping), domain length 400 kernel length scales of the
+    longest, t_alias (widest kernel)."""
+    n, length = _composition_size(t_min, t_alias, params)
     return make_grid(n, length, params.hbar)
 
 

@@ -16,6 +16,9 @@ The free thermal density matrix rho_0(x, beta | x0) (the paper's Fox H
 function) is this density at x - x0 with c = beta D_alpha hbar^alpha, and a
 Levy path's increment over imaginary time hbar * tau is a draw of the same
 law at beta = tau; `thermal_law` is the one place that scale is written.
+
+scipy.integrate is imported by `_quad` on the first density or CDF
+quadrature, never at import time, so the sampler loads numpy alone.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ConfigurationError, NumericalError
 from .numerics import PhysicalParams
@@ -66,6 +68,27 @@ def thermal_law(beta: float, params: PhysicalParams) -> StableParams:
     return StableParams(params.alpha, beta * params.d_alpha * params.hbar**params.alpha)
 
 
+def _quad(func, lower: float, upper: float, **weight) -> tuple[float, float]:
+    """QUADPACK (value, error) at the stable law's tolerances, warnings off:
+    every caller tests the error with `_check_converged`.  scipy.integrate is
+    imported here, on the first quadrature, so sampling never loads it."""
+    from scipy import integrate
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        return integrate.quad(
+            func, lower, upper, epsabs=1e-13, epsrel=1e-12, limit=2000, **weight
+        )
+
+
+def _check_converged(what: str, z: float, val: float, err: float) -> None:
+    if not math.isfinite(val) or (err > 1e-8 * abs(val) and err > 1e-12):
+        raise NumericalError(
+            f"stable {what} quadrature did not converge at z={z} (error {err:.2e})",
+            residual=err,
+        )
+
+
 def _std_density(z: float, alpha: float) -> float:
     """Unit-scale density at z >= 0."""
     if alpha == 2.0:
@@ -75,19 +98,8 @@ def _std_density(z: float, alpha: float) -> float:
     # truncate where the damping reaches e^-45; the finite-interval
     # oscillatory rule is more robust than the infinite-interval one
     k_max = 45.0 ** (1.0 / alpha)
-    with warnings.catch_warnings():
-        # convergence is checked explicitly on err below
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(
-            lambda k: math.exp(-(k ** alpha)),
-            0.0, k_max, weight="cos", wvar=z,
-            epsabs=1e-13, epsrel=1e-12, limit=2000,
-        )
-    if not math.isfinite(val) or (err > 1e-8 * abs(val) and err > 1e-12):
-        raise NumericalError(
-            f"stable density quadrature did not converge at z={z} (error {err:.2e})",
-            residual=err,
-        )
+    val, err = _quad(lambda k: math.exp(-(k ** alpha)), 0.0, k_max, weight="cos", wvar=z)
+    _check_converged("density", z, val, err)
     return val / math.pi
 
 
@@ -130,18 +142,10 @@ def _std_cdf(z: float, alpha: float) -> float:
         return 1.0 - _std_cdf(-z, alpha)
     # F(z) = 1/2 + (1/pi) int_0^inf e^{-k^alpha} sin(k z) / k dk,
     # split at k=1 so the oscillatory tail can use the sine-weighted rule
-    head, _ = integrate.quad(
-        lambda k: math.exp(-(k ** alpha)) * math.sin(k * z) / k,
-        0.0, 1.0, epsabs=1e-13, epsrel=1e-12, limit=200,
-    )
+    head, head_err = _quad(lambda k: math.exp(-(k ** alpha)) * math.sin(k * z) / k, 0.0, 1.0)
     k_max = 45.0 ** (1.0 / alpha)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        tail, _ = integrate.quad(
-            lambda k: math.exp(-(k ** alpha)) / k,
-            1.0, k_max, weight="sin", wvar=z,
-            epsabs=1e-13, epsrel=1e-12, limit=2000,
-        )
+    tail, tail_err = _quad(lambda k: math.exp(-(k ** alpha)) / k, 1.0, k_max, weight="sin", wvar=z)
+    _check_converged("CDF", z, head + tail, head_err + tail_err)
     return 0.5 + (head + tail) / math.pi
 
 

@@ -14,6 +14,9 @@ J. Chem. Phys. 91, 3571 (1989)): rho(beta) = U e^{-beta E} U^T / dx and
 Z(beta) = sum e^{-beta E}, exact on the grid for every beta.  Single rows,
 wanted at n = 2048-4096 where a dense eigh needs O(n^2) memory and O(n^3)
 time, step a delta spike by imaginary-time split-operator evolution.
+
+scipy is imported only inside `classical_partition_function`, the one
+quadrature here; the grid Hamiltonian is built with numpy indexing.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, linalg
 
 from .errors import ConfigurationError, NumericalError
 from .numerics import ComplexField, GridSpec, PhysicalParams
@@ -85,6 +87,8 @@ def classical_partition_function(
     Valid when V changes little over the thermal wander scale; with V = 0 on
     a finite domain this reproduces free_partition_function.
     """
+    from scipy import integrate  # on first use: importing it costs ~0.6 s
+
     law = thermal_law(beta, params)
     lo, hi = domain if domain is not None else (-np.inf, np.inf)
     try:
@@ -156,8 +160,11 @@ def _grid_hamiltonian(
     potential: Potential, params: PhysicalParams, grid: GridSpec
 ) -> np.ndarray:
     """H = C + diag(V) (erg), C the circulant matrix of the kinetic multiplier:
-    its first column is the inverse FFT of the real, even symbol D |p|^alpha."""
-    h = linalg.circulant(np.fft.ifft(kinetic_symbol(grid, params)).real)
+    its first column is the inverse FFT of the real, even symbol D |p|^alpha,
+    and C[i, j] = col[(i - j) mod n]."""
+    col = np.fft.ifft(kinetic_symbol(grid, params)).real
+    idx = np.arange(grid.n_points)
+    h = col[(idx[:, None] - idx) % grid.n_points]
     h[np.diag_indices_from(h)] += potential.on_grid(grid)
     return h
 

@@ -1,0 +1,51 @@
+"""scipy is imported only where a quadrature runs.
+
+Importing fracqm, the path sampler and the CLI loads numpy alone, and so do
+the shipped configs whose experiments never integrate.  The check runs in
+a fresh interpreter, since an import cannot be undone within one.
+"""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SCIPY_PARTS = ("scipy.integrate", "scipy.linalg")
+
+_PROBE = """
+import json, pathlib, sys
+import fracqm, fracqm.cli, fracqm.pimc
+
+def loaded():
+    return sorted(m for m in {parts!r} if m in sys.modules)
+
+seen = {{"import": loaded()}}
+for name in {experiments!r}:
+    text = (pathlib.Path({configs!r}) / (name + ".cfg")).read_text()
+    fracqm.cli.run_experiment(fracqm.cli.validate_config(text))
+    seen[name] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def _loaded_after(experiments):
+    code = _PROBE.format(parts=SCIPY_PARTS, experiments=experiments,
+                         configs=str(ROOT / "configs"))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=300, check=True)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def test_scipy_loaded_only_by_quadrature():
+    lazy = ["scaling", "evolve", "kernel-check", "uncertainty"]
+    seen = _loaded_after(lazy + ["density"])
+    for stage in ["import", *lazy]:
+        assert seen[stage] == [], f"{stage} loaded {seen[stage]}"
+    # the density experiment integrates, so the lazy import does fire
+    assert "scipy.integrate" in seen["density"]

@@ -55,7 +55,7 @@ def test_on_axis_value_alpha_15():
 
 
 def test_kernel_unit_total_amplitude():
-    grid = composition_grid(1.0, P15)
+    grid = composition_grid(1.0, P15, t_alias=1.0)
     row, _ = kernel_row(1.0, P15, grid)
     total = complex(np.sum(row) * grid.spacing)
     assert total.real == pytest.approx(1.0, abs=1e-8)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from fracqm.errors import ConfigurationError
+from fracqm.errors import ConfigurationError, NumericalError
 from fracqm.numerics import adaptive_quadrature
 from fracqm.stable import (
     StableParams,
@@ -78,6 +78,18 @@ def test_density_normalization_with_tail_bound():
     )
     res = adaptive_quadrature(lambda x: levy_density(x, p), 0.0, big, rel_tol=1e-9)
     assert 2.0 * res.value == pytest.approx(1.0, abs=2e-6)
+
+
+@pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8])
+def test_cdf_far_tail_matches_power_law(alpha):
+    # at z = 1e4 the k in [0, 1] head needs more than 200 subintervals
+    params = StableParams(alpha)
+    assert 1.0 - levy_cdf(1e4, params) == pytest.approx(tail_probability(1e4, params), rel=1e-4)
+
+
+def test_cdf_unconverged_quadrature_raises():
+    with pytest.raises(NumericalError, match="CDF quadrature did not converge at z=100000.0"):
+        levy_cdf(1e5, StableParams(1.5))
 
 
 def test_params_validation():

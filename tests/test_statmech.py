@@ -5,9 +5,10 @@ import pytest
 
 from fracqm.errors import ConfigurationError, NumericalError
 from fracqm.numerics import PhysicalParams, adaptive_quadrature, make_grid
-from fracqm.spectral import EvolverConfig, Potential, evolve
+from fracqm.spectral import EvolverConfig, Potential, evolve, kinetic_symbol
 from fracqm.statmech import (
     ThermoQuery,
+    _grid_hamiltonian,
     bloch_density_matrix,
     bloch_matrix,
     bloch_trace_ladder,
@@ -182,6 +183,17 @@ def test_harmonic_ladder_alpha2_matches_oscillator_partition_function():
     assert [b for b, _ in ladder] == [0.125, 0.25, 0.5, 1.0, 2.0]
     for beta, tr in ladder:
         assert tr == pytest.approx(1.0 / (2.0 * math.sinh(beta / 2.0)), rel=1e-10)
+
+
+@pytest.mark.parametrize("params", [P15, P2])
+def test_grid_hamiltonian_is_circulant_plus_diagonal(params):
+    from scipy import linalg
+
+    grid = make_grid(64, 20.0)
+    pot = Potential.harmonic(1.0, 1.0)
+    col = np.fft.ifft(kinetic_symbol(grid, params)).real
+    ref = linalg.circulant(col) + np.diag(pot.on_grid(grid))
+    assert np.array_equal(_grid_hamiltonian(pot, params, grid), ref)
 
 
 def test_bloch_trace_unbounded_below_potential_rejected():
