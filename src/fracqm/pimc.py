@@ -14,7 +14,13 @@ With V = 0 every weight is one and only the endpoint is binned; a sum of N
 free increments is one draw of the same law at the full beta, so a free
 chain draws each endpoint directly, x0 + one `thermal_law(beta)` variate.
 Otherwise paths are sampled, weighted and binned `_BLOCK_PATHS` at a time,
-so memory per worker does not grow as paths x slices.
+so memory per worker does not grow as paths x slices.  Paths come in
+reflected pairs (antithetic variates; Hammersley & Morton, Proc. Camb.
+Phil. Soc. 52, 449 (1956)): the symmetric stable increments have the same
+law as their negatives, so the reflection 2 x0 - x of a drawn path is
+another exact free sample, and a block of m paths draws ceil(m / 2) of them.
+Each chain's row is still unbiased, and pairs never cross chains, so the
+chain means stay independent and their spread is still a valid error bar.
 
 Chains are independent: chain i uses SeedSequence(master_seed).spawn child i,
 and the reduction over chains is done in chain-index order, so results are
@@ -60,6 +66,8 @@ class McEstimate:
     `covered` marks bins with enough raw hits for the chain-based error to
     be meaningful; rare-event bins (a handful of hits across all chains)
     carry deceptively small chain-spread errors and are flagged out.
+    `effective_counts` is (sum w)^2 / sum w^2 per bin over every binned
+    path, so both members of a reflected pair count.
     """
 
     mean: np.ndarray | float
@@ -91,8 +99,10 @@ def sample_free_paths(
     The increments are one `sample_stable` draw of the thermal law at
     beta / n_slices; x0 itself is not a column.
     """
-    incs = sample_stable(thermal_law(beta / n_slices, params), rng, size=(n_paths, n_slices))
-    return x0 + np.cumsum(incs, axis=1)
+    paths = sample_stable(thermal_law(beta / n_slices, params), rng, size=(n_paths, n_slices))
+    np.cumsum(paths, axis=1, out=paths)
+    paths += x0
+    return paths
 
 
 def _max_workers() -> int:
@@ -104,11 +114,14 @@ def _max_workers() -> int:
         except AttributeError:  # no affinity call on this platform
             return os.cpu_count() or 1
     try:
-        return max(1, int(env))
+        workers = int(env)
     except ValueError:
+        workers = 0
+    if workers < 1:
         raise ConfigurationError(
-            f"FRACQM_THREADS must be an integer, got {env!r}"
-        ) from None
+            f"FRACQM_THREADS must be a positive integer, got {env!r}"
+        )
+    return workers
 
 
 def _binned(endpoints: np.ndarray, weights: np.ndarray | None, edges: np.ndarray):
@@ -139,9 +152,15 @@ def _chain_histogram(
         eps = beta / n_slices
         v0 = 0.5 * float(potential.func(np.array(x0)))
         w_sum, w_sq = np.zeros(len(edges) + 1), np.zeros(len(edges) + 1)
+        block = np.empty((min(_BLOCK_PATHS, n_samples), n_slices))
         for start in range(0, n_samples, _BLOCK_PATHS):
             m = min(_BLOCK_PATHS, n_samples - start)
-            positions = sample_free_paths(params, beta, n_slices, x0, rng, m)
+            drawn = (m + 1) // 2
+            positions = block[:m]
+            # rows [drawn, m) reflect rows [0, m - drawn) about x0; with odd m
+            # the last drawn path has no mirror
+            positions[:drawn] = sample_free_paths(params, beta, n_slices, x0, rng, drawn)
+            np.subtract(2.0 * x0, positions[:m - drawn], out=positions[drawn:])
             v_vals = potential.func(positions)
             action = v0 + np.sum(v_vals[:, :-1], axis=1) + 0.5 * v_vals[:, -1]
             with np.errstate(over="ignore"):

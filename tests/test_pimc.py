@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 
@@ -8,6 +9,7 @@ from scipy import stats
 from fracqm.errors import ConfigurationError, ContractError
 from fracqm.numerics import PhysicalParams, make_grid
 from fracqm.pimc import (
+    _chain_histogram,
     _max_workers,
     estimate_density_matrix,
     fractal_scaling_exponent,
@@ -15,11 +17,16 @@ from fracqm.pimc import (
     wander_scale,
 )
 from fracqm.spectral import Potential
+from fracqm.statmech import bloch_density_matrix
 from fracqm.stable import StableParams, chain_rngs, sample_stable, thermal_law
 from oracles import mehler_bin_averages
 
 P15 = PhysicalParams(1.0, 1.0, 1.5)
 P2 = PhysicalParams.gaussian(mass=1.0)
+# V = 0 but not kind "free", so chains take the sampled-path branch
+ZERO = Potential(lambda x: np.zeros_like(np.asarray(x, dtype=float)))
+# cell edges exactly symmetric about 0
+SYMMETRIC_EDGES = np.concatenate([-0.5 * np.arange(16, 0, -1), [0.0], 0.5 * np.arange(1, 17)])
 
 
 def test_path_starts_at_origin_and_cumsums():
@@ -215,6 +222,15 @@ def test_non_integer_thread_count_rejected(monkeypatch):
     assert "FRACQM_THREADS" in str(exc.value) and "'two'" in str(exc.value)
 
 
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_non_positive_thread_count_rejected(monkeypatch, value):
+    grid = make_grid(32, 24.0)
+    monkeypatch.setenv("FRACQM_THREADS", value)
+    with pytest.raises(ConfigurationError) as exc:
+        estimate_density_matrix(Potential.free(), 0.0, 1.0, P15, 4, 2, 10, grid, 1)
+    assert "FRACQM_THREADS" in str(exc.value) and repr(value) in str(exc.value)
+
+
 def test_worker_default_is_available_cores(monkeypatch):
     monkeypatch.delenv("FRACQM_THREADS", raising=False)
     assert _max_workers() == len(os.sched_getaffinity(0))
@@ -223,17 +239,82 @@ def test_worker_default_is_available_cores(monkeypatch):
 
 
 def test_deterministic_rows_independent_of_thread_count(monkeypatch):
-    # unset, one and four workers; 600 paths per chain span three path
-    # blocks in the harmonic case
+    # unset, one and four workers; 600 or 601 paths per chain span three path
+    # blocks in the harmonic case, and at 601 the last block has an odd count
     grid = make_grid(32, 24.0)
-    for pot in (Potential.free(), Potential.harmonic(1.0, 1.0)):
+    for pot, n_paths in itertools.product((Potential.free(), Potential.harmonic(1.0, 1.0)),
+                                          (600, 601)):
         rows = []
         for threads in (None, "1", "4"):
             if threads is None:
                 monkeypatch.delenv("FRACQM_THREADS", raising=False)
             else:
                 monkeypatch.setenv("FRACQM_THREADS", threads)
-            rows.append(estimate_density_matrix(pot, 0.0, 1.0, P15, 16, 8, 600, grid, 77))
+            rows.append(estimate_density_matrix(pot, 0.0, 1.0, P15, 16, 8, n_paths, grid, 77))
         for est in rows[1:]:
             assert np.array_equal(est.mean, rows[0].mean)
             assert np.array_equal(est.std_error, rows[0].std_error)
+
+
+def test_reflected_pairs_bin_mirror_symmetric():
+    # with V = 0 and x0 = 0 every path x is binned together with -x, and 600
+    # paths make three even blocks, so the counts are mirror images exactly
+    _, hist, w_sq, low, high = _chain_histogram(
+        chain_rngs(61, 1)[0], ZERO, 0.0, 1.0, P15, 16, 600, SYMMETRIC_EDGES)
+    assert hist.sum() > 0 and low > 0
+    assert np.array_equal(hist, hist[::-1]) and np.array_equal(w_sq, w_sq[::-1])
+    assert low == high
+
+
+@pytest.mark.parametrize("n_paths", [7, 257])
+def test_unpaired_path_counts_once(n_paths):
+    # odd blocks end on a drawn path with no mirror; it is binned once
+    _, hist, _, low, high = _chain_histogram(
+        chain_rngs(62, 1)[0], ZERO, 0.3, 1.0, P15, 16, n_paths, SYMMETRIC_EDGES)
+    assert abs(hist.sum() / n_paths + low + high - 1.0) <= 1e-15
+
+
+def test_chain_draws_half_the_increments():
+    # 601 paths are blocks of 256, 256 and 89 paths, of which 128, 128 and 45
+    # are drawn and the rest reflected
+    rng, fresh = chain_rngs(63, 1)[0], chain_rngs(63, 1)[0]
+    _chain_histogram(rng, ZERO, 0.0, 1.0, P15, 16, 601, SYMMETRIC_EDGES)
+    for m in (256, 256, 89):
+        sample_stable(thermal_law(1.0 / 16, P15), fresh, size=((m + 1) // 2, 16))
+    assert rng.bit_generator.state == fresh.bit_generator.state
+
+
+def _independent_path_std_error(potential, x0, params, n_slices, n_chains, n_paths,
+                                grid, master_seed):
+    """Chain-spread std errors of the estimator that draws every path."""
+    edges = np.append(grid.positions - grid.spacing / 2.0,
+                      grid.positions[-1] + grid.spacing / 2.0)
+    v0 = 0.5 * float(potential.func(np.array(x0)))
+    rows = []
+    for rng in chain_rngs(master_seed, n_chains):
+        paths = sample_free_paths(params, 1.0, n_slices, x0, rng, n_paths)
+        v = potential.func(paths)
+        weights = np.exp(-(v0 + v[:, :-1].sum(axis=1) + 0.5 * v[:, -1]) / n_slices)
+        hist, _ = np.histogram(paths[:, -1], bins=edges, weights=weights)
+        rows.append(hist / (n_paths * grid.spacing))
+    return np.std(rows, axis=0, ddof=1) / math.sqrt(n_chains)
+
+
+@pytest.mark.parametrize("params,x0,n_slices,seed",
+                         [(P2, 0.0, 32, 9101), (P15, 1.0, 64, 9102)], ids=["alpha2", "alpha1.5"])
+def test_reflected_pairs_no_noisier_than_independent_paths(params, x0, n_slices, seed):
+    grid = make_grid(64, 20.0)
+    pot = Potential.harmonic(1.0, 1.0)
+    if params.alpha == 2.0:
+        oracle = mehler_bin_averages(grid.positions, grid.spacing, 1.0)
+    else:
+        # means of the 8 nodes of a 1024-point row on length 40 in each cell;
+        # the first cell edge, -10.15625, is node 252
+        row = bloch_density_matrix(pot, 1.0, params, make_grid(1024, 40.0), x0)
+        oracle = row[252:252 + 512].reshape(64, 8).mean(axis=1)
+    core = oracle >= 0.01 * oracle.max()
+    paired = estimate_density_matrix(pot, x0, 1.0, params, n_slices, 64, 1500, grid, seed)
+    independent = _independent_path_std_error(pot, x0, params, n_slices, 64, 1500, grid, seed)
+    relvar = np.mean((paired.std_error[core] / oracle[core]) ** 2)
+    relvar_independent = np.mean((independent[core] / oracle[core]) ** 2)
+    assert relvar <= 1.3 * relvar_independent
