@@ -15,12 +15,19 @@ free increments is one draw of the same law at the full beta, so a free
 chain draws each endpoint directly, x0 + one `thermal_law(beta)` variate.
 Otherwise paths are sampled, weighted and binned `_BLOCK_PATHS` at a time,
 so memory per worker does not grow as paths x slices.  Paths come in
-reflected pairs (antithetic variates; Hammersley & Morton, Proc. Camb.
-Phil. Soc. 52, 449 (1956)): the symmetric stable increments have the same
-law as their negatives, so the reflection 2 x0 - x of a drawn path is
-another exact free sample, and a block of m paths draws ceil(m / 2) of them.
-Each chain's row is still unbiased, and pairs never cross chains, so the
-chain means stay independent and their spread is still a valid error bar.
+pairs that share one set of increments (antithetic variates; Hammersley &
+Morton, Proc. Camb. Phil. Soc. 52, 449 (1956)): the partner of a drawn path
+x follows it to the middle slice k = N // 2 and then reflects about x_k,
+x'_j = 2 x_k - x_j for j > k.  The symmetric stable increments have the
+same law as their negatives, so the partner, whose later increments are
+negated, is another exact free sample, and a block of m paths draws
+ceil(m / 2) of them.  Each chain's row is still unbiased, and pairs never
+cross chains, so the chain means stay independent and their spread is still
+a valid error bar.  The pivot is the middle slice, not x0: reflecting whole
+paths about x0 makes the row of a potential even about x0 exactly
+mirror-symmetric, so half its bins would repeat the other half.  At
+alpha = 2 and even N the free endpoints x_k + D and x_k - D (D the sum of
+the later increments) are even independent.
 
 Chains are independent: chain i uses SeedSequence(master_seed).spawn child i,
 and the reduction over chains is done in chain-index order, so results are
@@ -67,7 +74,7 @@ class McEstimate:
     be meaningful; rare-event bins (a handful of hits across all chains)
     carry deceptively small chain-spread errors and are flagged out.
     `effective_counts` is (sum w)^2 / sum w^2 per bin over every binned
-    path, so both members of a reflected pair count.
+    path, so both members of a path pair count.
     """
 
     mean: np.ndarray | float
@@ -153,14 +160,19 @@ def _chain_histogram(
         v0 = 0.5 * float(potential.func(np.array(x0)))
         w_sum, w_sq = np.zeros(len(edges) + 1), np.zeros(len(edges) + 1)
         block = np.empty((min(_BLOCK_PATHS, n_samples), n_slices))
+        half = n_slices // 2
         for start in range(0, n_samples, _BLOCK_PATHS):
             m = min(_BLOCK_PATHS, n_samples - start)
             drawn = (m + 1) // 2
             positions = block[:m]
-            # rows [drawn, m) reflect rows [0, m - drawn) about x0; with odd m
-            # the last drawn path has no mirror
             positions[:drawn] = sample_free_paths(params, beta, n_slices, x0, rng, drawn)
-            np.subtract(2.0 * x0, positions[:m - drawn], out=positions[drawn:])
+            # rows [drawn, m) follow rows [0, m - drawn) to slice `half`, then
+            # reflect about the position there; with odd m the last drawn
+            # path has no partner
+            source, partner = positions[:m - drawn], positions[drawn:]
+            pivot = source[:, half - 1:half] if half else x0
+            partner[:, :half] = source[:, :half]
+            np.subtract(2.0 * pivot, source[:, half:], out=partner[:, half:])
             v_vals = potential.func(positions)
             action = v0 + np.sum(v_vals[:, :-1], axis=1) + 0.5 * v_vals[:, -1]
             with np.errstate(over="ignore"):

@@ -256,14 +256,32 @@ def test_deterministic_rows_independent_of_thread_count(monkeypatch):
             assert np.array_equal(est.std_error, rows[0].std_error)
 
 
-def test_reflected_pairs_bin_mirror_symmetric():
-    # with V = 0 and x0 = 0 every path x is binned together with -x, and 600
-    # paths make three even blocks, so the counts are mirror images exactly
-    _, hist, w_sq, low, high = _chain_histogram(
+@pytest.mark.parametrize("n_slices", [1, 4, 5])
+def test_partner_reflects_about_middle_slice(n_slices):
+    # one pair: the drawn path x and its partner y, equal to x up to slice
+    # k = n_slices // 2 and 2 x_k - x after it (x_0 = x0); each lands alone
+    # in a fine cell with its trapezoid weight under V(x) = x / 4
+    x0 = 0.3
+    tilt = Potential(lambda x: 0.25 * np.asarray(x, dtype=float))
+    rng, fresh = chain_rngs(60, 1)[0], chain_rngs(60, 1)[0]
+    x = np.concatenate([[x0], sample_free_paths(P15, 1.0, n_slices, x0, fresh, 1)[0]])
+    k = n_slices // 2
+    y = np.concatenate([x[:k + 1], 2.0 * x[k] - x[k + 1:]])
+    edges = np.linspace(-40.0, 40.0, 800_001)
+    _, hist, _, low, high = _chain_histogram(rng, tilt, x0, 1.0, P15, n_slices, 2, edges)
+    assert low == high == 0.0 and np.count_nonzero(hist) == 2
+    for path in (x, y):
+        v = 0.25 * path
+        weight = math.exp(-(v[1:-1].sum() + 0.5 * (v[0] + v[-1])) / n_slices)
+        assert hist[np.searchsorted(edges, path[-1]) - 1] == pytest.approx(weight, rel=1e-12)
+
+
+def test_even_potential_row_not_mirror_symmetric():
+    # whole-path mirrors about x0 = 0 would make this row exactly symmetric,
+    # each bin repeating its mirror bin
+    _, hist, _, _, _ = _chain_histogram(
         chain_rngs(61, 1)[0], ZERO, 0.0, 1.0, P15, 16, 600, SYMMETRIC_EDGES)
-    assert hist.sum() > 0 and low > 0
-    assert np.array_equal(hist, hist[::-1]) and np.array_equal(w_sq, w_sq[::-1])
-    assert low == high
+    assert hist.sum() > 0 and not np.array_equal(hist, hist[::-1])
 
 
 @pytest.mark.parametrize("n_paths", [7, 257])
@@ -302,7 +320,7 @@ def _independent_path_std_error(potential, x0, params, n_slices, n_chains, n_pat
 
 @pytest.mark.parametrize("params,x0,n_slices,seed",
                          [(P2, 0.0, 32, 9101), (P15, 1.0, 64, 9102)], ids=["alpha2", "alpha1.5"])
-def test_reflected_pairs_no_noisier_than_independent_paths(params, x0, n_slices, seed):
+def test_path_pairs_no_noisier_than_independent_paths(params, x0, n_slices, seed):
     grid = make_grid(64, 20.0)
     pot = Potential.harmonic(1.0, 1.0)
     if params.alpha == 2.0:
