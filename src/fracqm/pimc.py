@@ -15,19 +15,22 @@ free increments is one draw of the same law at the full beta, so a free
 chain draws each endpoint directly, x0 + one `thermal_law(beta)` variate.
 Otherwise paths are sampled, weighted and binned `_BLOCK_PATHS` at a time,
 so memory per worker does not grow as paths x slices.  Paths come in
-pairs that share one set of increments (antithetic variates; Hammersley &
-Morton, Proc. Camb. Phil. Soc. 52, 449 (1956)): the partner of a drawn path
-x follows it to the middle slice k = N // 2 and then reflects about x_k,
-x'_j = 2 x_k - x_j for j > k.  The symmetric stable increments have the
-same law as their negatives, so the partner, whose later increments are
-negated, is another exact free sample, and a block of m paths draws
-ceil(m / 2) of them.  Each chain's row is still unbiased, and pairs never
-cross chains, so the chain means stay independent and their spread is still
-a valid error bar.  The pivot is the middle slice, not x0: reflecting whole
-paths about x0 makes the row of a potential even about x0 exactly
-mirror-symmetric, so half its bins would repeat the other half.  At
-alpha = 2 and even N the free endpoints x_k + D and x_k - D (D the sum of
-the later increments) are even independent.
+families of four that share one set of increments (antithetic variates;
+Hammersley & Morton, Proc. Camb. Phil. Soc. 52, 449 (1956)).  A reflection
+at slice k copies a path up to x_k and reflects the rest about it,
+x'_j = 2 x_k - x_j for j > k, which negates every later increment.  The
+symmetric stable increments have the same law as their negatives, so the
+reflected path is another exact free sample.  Each drawn path is reflected
+at the middle slice N // 2, and then both are reflected at N // 4: split at
+those slices into increment segments A | B | C, the family is (A, B, C),
+(A, B, -C), (A, -B, -C) and (A, -B, C), and a block of m paths draws
+ceil(m / 4) increment sets.  Below four slices N // 4 is 0, so only the
+middle reflection is made (pairs, ceil(m / 2) draws).  Each chain's row is
+still unbiased, and families never cross chains, so the chain means stay
+independent and their spread is still a valid error bar.  Segment A is never
+negated: reflecting whole paths about x0 makes the row of a potential even
+about x0 exactly mirror-symmetric, so half its bins would repeat the other
+half.
 
 Chains are independent: chain i uses SeedSequence(master_seed).spawn child i,
 and the reduction over chains is done in chain-index order, so results are
@@ -74,7 +77,7 @@ class McEstimate:
     be meaningful; rare-event bins (a handful of hits across all chains)
     carry deceptively small chain-spread errors and are flagged out.
     `effective_counts` is (sum w)^2 / sum w^2 per bin over every binned
-    path, so both members of a path pair count.
+    path, so every member of a path family counts.
     """
 
     mean: np.ndarray | float
@@ -160,19 +163,25 @@ def _chain_histogram(
         v0 = 0.5 * float(potential.func(np.array(x0)))
         w_sum, w_sq = np.zeros(len(edges) + 1), np.zeros(len(edges) + 1)
         block = np.empty((min(_BLOCK_PATHS, n_samples), n_slices))
-        half = n_slices // 2
+        # reflection pivots: the middle slice, then the quarter slice once
+        # it lies strictly between x0 and the middle
+        pivots = (n_slices // 2, n_slices // 4) if n_slices >= 4 else (n_slices // 2,)
         for start in range(0, n_samples, _BLOCK_PATHS):
             m = min(_BLOCK_PATHS, n_samples - start)
-            drawn = (m + 1) // 2
+            rows = -(-m // 2 ** len(pivots))
             positions = block[:m]
-            positions[:drawn] = sample_free_paths(params, beta, n_slices, x0, rng, drawn)
-            # rows [drawn, m) follow rows [0, m - drawn) to slice `half`, then
-            # reflect about the position there; with odd m the last drawn
-            # path has no partner
-            source, partner = positions[:m - drawn], positions[drawn:]
-            pivot = source[:, half - 1:half] if half else x0
-            partner[:, :half] = source[:, :half]
-            np.subtract(2.0 * pivot, source[:, half:], out=partner[:, half:])
+            positions[:rows] = sample_free_paths(params, beta, n_slices, x0, rng, rows)
+            for k in pivots:
+                # rows [rows, rows + c) follow rows [0, c) to slice k, then
+                # reflect about the position there; the last families of a
+                # block whose size is not a multiple of 2 ** len(pivots) are
+                # cut short
+                c = min(rows, m - rows)
+                source, partner = positions[:c], positions[rows:rows + c]
+                pivot = source[:, k - 1:k] if k else x0
+                partner[:, :k] = source[:, :k]
+                np.subtract(2.0 * pivot, source[:, k:], out=partner[:, k:])
+                rows += c
             v_vals = potential.func(positions)
             action = v0 + np.sum(v_vals[:, :-1], axis=1) + 0.5 * v_vals[:, -1]
             with np.errstate(over="ignore"):
@@ -216,6 +225,9 @@ def estimate_density_matrix(
         raise ConfigurationError(f"n_slices must be >= 1, got {n_slices}")
     if n_chains < 2:
         raise ConfigurationError(f"n_chains must be >= 2, got {n_chains}")
+    if n_samples_per_chain < 1:
+        raise ConfigurationError(
+            f"n_samples_per_chain must be >= 1, got {n_samples_per_chain}")
     spread = 2.0 * wander_scale(beta, params)
     if bin_grid.length / 2.0 < spread:
         raise ConfigurationError(

@@ -53,7 +53,10 @@ class Potential:
     @staticmethod
     def harmonic(mass: float, omega: float) -> "Potential":
         def v(x):
-            return 0.5 * mass * omega**2 * np.asarray(x, dtype=float) ** 2
+            x = np.asarray(x, dtype=float)
+            sq = x * x  # one temporary, scaled in place
+            sq *= 0.5 * mass * omega**2
+            return sq
 
         return Potential(v, "harmonic")
 

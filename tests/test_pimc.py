@@ -75,14 +75,16 @@ def test_paths_bit_identical_for_fixed_master_seed():
 
 @pytest.mark.parametrize(
     "beta,n_slices,name",
-    [(-1.0, 8, "beta"), (0.0, 8, "beta"), (1.0, 0, "n_slices"), (1.0, 8, "n_chains")],
+    [(-1.0, 8, "beta"), (0.0, 8, "beta"), (1.0, 0, "n_slices"), (1.0, 8, "n_chains"),
+     (1.0, 8, "n_samples_per_chain")],
 )
 def test_bad_input_rejected_naming_argument(beta, n_slices, name):
     grid = make_grid(32, 24.0)
     n_chains = 1 if name == "n_chains" else 2
+    n_samples = 0 if name == "n_samples_per_chain" else 10
     with pytest.raises(ConfigurationError, match=f"^{name} must"):
-        estimate_density_matrix(Potential.free(), 0.0, beta, P15, n_slices, n_chains, 10,
-                                grid, 1)
+        estimate_density_matrix(Potential.free(), 0.0, beta, P15, n_slices, n_chains,
+                                n_samples, grid, 1)
 
 
 def bin_averaged_free_oracle(grid, beta, params, x0=0.0):
@@ -240,7 +242,8 @@ def test_worker_default_is_available_cores(monkeypatch):
 
 def test_deterministic_rows_independent_of_thread_count(monkeypatch):
     # unset, one and four workers; 600 or 601 paths per chain span three path
-    # blocks in the harmonic case, and at 601 the last block has an odd count
+    # blocks in the harmonic case, and at 601 the last block of 89 paths
+    # fills the second reflection level only in part
     grid = make_grid(32, 24.0)
     for pot, n_paths in itertools.product((Potential.free(), Potential.harmonic(1.0, 1.0)),
                                           (600, 601)):
@@ -258,9 +261,10 @@ def test_deterministic_rows_independent_of_thread_count(monkeypatch):
 
 @pytest.mark.parametrize("n_slices", [1, 4, 5])
 def test_partner_reflects_about_middle_slice(n_slices):
-    # one pair: the drawn path x and its partner y, equal to x up to slice
-    # k = n_slices // 2 and 2 x_k - x after it (x_0 = x0); each lands alone
-    # in a fine cell with its trapezoid weight under V(x) = x / 4
+    # a block of two paths is one pair at any slice count: the drawn path x
+    # and its first-level partner y, equal to x up to slice k = n_slices // 2
+    # and 2 x_k - x after it (x_0 = x0); each lands alone in a fine cell with
+    # its trapezoid weight under V(x) = x / 4
     x0 = 0.3
     tilt = Potential(lambda x: 0.25 * np.asarray(x, dtype=float))
     rng, fresh = chain_rngs(60, 1)[0], chain_rngs(60, 1)[0]
@@ -278,28 +282,54 @@ def test_partner_reflects_about_middle_slice(n_slices):
 
 def test_even_potential_row_not_mirror_symmetric():
     # whole-path mirrors about x0 = 0 would make this row exactly symmetric,
-    # each bin repeating its mirror bin
-    _, hist, _, _, _ = _chain_histogram(
-        chain_rngs(61, 1)[0], ZERO, 0.0, 1.0, P15, 16, 600, SYMMETRIC_EDGES)
-    assert hist.sum() > 0 and not np.array_equal(hist, hist[::-1])
+    # each bin repeating its mirror bin; at 2 and 3 slices a second pivot at
+    # n_slices // 4 = 0 would mirror whole paths
+    for n_slices in (2, 3, 16):
+        _, hist, _, _, _ = _chain_histogram(
+            chain_rngs(61, 1)[0], ZERO, 0.0, 1.0, P15, n_slices, 600, SYMMETRIC_EDGES)
+        assert hist.sum() > 0 and not np.array_equal(hist, hist[::-1])
 
 
-@pytest.mark.parametrize("n_paths", [7, 257])
+@pytest.mark.parametrize("n_paths", [2, 3, 5, 7, 257, 258])
 def test_unpaired_path_counts_once(n_paths):
-    # odd blocks end on a drawn path with no mirror; it is binned once
+    # blocks whose size is not a multiple of four end on cut-short families;
+    # every binned path counts once
     _, hist, _, low, high = _chain_histogram(
         chain_rngs(62, 1)[0], ZERO, 0.3, 1.0, P15, 16, n_paths, SYMMETRIC_EDGES)
     assert abs(hist.sum() / n_paths + low + high - 1.0) <= 1e-15
 
 
-def test_chain_draws_half_the_increments():
-    # 601 paths are blocks of 256, 256 and 89 paths, of which 128, 128 and 45
+def test_chain_draws_a_quarter_of_the_increments():
+    # 601 paths are blocks of 256, 256 and 89 paths, of which 64, 64 and 23
     # are drawn and the rest reflected
     rng, fresh = chain_rngs(63, 1)[0], chain_rngs(63, 1)[0]
     _chain_histogram(rng, ZERO, 0.0, 1.0, P15, 16, 601, SYMMETRIC_EDGES)
-    for m in (256, 256, 89):
-        sample_stable(thermal_law(1.0 / 16, P15), fresh, size=((m + 1) // 2, 16))
+    for drawn in (64, 64, 23):
+        sample_stable(thermal_law(1.0 / 16, P15), fresh, size=(drawn, 16))
     assert rng.bit_generator.state == fresh.bit_generator.state
+
+
+@pytest.mark.parametrize("n_slices", [4, 5, 8])
+def test_family_of_four_sign_patterns(n_slices):
+    # one family: a drawn path split at slices N // 4 and N // 2 into
+    # increment segments A | B | C gives (A, B, C), (A, B, -C), (A, -B, -C)
+    # and (A, -B, C); each lands alone in a fine cell with its trapezoid
+    # weight under V(x) = x / 4
+    x0 = 0.3
+    tilt = Potential(lambda x: 0.25 * np.asarray(x, dtype=float))
+    rng, fresh = chain_rngs(64, 1)[0], chain_rngs(64, 1)[0]
+    x = np.concatenate([[x0], sample_free_paths(P15, 1.0, n_slices, x0, fresh, 1)[0]])
+    steps = np.diff(x)
+    segment = np.searchsorted([n_slices // 4, n_slices // 2], np.arange(n_slices),
+                              side="right")
+    edges = np.linspace(-40.0, 40.0, 800_001)
+    _, hist, _, low, high = _chain_histogram(rng, tilt, x0, 1.0, P15, n_slices, 4, edges)
+    assert low == high == 0.0 and np.count_nonzero(hist) == 4
+    for signs in ((1, 1, 1), (1, 1, -1), (1, -1, -1), (1, -1, 1)):
+        path = np.concatenate([[x0], x0 + np.cumsum(steps * np.take(signs, segment))])
+        v = 0.25 * path
+        weight = math.exp(-(v[1:-1].sum() + 0.5 * (v[0] + v[-1])) / n_slices)
+        assert hist[np.searchsorted(edges, path[-1]) - 1] == pytest.approx(weight, rel=1e-12)
 
 
 def _independent_path_std_error(potential, x0, params, n_slices, n_chains, n_paths,
