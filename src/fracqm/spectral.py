@@ -53,8 +53,7 @@ class Potential:
     @staticmethod
     def harmonic(mass: float, omega: float) -> "Potential":
         def v(x):
-            x = np.asarray(x, dtype=float)
-            sq = x * x  # one temporary, scaled in place
+            sq = np.square(np.asarray(x, dtype=float))  # one temporary, scaled in place
             sq *= 0.5 * mass * omega**2
             return sq
 
