@@ -36,7 +36,7 @@ from .numerics import ComplexField, PhysicalParams, adaptive_quadrature, apply_s
 from .propagator import (
     KernelQuery,
     _composition_size,
-    _free_kernel_grid,
+    _kernel_ray,
     chapman_kolmogorov_residual,
     free_kernel,
 )
@@ -289,8 +289,8 @@ def _t_split(p) -> float:
 
 
 def _kernel_grid_errors(p) -> list[str]:
-    """kernel-check times whose kernel grids would pass 2^23 points: a time
-    short against an offset, or a short leg of the composition check."""
+    """kernel-check times whose kernel quadratures would pass 2^23 nodes or
+    points: a time short against an offset, or a short composition leg."""
     try:
         physical = _physical(p)
     except ConfigurationError:
@@ -299,10 +299,9 @@ def _kernel_grid_errors(p) -> list[str]:
     try:
         for t in p["t_values"]:
             for dx in p["dx_values"]:
-                _free_kernel_grid(abs(dx), t, physical)
+                _kernel_ray(abs(dx), t, physical)
     except NumericalError as exc:
-        errors.append(f"key 't_values' must keep the kernel grid within 2^23 points; "
-                      f"{exc} at t={t}, dx={dx}")
+        errors.append(f"key 't_values' must keep the kernel ray within 2^23 nodes; {exc}")
     t_total, t_split = p["t_values"][0], _t_split(p)
     if 0.0 < t_split < t_total:
         try:

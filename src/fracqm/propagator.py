@@ -5,16 +5,19 @@ The kernel is the conditionally convergent Fourier integral
     K(dx, t) = (1/2 pi hbar) integral dp
                exp{i p dx / hbar - i D_alpha |p|^alpha t / hbar}
 
-evaluated by damping the integrand with exp(-eps |p|^alpha) for a decreasing
-ladder of eps and Richardson-extrapolating eps -> 0.  The extrapolation
-spread plus an aliasing bound is reported as the error bar.  State
-propagation never goes through the position-space kernel: it is
-`spectral.evolve`, whose V = 0 step is the exact spectral multiplier
+A point (`free_kernel`) is a Gauss-Legendre sum on a momentum ray rotated
+into the lower half plane, where the integral converges absolutely.  A row
+(`kernel_row`, for the composition check) is an FFT of the integrand damped
+by exp(-eps |p|^alpha) for a ladder of eps, Richardson-extrapolated to
+eps -> 0.  State propagation never goes through the position-space kernel:
+it is `spectral.evolve`, whose V = 0 step is the exact spectral multiplier
 exp(-i D |p|^alpha t / hbar).
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,7 +31,6 @@ from .numerics import (
     make_grid,
     to_position_space,
 )
-from .stable import StableParams, peak_density
 
 __all__ = [
     "KernelQuery",
@@ -42,8 +44,11 @@ __all__ = [
 # relative (to D t / hbar) regularization strengths, strongest first
 _EPS_LADDER = (0.04, 0.02, 0.01, 0.005, 0.0025)
 _TRUNC_LOG = 30.0  # keep exp(-eps p^alpha) above e^-30 on the p grid
-# free_kernel's aliasing budget, relative to the on-axis kernel magnitude
-_ALIAS_REL_TOL = 1e-8
+# free_kernel's nodes per panel, fewest panels, panels per block, ray cut e^-40
+_GL_NODES = 40
+_MIN_PANELS = 48
+_PANEL_BLOCK = 1024
+_RAY_CUT_LOG = 40.0
 
 
 @dataclass(frozen=True)
@@ -90,34 +95,6 @@ def _char_scales(t: float, params: PhysicalParams):
     return a_phase, x_c
 
 
-def _alias_bound(dist: float, eps_min: float, t: float, params: PhysicalParams) -> float:
-    """Magnitude of the nearest periodic image of the damped kernel at distance dist."""
-    a_phase, _ = _char_scales(t, params)
-    alpha, hbar = params.alpha, params.hbar
-    if dist <= 0:
-        return math.inf
-    if alpha == 2.0:
-        # Gaussian tail of the eps-damped closed form at the weakest damping
-        mod2 = eps_min * eps_min + a_phase * a_phase
-        pref = (1.0 / (2.0 * math.pi * hbar)) * math.sqrt(math.pi / math.sqrt(mod2))
-        return 2.0 * pref * math.exp(-dist * dist * eps_min / (4.0 * hbar * hbar * mod2))
-    # images on both sides of the periodic window
-    coeff = 2.0 * a_phase * hbar**alpha * math.gamma(1.0 + alpha) / math.pi
-    return coeff / dist ** (1.0 + alpha)
-
-
-def _eps_sensitivity(dx: float, t: float, params: PhysicalParams) -> float:
-    """Scale of d(log K_eps)/d(eps): |p|^alpha at the stationary-phase point,
-    floored by the 1/A scale of the undeflected integrand."""
-    a_phase, _ = _char_scales(t, params)
-    alpha, hbar = params.alpha, params.hbar
-    base = 1.0 / a_phase
-    if dx == 0.0:
-        return base
-    p_star = (dx / (hbar * alpha * a_phase)) ** (1.0 / (alpha - 1.0))
-    return max(base, p_star**alpha)
-
-
 def _grid_points(eps_min: float, alias_length: float, params: PhysicalParams) -> int:
     """Power-of-two point count at momentum spacing 2 pi hbar / alias_length
     whose reach holds exp(-eps_min |p|^alpha) down to e^-30; at most 2^23."""
@@ -129,47 +106,65 @@ def _grid_points(eps_min: float, alias_length: float, params: PhysicalParams) ->
     return n
 
 
-def _free_kernel_grid(dx: float, t: float, params: PhysicalParams):
-    """free_kernel's damping ladder, periodic domain length and point count at
-    offset |dx| and time t; raises NumericalError past 2^23 points."""
-    alpha, hbar = params.alpha, params.hbar
-    a_phase, x_c = _char_scales(t, params)
-    eps = np.array(_EPS_LADDER) / _eps_sensitivity(dx, t, params)
-    if alpha == 2.0:
-        need = math.log(1.0 / _ALIAS_REL_TOL) + 4.0
-        alias_length = dx + 2.0 * hbar * math.sqrt(a_phase**2 * need / eps[-1])
-    else:
-        # |K(0, t)| is the stable peak at the modulus (D t / hbar) hbar^alpha of its scale
-        target_abs = _ALIAS_REL_TOL * peak_density(StableParams(alpha, a_phase * hbar**alpha))
-        coeff = 2.0 * a_phase * hbar**alpha * math.gamma(1.0 + alpha) / math.pi
-        alias_length = dx + (4.0 * coeff / target_abs) ** (1.0 / (1.0 + alpha))
-    alias_length = max(alias_length, 40.0 * x_c + 4.0 * dx)
-    return eps, alias_length, _grid_points(eps[-1], alias_length, params)
+def _kernel_ray(dx: float, t: float, params: PhysicalParams):
+    """free_kernel's ray angle phi, reach r_max and panel count at offset |dx|
+    and time t; raises NumericalError past 2^23 nodes.  On p = r e^{-i phi}
+    the integrand is at most e^{s1 r - s2 r^alpha}, s1 = |dx| sin(phi) / hbar,
+    s2 = A sin(alpha phi); phi is pi / (2 alpha) tilted by f = min(1, 2 / g), g
+    that exponent's peak there, and the ray ends where it falls to -40."""
+    alpha = params.alpha
+    a_phase, _ = _char_scales(t, params)
+    b = dx / params.hbar
+    phi_full = math.pi / (2.0 * alpha)
+    log_g = -math.inf if b == 0.0 else (
+        math.log(1.0 - 1.0 / alpha) + alpha / (alpha - 1.0) * math.log(b * math.sin(phi_full))
+        - math.log(alpha * a_phase) / (alpha - 1.0))
+    inv_tilt = math.exp(min(max(0.0, log_g - math.log(2.0)), 700.0))  # 1 / f, kept finite
+    phi, panels = phi_full / inv_tilt, max(_MIN_PANELS, math.ceil(inv_tilt))
+    if _GL_NODES * panels > (1 << 23):
+        raise NumericalError(f"kernel ray at dx={dx}, t={t} needs {_GL_NODES * panels:.3g} nodes")
+    s1, s2 = b * math.sin(phi), a_phase * math.sin(alpha * phi)
+    y, step = math.log(_RAY_CUT_LOG / s2) / alpha, 1.0
+    # Newton in y = log r on the rising, concave alpha y - log((s1 r + 40) / s2)
+    while step > 1e-12:
+        q = s1 * math.exp(y) + _RAY_CUT_LOG
+        step = (math.log(q / s2) - alpha * y) / (alpha - 1.0 + _RAY_CUT_LOG / q)
+        y += step
+    return phi, math.exp(y), panels
+
+
+@functools.cache
+def _gauss_legendre():
+    from numpy.polynomial.legendre import leggauss  # ~5 ms to import: on first use only
+
+    return leggauss(_GL_NODES)
 
 
 def free_kernel(query: KernelQuery) -> KernelEstimate:
     """Free kernel amplitude at (x_b - x_a, t); translation invariant, even.
 
-    The periodic domain holds aliasing below 1e-8 of the on-axis kernel
-    magnitude (`_ALIAS_REL_TOL`) and spans at least 40 x_c + 4 |dx|, x_c
-    the kernel length scale; the returned error adds the Richardson spread
-    to the aliasing bound.
+    K = (1/pi hbar) int_0^inf cos(p |dx| / hbar) e^{-i A p^alpha} dp,
+    A = D t / hbar, converges absolutely on the ray of `_kernel_ray`, where
+    40-node Gauss-Legendre panels on r = u^2 (smoothing the r^alpha cusp)
+    sum it; the error is the change from the sum on half the panels.
     """
-    params = query.params
-    alpha, hbar = params.alpha, params.hbar
-    dx = abs(query.x_b - query.x_a)
+    params, dx = query.params, abs(query.x_b - query.x_a)
     a_phase, _ = _char_scales(query.t, params)
-    eps, alias_length, n = _free_kernel_grid(dx, query.t, params)
-    dp = 2.0 * math.pi * hbar / alias_length
-    p = dp * (np.arange(n) - n // 2)
-    r = np.abs(p) ** alpha
-    base = np.exp(1j * p * dx / hbar - 1j * a_phase * r)
-    vals = np.array(
-        [np.sum(base * np.exp(-e * r)) * dp / (2.0 * math.pi * hbar) for e in eps]
-    )
-    value, spread = _richardson_to_zero(eps, vals)
-    err = float(spread) + _alias_bound(alias_length - dx, float(eps[-1]), query.t, params)
-    return KernelEstimate(complex(value), err)
+    phi, r_max, panels = _kernel_ray(dx, query.t, params)
+    # on the ray dp = 2 u e^{-i phi} du, and cos z = (e^{iz} + e^{-iz}) / 2
+    rot = cmath.exp(-1j * phi)
+    c1, c3 = 1j * dx / params.hbar * rot, -1j * a_phase * rot**params.alpha
+    x, w = _gauss_legendre()
+    sums = []
+    for n in (panels, panels // 2):
+        width, total = math.sqrt(r_max) / n, 0j
+        for start in range(0, n, _PANEL_BLOCK):
+            k = np.arange(start, min(start + _PANEL_BLOCK, n), dtype=float)
+            u = (k[:, None] + 0.5 * (x + 1.0)) * width
+            phase = c3 * u ** (2.0 * params.alpha)
+            total += np.sum((u * (np.exp(phase + c1 * u * u) + np.exp(phase - c1 * u * u))) @ w)
+        sums.append(complex(total) * width * rot / (2.0 * math.pi * params.hbar))
+    return KernelEstimate(sums[0], abs(sums[0] - sums[1]))
 
 
 def kernel_row(

@@ -177,7 +177,9 @@ def sample_stable(params: StableParams, rng: np.random.Generator, size=None):
     """
     alpha = params.alpha
     if alpha == 2.0:
-        return math.sqrt(2.0 * params.scale) * rng.standard_normal(size)
+        x = rng.standard_normal(size)
+        x *= math.sqrt(2.0 * params.scale)  # in place: no second temporary
+        return x
     v = rng.uniform(-np.pi / 2.0, np.pi / 2.0, size=size)
     w = rng.exponential(1.0, size=size)
     if alpha == 1.0:

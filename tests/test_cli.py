@@ -100,13 +100,20 @@ def test_pimc_single_chain_rejected():
         ("kernel-check", "dx_values", ""),
         ("kernel-check", "t_split", "2.0"),  # beyond the first t_values entry, 0.5
         ("kernel-check", "t_values", "0.0, 1.0"),
-        ("kernel-check", "t_values", "1e-9"),  # ~1e12 grid points against dx = 0.5
+        ("kernel-check", "t_values", "1e-9"),  # ~1.25e9 ray nodes against dx = 0.5
         ("kernel-check", "t_split", "1e-7"),  # a composition grid of ~2^25 points
     ],
 )
 def test_bad_list_input_named(experiment, key, value):
     with pytest.raises(ConfigurationError, match=f"key '{key}' must"):
         validate_config({"experiment": experiment, key: value})
+
+
+def test_kernel_check_accepts_long_offset_at_alpha_15():
+    # the ray quadrature needs 1,920 nodes at dx = 6; an FFT grid needed 2^25 points
+    config = validate_config({"experiment": "kernel-check", "alpha": "1.5",
+                              "t_values": "0.5", "dx_values": "0, 6"})
+    assert config.parameters["dx_values"] == [0.0, 6.0]
 
 
 @pytest.mark.parametrize("value", ["0", "2.5"])

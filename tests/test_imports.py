@@ -1,7 +1,8 @@
 """scipy is imported only where a quadrature runs.
 
-Importing fracqm, the path sampler and the CLI loads numpy alone, and so do
-the shipped configs whose experiments never integrate.  The check runs in
+Importing fracqm, the path sampler and the CLI loads numpy alone (without
+numpy.polynomial, which the free kernel loads on first use), and so do the
+shipped configs whose experiments never integrate.  The check runs in
 a fresh interpreter, since an import cannot be undone within one.
 """
 
@@ -30,16 +31,27 @@ print(json.dumps(seen))
 """
 
 
-def _loaded_after(experiments):
-    code = _PROBE.format(parts=SCIPY_PARTS, experiments=experiments,
-                         configs=str(ROOT / "configs"))
+def _last_line_fresh(code):
+    """The last line a fresh interpreter prints running code."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=300, check=True)
-    return json.loads(out.stdout.strip().splitlines()[-1])
+    return out.stdout.strip().splitlines()[-1]
+
+
+def _loaded_after(experiments):
+    code = _PROBE.format(parts=SCIPY_PARTS, experiments=experiments,
+                         configs=str(ROOT / "configs"))
+    return json.loads(_last_line_fresh(code))
+
+
+def test_cli_import_leaves_out_numpy_polynomial():
+    # free_kernel's Gauss-Legendre nodes import numpy.polynomial on first use
+    code = "import sys, fracqm.cli; print('numpy.polynomial' in sys.modules)"
+    assert _last_line_fresh(code) == "False"
 
 
 def test_scipy_loaded_only_by_quadrature():

@@ -1,13 +1,15 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from fracqm.errors import ConfigurationError
+from fracqm.errors import ConfigurationError, NumericalError
 from fracqm.numerics import ComplexField, PhysicalParams, make_grid
 from fracqm.propagator import (
     KernelQuery,
+    _kernel_ray,
     chapman_kolmogorov_residual,
     composition_grid,
     free_kernel,
@@ -37,12 +39,62 @@ def rotated_axis_value(t, params):
 
 
 def test_gaussian_reduction_small_lattice():
-    for dx in (0.0, 0.8, 1.9):
-        for t in (0.3, 1.0, 1.7):
-            est = free_kernel(KernelQuery(dx, 0.0, t, P2))
-            ref = feynman_kernel(dx, t)
-            assert abs(est.value - ref) < 1e-8 * abs(ref)
-            assert est.error < 1e-6
+    points = [(dx, t) for dx in (0.0, 0.8, 1.9) for t in (0.3, 1.0, 1.7)]
+    for dx, t in points + [(40.0, 1.0), (200.0, 1.0)]:
+        est = free_kernel(KernelQuery(dx, 0.0, t, P2))
+        ref = feynman_kernel(dx, t)
+        # the phase dx^2 / (2 hbar t) reaches 2e4 rad at dx = 200, and a
+        # double carries it to about 4e-12; allow four of its ulps there
+        tol = max(1e-12, 4.0 * np.finfo(float).eps * dx * dx / (2.0 * t))
+        assert abs(est.value - ref) < tol * abs(ref)
+        assert est.error < 1e-6
+        if dx > 2.0:  # many panels, and the half-panel sum has not converged
+            assert abs(est.value - ref) <= est.error
+
+
+def ray_quad_mpmath(dx, t, params):
+    """The kernel on free_kernel's own ray, by mpmath quad at 25 digits."""
+    phi, r_max, _ = _kernel_ray(dx, t, params)
+    with mpmath.workdps(25):
+        a_phase = mpmath.mpf(params.d_alpha) * t / params.hbar
+        b = mpmath.mpf(dx) / params.hbar
+        rot = mpmath.expj(-phi)
+
+        def integrand(r):
+            return mpmath.cos(b * r * rot) * mpmath.exp(-1j * a_phase * (r * rot) ** params.alpha)
+
+        # sub-intervals of about four periods of the cosine
+        n = max(4, math.ceil(b * r_max / (8.0 * math.pi)))
+        value = mpmath.quad(integrand, mpmath.linspace(0, r_max, n + 1))
+        return complex(value * rot / (mpmath.pi * params.hbar))
+
+
+@pytest.mark.parametrize("alpha,t,dx", [(1.2, 0.5, 0.0), (1.5, 0.5, 6.0), (1.8, 1.0, 2.0)])
+def test_free_kernel_matches_mpmath_on_same_ray(alpha, t, dx):
+    params = PhysicalParams(1.0, 1.0, alpha)
+    est = free_kernel(KernelQuery(dx, 0.0, t, params))
+    ref = ray_quad_mpmath(dx, t, params)
+    assert abs(est.value - ref) < 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("params", [P15, PhysicalParams(1.0, 1.0, 1.8)], ids=["1.5", "1.8"])
+def test_free_kernel_matches_kernel_row(params):
+    # an independent rule: the eps-damped FFT row, at offsets it resolves
+    grid = composition_grid(1.0, params, t_alias=1.0)
+    row, spread = kernel_row(1.0, params, grid)
+    nodes = grid.n_points // 2 + np.round(np.arange(4) / grid.spacing).astype(int)
+    devs = [abs(free_kernel(KernelQuery(grid.positions[i], 0.0, 1.0, params)).value - row[i])
+            for i in nodes]
+    assert max(devs) <= 2.0 * np.max(spread[nodes])
+
+
+@pytest.mark.parametrize("dx,t,params,point", [
+    (0.5, 1e-9, P2, r"dx=0\.5, t=1e-09 needs 1\.25e\+09 nodes"),  # a tilt of 3.2e-8
+    (2000.0, 1.0, PhysicalParams(1.0, 1.0, 1.01), r"dx=2000\.0, t=1\.0 needs"),  # f below 1e-300
+], ids=["alpha2", "alpha1.01"])
+def test_free_kernel_past_node_budget_names_point(dx, t, params, point):
+    with pytest.raises(NumericalError, match=point):
+        free_kernel(KernelQuery(dx, 0.0, t, params))
 
 
 def test_on_axis_value_alpha_15():
