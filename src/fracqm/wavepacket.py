@@ -56,7 +56,8 @@ __all__ = [
     "time_from_reduced",
     "observable_means",
     "drift_velocity",
-    "mean_mu_deviation",
+    "momentum_deviation",
+    "gamma_ratio_deviation",
     "packet_spread_factor",
     "uncertainty_report",
 ]
@@ -186,7 +187,7 @@ def suggest_grid(
     else:
         c_nu = math.gamma(1.0 + nu) * math.sin(math.pi * nu / 2.0) / math.gamma(1.0 + 1.0 / nu)
         length_norm = s * (2.0 * c_nu / _NORM_TOL) ** (1.0 / (1.0 + nu))
-    drift = abs(observable_means(t, packet, params, "closed_form")[0])
+    drift = abs(drift_velocity(packet, params) * t)
     tau = abs(reduced_time(t, packet, params))
     length = max(length_norm, 2.0 * (drift + 40.0 * l * (1.0 + tau)), 40.0 * l)
     # snap so p0 is a momentum-grid point
@@ -200,30 +201,21 @@ def suggest_grid(
 
 
 def tail_mass_estimate(
-    t: float, packet: PacketParams, params: PhysicalParams, grid: GridSpec
+    psi: ComplexField, packet: PacketParams, params: PhysicalParams
 ) -> float:
-    """Probability mass beyond the grid, from w(p) past the momentum reach
-    plus a power-law extrapolation of the position density at the edges."""
-    p_edge = grid.max_momentum
+    """Probability mass of psi beyond its grid, from w(p) past the momentum
+    reach plus a power-law extrapolation of the position density at the edges."""
+    grid = psi.grid
     mom_tail = adaptive_quadrature(
         lambda q: momentum_density(q, packet, params)
         + momentum_density(-q, packet, params),
-        p_edge, np.inf, rel_tol=1e-6, abs_tol=1e-14,
+        grid.max_momentum, np.inf, rel_tol=1e-6, abs_tol=1e-14,
     ).value
-    psi = _position_values(t, packet, params, grid)
-    rho = np.abs(psi) ** 2
+    rho = np.abs(psi.values) ** 2
     half = grid.length / 2.0
     # rho ~ C |x|^(-2-2nu): integral past the edge is rho_edge * |x| / (1+2nu)
     pos_tail = (rho[0] + rho[-1]) * half / (1.0 + 2.0 * packet.nu)
     return float(mom_tail + pos_tail)
-
-
-def _position_values(
-    t: float, packet: PacketParams, params: PhysicalParams, grid: GridSpec
-) -> np.ndarray:
-    a_nu = normalization_constant(packet.nu, packet.l)
-    phi = a_nu * np.asarray(packet_momentum_state(grid.momenta, t, packet, params))
-    return to_position_space(ComplexField(phi, grid)).values
 
 
 def packet_position_state(
@@ -232,21 +224,24 @@ def packet_position_state(
     params: PhysicalParams,
     grid: GridSpec | None = None,
 ) -> ComplexField:
-    """psi_L(., t) on the grid, unit-normalized by construction.
+    """psi_L(., t) on the grid, unit-normalized by construction; the state
+    the observables (`observable_means`, `tail_mass_estimate`) take.
 
     Raises DomainTooSmallError when the estimated off-grid mass exceeds
     1e-6 (`_TAIL_TOL`).
     """
-    _check_nu(packet, params)
     if grid is None:
         grid = suggest_grid(packet, params, t)
-    tail = tail_mass_estimate(t, packet, params, grid)
+    a_nu = normalization_constant(packet.nu, packet.l)
+    phi = a_nu * np.asarray(packet_momentum_state(grid.momenta, t, packet, params))
+    psi = to_position_space(ComplexField(phi, grid))
+    tail = tail_mass_estimate(psi, packet, params)
     if tail > _TAIL_TOL:
         raise DomainTooSmallError(
             f"estimated off-grid probability mass {tail:.3e} exceeds {_TAIL_TOL:.1e}; "
             "enlarge the domain", tail,
         )
-    return ComplexField(_position_values(t, packet, params, grid), grid)
+    return psi
 
 
 def drift_velocity(
@@ -272,23 +267,13 @@ def drift_velocity(
 
 
 def observable_means(
-    t: float,
-    packet: PacketParams,
-    params: PhysicalParams,
-    method: str = "closed_form",
-    grid: GridSpec | None = None,
+    psi: ComplexField, packet: PacketParams, params: PhysicalParams
 ) -> tuple[float, float]:
-    """(<x>(t), <p>): drift alpha D p0^(alpha-1) t and carrier p0.
+    """(<x>, <p>) of the packet state psi: self-normalized grid averages of
+    the position density |psi|^2 and the momentum density w(p).
 
-    method 'grid' recomputes both as self-normalized grid averages of the
-    position density rho(x, t) and the momentum density w(p).
+    Their closed forms are drift_velocity(packet, params) * t and p0.
     """
-    _check_nu(packet, params)
-    if method == "closed_form":
-        return drift_velocity(packet, params) * t, packet.p0
-    if method != "grid":
-        raise ConfigurationError(f"method must be 'closed_form' or 'grid', got {method!r}")
-    psi = packet_position_state(t, packet, params, grid)
     rho = np.abs(psi.values) ** 2
     mean_x = float(np.sum(psi.grid.positions * rho) / np.sum(rho))
     w = momentum_density(psi.grid.momenta, packet, params)
@@ -296,43 +281,29 @@ def observable_means(
     return mean_x, mean_p
 
 
-def mean_mu_deviation(
-    target: str,
-    mu: float,
-    t: float,
-    packet: PacketParams,
-    params: PhysicalParams,
-) -> float:
-    """mu-root of the mean-mu deviation <|q - <q>|^mu>^(1/mu).
+def momentum_deviation(mu: float, packet: PacketParams, params: PhysicalParams) -> float:
+    """mu-root of the mean-mu momentum deviation <|p - p0|^mu>^(1/mu).
 
-    target 'momentum' integrates the analytic w(p) by adaptive quadrature
-    (time independent); target 'position' takes the self-normalized grid
-    moment of rho(x, t) on the `suggest_grid` grid.  Requires mu < nu
-    strictly, else the moment may diverge.
+    Integrates the analytic, time-independent w(p) by adaptive quadrature.
+    Requires mu < nu strictly, else the moment may diverge.
     """
     _check_nu(packet, params)
     if not (0.0 < mu < packet.nu):
         raise ContractError(f"need 0 < mu < nu, got mu={mu}, nu={packet.nu}")
-    if target == "momentum":
-        pref = packet.nu * packet.l / (2.0 * params.hbar * math.gamma(1.0 / packet.nu))
-        scale = packet.l / params.hbar
-        res = adaptive_quadrature(
-            lambda q: 2.0 * pref * q**mu * math.exp(-((q * scale) ** packet.nu)),
-            0.0, np.inf, rel_tol=1e-11,
-        )
-        return float(res.value) ** (1.0 / mu)
-    if target != "position":
-        raise ConfigurationError(f"target must be 'position' or 'momentum', got {target!r}")
-    psi = packet_position_state(t, packet, params)
-    rho = np.abs(psi.values) ** 2
-    x = psi.grid.positions
-    # deviations are taken about the closed-form drift (the group-velocity
-    # center), which is also the origin of the spread-factor reduction
-    mean_x = observable_means(t, packet, params, "closed_form")[0]
-    moment = _cusp_weighted_sum(x - mean_x, rho, psi.grid.spacing, mu) / (
-        float(np.sum(rho)) * psi.grid.spacing
+    pref = packet.nu * packet.l / (2.0 * params.hbar * math.gamma(1.0 / packet.nu))
+    scale = packet.l / params.hbar
+    res = adaptive_quadrature(
+        lambda q: 2.0 * pref * q**mu * math.exp(-((q * scale) ** packet.nu)),
+        0.0, np.inf, rel_tol=1e-11,
     )
-    return moment ** (1.0 / mu)
+    return float(res.value) ** (1.0 / mu)
+
+
+def gamma_ratio_deviation(mu: float, packet: PacketParams, params: PhysicalParams) -> float:
+    """Closed form of `momentum_deviation`: (hbar/l) (Gamma((mu+1)/nu) / Gamma(1/nu))^(1/mu)."""
+    return (params.hbar / packet.l) * (
+        math.gamma((mu + 1.0) / packet.nu) / math.gamma(1.0 / packet.nu)
+    ) ** (1.0 / mu)
 
 
 def _cusp_weighted_sum(u: np.ndarray, h: np.ndarray, du: float, mu: float) -> float:
@@ -371,8 +342,8 @@ def packet_spread_factor(
     Evaluates g(sigma) on a fine sigma grid with one FFT of the
     zero-padded eta window (at least 2^18 points; sigma reach 1024 past
     the drift), then integrates |sigma|^mu |g|^2 by the midpoint rule with
-    the cusp subtraction of `_cusp_weighted_sum` (the rule the grid moment
-    uses).  The result is self-normalized by the mu = 0 sum, which equals
+    the cusp subtraction of `_cusp_weighted_sum` (the grid-moment oracle in
+    tests/oracles.py uses the same rule).  The result is self-normalized by the mu = 0 sum, which equals
     one exactly in the continuum.
     """
     if not (0.0 < mu < nu <= alpha <= 2.0):
@@ -408,15 +379,11 @@ def uncertainty_report(
     """
     _check_nu(packet, params)
     nu, l, alpha, hbar = packet.nu, packet.l, params.alpha, params.hbar
-    if not (0.0 < mu < nu):
-        raise ContractError(f"need 0 < mu < nu, got mu={mu}, nu={nu}")
     tau = reduced_time(t, packet, params)
     eta0 = reduced_carrier(packet, params)
     n_factor = packet_spread_factor(alpha, mu, nu, tau, eta0)
     dx_mu = (l / 2.0 ** (1.0 / nu)) * n_factor ** (1.0 / mu)
-    dp_mu = (hbar / l) * (
-        math.gamma((mu + 1.0) / nu) / math.gamma(1.0 / nu)
-    ) ** (1.0 / mu)
+    dp_mu = gamma_ratio_deviation(mu, packet, params)
     product = dx_mu * dp_mu
     bound = hbar / (2.0 * alpha) ** (1.0 / mu)
     return UncertaintyReport(

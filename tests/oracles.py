@@ -6,6 +6,7 @@ import numpy as np
 
 from fracqm.errors import GridMismatchError
 from fracqm.spectral import apply_riesz
+from fracqm.wavepacket import _cusp_weighted_sum
 
 
 def inner_product(a, b):
@@ -38,3 +39,18 @@ def mehler_bin_averages(centers, width, beta):
     cdf = [math.erf((x + s * width / 2.0) / (math.sqrt(2.0) * sd))
            for x in centers for s in (-1.0, 1.0)]
     return amp * math.sqrt(math.pi / 2.0) * sd * np.diff(cdf)[::2] / width
+
+
+def position_deviation(psi, mu, center):
+    """mu-root of the grid moment <|x - center|^mu> of the density |psi|^2.
+
+    The moment is self-normalized and uses the spread factor's cusp rule, so
+    it is a direct check on that route when center is the closed-form drift
+    drift_velocity(packet, params) * t, the origin of its reduction.
+    """
+    rho = np.abs(psi.values) ** 2
+    du = psi.grid.spacing
+    moment = _cusp_weighted_sum(psi.grid.positions - center, rho, du, mu) / (
+        float(np.sum(rho)) * du
+    )
+    return moment ** (1.0 / mu)

@@ -36,8 +36,9 @@ from fracqm.statmech import (
 )
 from fracqm.wavepacket import (
     PacketParams,
-    mean_mu_deviation,
+    momentum_deviation,
     observable_means,
+    packet_position_state,
     suggest_grid,
     time_from_reduced,
     uncertainty_report,
@@ -153,14 +154,15 @@ def test_criterion_05_wave_packet_observables():
         grid = suggest_grid(packet, params, times[-1])
         means_x = []
         for t in times:
-            mx, mp = observable_means(t, packet, params, "grid", grid)
+            psi = packet_position_state(t, packet, params, grid)
+            mx, mp = observable_means(psi, packet, params)
             means_x.append(mx)
             worst_p = max(worst_p, abs(mp - packet.p0))
         slope = np.polyfit(times, means_x, 1)[0]
         ref_slope = alpha * params.d_alpha * packet.p0 ** (alpha - 1.0)
         worst_slope = max(worst_slope, abs(slope - ref_slope) / ref_slope)
         mu = 0.6 * alpha
-        dp = mean_mu_deviation("momentum", mu, 0.0, packet, params)
+        dp = momentum_deviation(mu, packet, params)
         dp_ref = (params.hbar / packet.l) * (
             math.gamma((mu + 1.0) / alpha) / math.gamma(1.0 / alpha)
         ) ** (1.0 / mu)

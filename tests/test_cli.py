@@ -1,10 +1,12 @@
 import json
 import math
 import os
+import pathlib
 
 import numpy as np
 import pytest
 
+from fracqm import wavepacket
 from fracqm.cli import (
     main,
     parse_flat,
@@ -17,6 +19,8 @@ from fracqm.numerics import PhysicalParams, adaptive_quadrature, apply_symbol, m
 from fracqm.spectral import Potential
 from fracqm.statmech import bloch_density_matrix, free_density_matrix
 from oracles import mehler_bin_averages
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_parse_flat_values_and_comments():
@@ -46,6 +50,13 @@ def test_mu_must_be_below_nu():
     with pytest.raises(ConfigurationError) as exc:
         validate_config({"experiment": "packet", "alpha": "1.5", "mu": "1.6", "nu": "1.5"})
     assert "mu must be < nu" in str(exc.value)
+
+
+@pytest.mark.parametrize("mu", ["2.0", "-1"])
+def test_scaling_mu_must_lie_below_alpha(mu):
+    # the increments' mu-th moment diverges at mu >= alpha
+    with pytest.raises(ConfigurationError, match="key 'mu' must lie in \\(0, alpha\\)"):
+        validate_config({"experiment": "scaling", "alpha": "1.5", "mu": mu})
 
 
 def test_minimal_packet_config_gets_documented_defaults():
@@ -159,6 +170,19 @@ def test_experiments_run_and_pass(experiment, overrides, tmp_path):
     for table in report.results.values():
         assert table["anchor"]
         assert table["columns"]
+
+
+def test_packet_run_builds_the_state_once(monkeypatch):
+    calls = []
+    transform = wavepacket.to_position_space
+
+    def counted(phi):
+        calls.append(phi.grid.n_points)
+        return transform(phi)
+
+    monkeypatch.setattr(wavepacket, "to_position_space", counted)
+    run_experiment(validate_config((CONFIGS / "packet.cfg").read_text()))
+    assert len(calls) == 1
 
 
 def test_main_writes_json_and_exits_zero(tmp_path):

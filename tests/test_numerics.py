@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fracqm.errors import ConfigurationError, GridMismatchError, QuadraturePointError
+from fracqm.errors import ConfigurationError, GridMismatchError, NumericalError, QuadraturePointError
 from fracqm.numerics import (
     ComplexField,
     PhysicalParams,
@@ -96,7 +96,12 @@ def test_inner_product_requires_matching_grids():
 def test_quadrature_exponential():
     res = adaptive_quadrature(lambda k: math.exp(-k), 0.0, np.inf)
     assert res.value == pytest.approx(1.0, abs=1e-10)
-    assert res.converged
+
+
+def test_quadrature_divergent_integral_raises():
+    with pytest.raises(NumericalError, match=r"over \[0.0, 1.0\] did not converge") as exc:
+        adaptive_quadrature(lambda x: 1.0 / x, 0.0, 1.0)
+    assert exc.value.residual > 1.0
 
 
 def test_quadrature_stretched_exponential_gamma():

@@ -123,10 +123,11 @@ def test_fractional_moment_against_quadrature():
     # E|X|^1.2 for alpha=1.5 is finite (mu < alpha); oracle by quadrature
     p = StableParams(1.5, 1.0)
     oracle = 2.0 * adaptive_quadrature(
-        lambda x: x**1.2 * levy_density(x, p), 0.0, np.inf, rel_tol=1e-9
+        lambda x: x**1.2 * levy_density(x, p), 0.0, np.inf, rel_tol=1e-4
     ).value
     # closed-form cross-check: 2^mu G((mu+1)/2) G(1-mu/alpha) / (sqrt(pi) G(1-mu/2));
     # the integrand decays like x^-1.3, so the quadrature is only good to ~1e-5
+    # (its error estimate, 8.7e-5, meets rel_tol = 1e-4 but not a tighter one)
     closed = (
         2.0**1.2
         * math.gamma(1.1)

@@ -8,8 +8,9 @@ from fracqm.numerics import PhysicalParams, adaptive_quadrature, make_grid, to_m
 from fracqm.wavepacket import (
     PacketParams,
     drift_velocity,
-    mean_mu_deviation,
+    gamma_ratio_deviation,
     momentum_density,
+    momentum_deviation,
     normalization_constant,
     observable_means,
     packet_momentum_state,
@@ -20,6 +21,7 @@ from fracqm.wavepacket import (
     time_from_reduced,
     uncertainty_report,
 )
+from oracles import position_deviation
 
 P2 = PhysicalParams.gaussian(mass=0.5)  # d_alpha = 1, alpha = 2
 P15 = PhysicalParams(1.0, 1.0, 1.5)
@@ -105,7 +107,7 @@ def test_position_density_maximum_tracks_drift():
     psi = packet_position_state(t, PK15, P15)
     rho = np.abs(psi.values) ** 2
     x_max = psi.grid.positions[int(np.argmax(rho))]
-    mean_x = observable_means(t, PK15, P15, "closed_form")[0]
+    mean_x = drift_velocity(PK15, P15) * t
     assert abs(x_max - mean_x) <= psi.grid.spacing + 0.08 * mean_x
 
 
@@ -121,22 +123,20 @@ def test_nu_must_not_exceed_alpha():
 
 
 def test_observable_means_closed_form():
-    mean_x, mean_p = observable_means(1.0, PK15, P15)
-    assert mean_p == 2.0
-    assert mean_x == pytest.approx(1.5 * 2.0**0.5, rel=1e-15)
+    # the closed-form <x>(t) is the group-velocity drift times t
+    assert drift_velocity(PK15, P15) * 1.0 == pytest.approx(1.5 * 2.0**0.5, rel=1e-15)
     # alpha=2, D=1/2m with m=1/2: <x> = p0 t / m
-    mean_x2, _ = observable_means(1.0, PK2, P2)
-    assert mean_x2 == pytest.approx(PK2.p0 * 1.0 / 0.5, rel=1e-15)
+    assert drift_velocity(PK2, P2) * 1.0 == pytest.approx(PK2.p0 * 1.0 / 0.5, rel=1e-15)
 
 
 def test_grid_mean_momentum_matches_carrier():
-    _, mean_p = observable_means(0.7, PK15, P15, "grid")
+    _, mean_p = observable_means(packet_position_state(0.7, PK15, P15), PK15, P15)
     assert mean_p == pytest.approx(2.0, abs=1e-8)
 
 
 def test_grid_mean_position_matches_exact_first_moment():
     t = 1.0
-    mean_x_g, _ = observable_means(t, PK15, P15, "grid")
+    mean_x_g, _ = observable_means(packet_position_state(t, PK15, P15), PK15, P15)
     assert mean_x_g == pytest.approx(
         drift_velocity(PK15, P15, exact=True) * t, rel=1e-6
     )
@@ -155,20 +155,15 @@ def test_mean_momentum_time_invariant_from_evolved_field():
 
 def test_momentum_deviation_gamma_anchor():
     # mu=1, nu=2, l=hbar=1: Gamma(1)/Gamma(1/2) = 1/sqrt(pi); mu-root is itself
-    val = mean_mu_deviation("momentum", 1.0, 0.0, PK2, P2)
+    val = momentum_deviation(1.0, PK2, P2)
     assert val == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-9)
-
-
-def test_momentum_deviation_time_independent():
-    a = mean_mu_deviation("momentum", 0.9, 0.0, PK15, P15)
-    b = mean_mu_deviation("momentum", 0.9, 5.0, PK15, P15)
-    assert a == b
+    assert gamma_ratio_deviation(1.0, PK2, P2) == pytest.approx(val, rel=1e-9)
 
 
 def test_position_deviation_gaussian_initial_moment():
     # t=0, nu=alpha=2: E|X|^mu for sigma^2 = l^2/2, mu-rooted
     mu = 1.2
-    val = mean_mu_deviation("position", mu, 0.0, PK2, P2)
+    val = position_deviation(packet_position_state(0.0, PK2, P2), mu, 0.0)
     sigma = 1.0 / math.sqrt(2.0)
     moment = sigma**mu * 2.0 ** (mu / 2.0) * math.gamma((mu + 1.0) / 2.0) / math.sqrt(math.pi)
     assert val == pytest.approx(moment ** (1.0 / mu), rel=1e-5)
@@ -176,9 +171,7 @@ def test_position_deviation_gaussian_initial_moment():
 
 def test_deviation_rejects_mu_at_or_above_nu():
     with pytest.raises(ContractError):
-        mean_mu_deviation("momentum", 1.5, 0.0, PK15, P15)
-    with pytest.raises(ContractError):
-        mean_mu_deviation("position", 2.0, 0.0, PK2, P2)
+        momentum_deviation(1.5, PK15, P15)
 
 
 @pytest.mark.parametrize("mu,tau,rel", [
@@ -202,7 +195,9 @@ def test_spread_route_matches_grid_moment(nu, tau):
     packet = PacketParams(l=1.0, p0=2.0, nu=nu)
     mu = 0.6 * nu
     t = time_from_reduced(tau, packet, params)
-    dx_grid = mean_mu_deviation("position", mu, t, packet, params)
+    dx_grid = position_deviation(
+        packet_position_state(t, packet, params), mu, drift_velocity(packet, params) * t
+    )
     dx_spread = uncertainty_report(mu, t, packet, params).dx_mu
     assert dx_spread == pytest.approx(dx_grid, rel=1e-3)
 
