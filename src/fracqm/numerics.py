@@ -231,4 +231,4 @@ def adaptive_quadrature(
             f"quadrature over [{lower}, {upper}] did not converge "
             f"(error {err:.2e}, value {value:.6e})", residual=err,
         )
-    return QuadResult(value, float(err))
+    return QuadResult(value, err)
