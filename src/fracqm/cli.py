@@ -34,7 +34,6 @@ from . import __version__
 from .errors import ConfigurationError, NumericalError
 from .numerics import ComplexField, PhysicalParams, adaptive_quadrature, apply_symbol, make_grid
 from .propagator import (
-    KernelQuery,
     _composition_size,
     _kernel_ray,
     chapman_kolmogorov_residual,
@@ -44,7 +43,6 @@ from .pimc import estimate_density_matrix, fractal_scaling_exponent
 from .spectral import EvolverConfig, Potential, energy_expectation, evolve
 from .stable import StableParams, levy_cdf, levy_density, peak_density, thermal_law
 from .statmech import (
-    ThermoQuery,
     bloch_density_matrix,
     bloch_trace_ladder,
     classical_partition_function,
@@ -254,9 +252,9 @@ def validate_config(raw: str | dict) -> ExperimentConfig:
         params["mu"] = 0.6 * params["nu"] if params.get("nu") else None
     nu, mu = params.get("nu"), params.get("mu")
     if nu is not None and alpha is not None and not (1.0 < nu <= alpha):
-        errors.append(f"nu must lie in (1, alpha], got nu={nu}, alpha={alpha}")
+        errors.append(f"key 'nu' must lie in (1, alpha], got nu={nu}, alpha={alpha}")
     if mu is not None and nu is not None and not (0.0 < mu < nu):
-        errors.append(f"mu must be < nu, got mu={mu}, nu={nu}")
+        errors.append(f"key 'mu' must lie in (0, nu), got mu={mu}, nu={nu}")
     if mu is not None and nu is None and alpha is not None and not (0.0 < mu < alpha):
         # scaling has no nu: its increments' mu-th moment is finite only below alpha
         errors.append(f"key 'mu' must lie in (0, alpha), got mu={mu}, alpha={alpha}")
@@ -371,7 +369,7 @@ def _run_density(p, seed):
     comparisons = [
         _cmp("peak value vs gamma integral", levy_density(0.0, sp), peak_density(sp),
              1e-8, "rel", "stable_density_peak_gamma"),
-        _cmp("unit normalization", 2.0 * norm.value, 1.0, 1e-8, "rel",
+        _cmp("unit normalization", 2.0 * norm, 1.0, 1e-8, "rel",
              "stable_density_normalization"),
         _cmp("evenness at x = +/- x_max/2",
              levy_density(p["x_max"] / 2, sp), levy_density(-p["x_max"] / 2, sp),
@@ -386,7 +384,7 @@ def _run_kernel_check(p, seed):
     rows, comparisons = [], []
     for t in p["t_values"]:
         for dx in p["dx_values"]:
-            est = free_kernel(KernelQuery(dx, 0.0, t, params))
+            est = free_kernel(dx, t, params)
             rows.append([dx, t, est.value.real, est.value.imag, est.error])
             if alpha == 2.0:
                 m = 1.0 / (2.0 * params.d_alpha)
@@ -398,7 +396,7 @@ def _run_kernel_check(p, seed):
                          abs(est.value - ref), 0.0, 1e-8 * abs(ref), "abs",
                          "gaussian_kernel_closed_form")
                 )
-    center = free_kernel(KernelQuery(0.0, 0.0, p["t_values"][0], params))
+    center = free_kernel(0.0, p["t_values"][0], params)
     # the stable peak continued to the imaginary scale i (D t / hbar) hbar^alpha
     a_phase = params.d_alpha * p["t_values"][0] / params.hbar
     ref0 = (peak_density(StableParams(alpha, a_phase * params.hbar**alpha))
@@ -407,7 +405,7 @@ def _run_kernel_check(p, seed):
         _cmp("on-axis value vs rotated gamma integral", abs(center.value - ref0),
              0.0, 1e-7 * abs(ref0), "abs", "kernel_on_axis_closed_form")
     )
-    res = chapman_kolmogorov_residual(0.0, 0.0, p["t_values"][0], _t_split(p), params)
+    res = chapman_kolmogorov_residual(p["t_values"][0], _t_split(p), params)
     comparisons.append(
         _cmp("composition-rule residual", res, 0.0, 1e-6, "abs",
              "kernel_composition_rule")
@@ -551,8 +549,7 @@ def _run_pimc(p, seed):
 def _run_statmech(p, seed):
     params = _physical(p)
     beta = p["beta"]
-    q = ThermoQuery(beta, p["omega_size"], params)
-    z_free = free_partition_function(q)
+    z_free = free_partition_function(beta, p["omega_size"], params)
     grid = make_grid(p["n_points"], p["length"], params.hbar)
     pot = Potential.harmonic(p["mass"], p["omega"])
     ladder = bloch_trace_ladder(pot, 0.125, 4, params, grid)
@@ -578,7 +575,7 @@ def _run_statmech(p, seed):
         _cmp("free partition function vs kernel diagonal x size",
              z_free, diag * p["omega_size"], 1e-10, "rel", "thermal_trace_identity"),
         _cmp("beta doubling scaling of Z",
-             free_partition_function(ThermoQuery(2.0 * beta, p["omega_size"], params)) / z_free,
+             free_partition_function(2.0 * beta, p["omega_size"], params) / z_free,
              2.0 ** (-1.0 / params.alpha), 1e-12, "rel", "partition_beta_scaling"),
         _cmp("thermal-kernel row vs quadrature (max dev)", row_dev, 0.0, 1e-5,
              "abs", "thermal_kernel_equation_solution"),

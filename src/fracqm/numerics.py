@@ -33,7 +33,6 @@ __all__ = [
     "GridSpec",
     "PhysicalParams",
     "ComplexField",
-    "QuadResult",
     "make_grid",
     "to_momentum_space",
     "to_position_space",
@@ -177,12 +176,6 @@ def apply_symbol(values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
     return np.fft.ifft(symbol * np.fft.fft(values))
 
 
-@dataclass(frozen=True)
-class QuadResult:
-    value: float
-    error: float
-
-
 def adaptive_quadrature(
     integrand: Callable[[float], float],
     lower: float,
@@ -191,13 +184,13 @@ def adaptive_quadrature(
     *,
     abs_tol: float = 0.0,
     points: list[float] | None = None,
-) -> QuadResult:
+) -> float:
     """Adaptive Gauss-Kronrod quadrature with infinite-limit support.
 
-    Returns the value and its error estimate.  Raises NumericalError, naming
-    the interval and the error, unless error <= max(rel_tol*|value|, abs_tol)
-    (or below QUADPACK's 1.49e-13 floor).  Non-finite integrand values raise
-    QuadraturePointError naming the abscissa.  `points` marks interior break
+    Returns the value.  Raises NumericalError, naming the interval and the
+    error estimate (its `residual`), unless error <= max(rel_tol*|value|,
+    abs_tol) (or below QUADPACK's 1.49e-13 floor).  Non-finite integrand
+    values raise QuadraturePointError naming the abscissa.  `points` marks interior break
     points (kinks, cusps); when the interval is infinite the integral is
     split there explicitly.
     """
@@ -231,4 +224,4 @@ def adaptive_quadrature(
             f"quadrature over [{lower}, {upper}] did not converge "
             f"(error {err:.2e}, value {value:.6e})", residual=err,
         )
-    return QuadResult(value, err)
+    return value

@@ -22,7 +22,6 @@ quadrature here; the grid Hamiltonian is built with numpy indexing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +31,6 @@ from .spectral import EvolverConfig, Potential, evolve, kinetic_symbol, refine_t
 from .stable import levy_density, peak_density, thermal_law
 
 __all__ = [
-    "ThermoQuery",
     "free_density_matrix",
     "free_partition_function",
     "classical_partition_function",
@@ -40,21 +38,6 @@ __all__ = [
     "bloch_matrix",
     "bloch_trace_ladder",
 ]
-
-
-@dataclass(frozen=True)
-class ThermoQuery:
-    """Inverse temperature beta (1/erg) and linear system size omega (cm)."""
-
-    beta: float
-    omega: float
-    params: PhysicalParams
-
-    def __post_init__(self):
-        if not (self.beta > 0):
-            raise ConfigurationError(f"beta must be positive, got {self.beta}")
-        if not (self.omega > 0):
-            raise ConfigurationError(f"omega must be positive, got {self.omega}")
 
 
 def free_density_matrix(x: float, x0: float, beta: float, params: PhysicalParams) -> float:
@@ -67,13 +50,16 @@ def free_density_matrix(x: float, x0: float, beta: float, params: PhysicalParams
     return levy_density(x - x0, thermal_law(beta, params))
 
 
-def free_partition_function(query: ThermoQuery) -> float:
-    """Z = Omega * (1/2 pi hbar) integral dp e^{-beta D |p|^alpha}.
+def free_partition_function(beta: float, omega: float, params: PhysicalParams) -> float:
+    """Z = Omega * (1/2 pi hbar) integral dp e^{-beta D |p|^alpha} at inverse
+    temperature beta (1/erg) and linear system size omega (cm).
 
     Linear in Omega, scaling as beta^(-1/alpha); reduces to the classical
     ideal-gas Omega sqrt(m / 2 pi beta hbar^2) at alpha = 2.
     """
-    return query.omega * peak_density(thermal_law(query.beta, query.params))
+    if not (omega > 0):
+        raise ConfigurationError(f"omega must be positive, got {omega}")
+    return omega * peak_density(thermal_law(beta, params))
 
 
 def classical_partition_function(

@@ -106,13 +106,9 @@ def _check_nu(packet: PacketParams, params: PhysicalParams) -> None:
         )
 
 
-def normalization_constant(nu: float, l: float) -> float:
-    """A_nu = sqrt(pi nu l / Gamma(1/nu)); scales as sqrt(l)."""
-    if not (1.0 < nu <= 2.0):
-        raise ConfigurationError(f"nu must lie in (1, 2], got {nu}")
-    if not (l > 0):
-        raise ConfigurationError(f"l must be positive, got {l}")
-    return math.sqrt(math.pi * nu * l / math.gamma(1.0 / nu))
+def normalization_constant(packet: PacketParams) -> float:
+    """The packet's A_nu = sqrt(pi nu l / Gamma(1/nu)); scales as sqrt(l)."""
+    return math.sqrt(math.pi * packet.nu * packet.l / math.gamma(1.0 / packet.nu))
 
 
 def packet_momentum_state(p, t: float, packet: PacketParams, params: PhysicalParams):
@@ -210,7 +206,7 @@ def tail_mass_estimate(
         lambda q: momentum_density(q, packet, params)
         + momentum_density(-q, packet, params),
         grid.max_momentum, np.inf, rel_tol=1e-6, abs_tol=1e-14,
-    ).value
+    )
     rho = np.abs(psi.values) ** 2
     half = grid.length / 2.0
     # rho ~ C |x|^(-2-2nu): integral past the edge is rho_edge * |x| / (1+2nu)
@@ -232,7 +228,7 @@ def packet_position_state(
     """
     if grid is None:
         grid = suggest_grid(packet, params, t)
-    a_nu = normalization_constant(packet.nu, packet.l)
+    a_nu = normalization_constant(packet)
     phi = a_nu * np.asarray(packet_momentum_state(grid.momenta, t, packet, params))
     psi = to_position_space(ComplexField(phi, grid))
     tail = tail_mass_estimate(psi, packet, params)
@@ -258,12 +254,12 @@ def drift_velocity(
     a, d = params.alpha, params.d_alpha
     if not exact or a == 2.0:
         return a * d * packet.p0 ** (a - 1.0)
-    res = adaptive_quadrature(
+    mean = adaptive_quadrature(
         lambda p: np.abs(p) ** (a - 1.0) * np.sign(p)
         * (momentum_density(p, packet, params) - momentum_density(-p, packet, params)),
         0.0, np.inf, rel_tol=1e-11, points=[packet.p0],
     )
-    return a * d * float(res.value)
+    return a * d * mean
 
 
 def observable_means(
@@ -292,11 +288,11 @@ def momentum_deviation(mu: float, packet: PacketParams, params: PhysicalParams) 
         raise ContractError(f"need 0 < mu < nu, got mu={mu}, nu={packet.nu}")
     pref = packet.nu * packet.l / (2.0 * params.hbar * math.gamma(1.0 / packet.nu))
     scale = packet.l / params.hbar
-    res = adaptive_quadrature(
+    moment = adaptive_quadrature(
         lambda q: 2.0 * pref * q**mu * math.exp(-((q * scale) ** packet.nu)),
         0.0, np.inf, rel_tol=1e-11,
     )
-    return float(res.value) ** (1.0 / mu)
+    return moment ** (1.0 / mu)
 
 
 def gamma_ratio_deviation(mu: float, packet: PacketParams, params: PhysicalParams) -> float:

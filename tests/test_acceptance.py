@@ -18,7 +18,7 @@ from scipy import stats
 
 from fracqm.numerics import ComplexField, PhysicalParams, make_grid
 from fracqm.pimc import estimate_density_matrix, fractal_scaling_exponent
-from fracqm.propagator import KernelQuery, chapman_kolmogorov_residual, free_kernel
+from fracqm.propagator import chapman_kolmogorov_residual, free_kernel
 from fracqm.spectral import (
     EvolverConfig,
     Potential,
@@ -27,7 +27,6 @@ from fracqm.spectral import (
 )
 from fracqm.stable import StableParams, levy_cdf, levy_density, sample_stable
 from fracqm.statmech import (
-    ThermoQuery,
     bloch_density_matrix,
     bloch_trace_ladder,
     classical_partition_function,
@@ -65,7 +64,7 @@ def test_criterion_01_gaussian_kernel_reduction():
     worst = 0.0
     for dx in (0.0, 0.6, 1.2, 1.8, 2.5):
         for t in (0.2, 0.6, 1.0, 1.5, 2.0):
-            est = free_kernel(KernelQuery(dx, 0.0, t, params))
+            est = free_kernel(dx, t, params)
             ref = (1.0 / (2.0 * math.pi * 1j * t)) ** 0.5 * cmath.exp(
                 1j * dx * dx / (2.0 * t)
             )
@@ -101,7 +100,7 @@ def test_criterion_03_composition_rule():
     start = time.perf_counter()
     worst = 0.0
     for alpha in (1.5, 2.0):
-        res = chapman_kolmogorov_residual(0.0, 0.0, 2.0, 1.0, params_for(alpha))
+        res = chapman_kolmogorov_residual(2.0, 1.0, params_for(alpha))
         worst = max(worst, res)
     elapsed = time.perf_counter() - start
     ok = worst < 1e-6 and elapsed < 60.0
@@ -284,9 +283,9 @@ def test_criterion_09_statistical_mechanics():
     bloch_dev = float(np.max(np.abs(row[mask] - quad)))
 
     # partition function: diagonal quadrature route and the ideal-gas limit
-    z15 = free_partition_function(ThermoQuery(1.0, 1.0, p15))
+    z15 = free_partition_function(1.0, 1.0, p15)
     z_dev = abs(z15 - free_density_matrix(0.0, 0.0, 1.0, p15)) / z15
-    z2 = free_partition_function(ThermoQuery(1.0, 2.0, p2))
+    z2 = free_partition_function(1.0, 2.0, p2)
     z2_dev = abs(z2 - 2.0 * math.sqrt(1.0 / (2.0 * math.pi))) / z2
 
     pot = Potential.harmonic(1.0, 1.0)

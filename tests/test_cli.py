@@ -47,9 +47,10 @@ def test_alpha_out_of_range_message():
 
 
 def test_mu_must_be_below_nu():
-    with pytest.raises(ConfigurationError) as exc:
-        validate_config({"experiment": "packet", "alpha": "1.5", "mu": "1.6", "nu": "1.5"})
-    assert "mu must be < nu" in str(exc.value)
+    for experiment, mu in (("packet", "1.6"), ("uncertainty", "-1")):
+        with pytest.raises(ConfigurationError) as exc:
+            validate_config({"experiment": experiment, "alpha": "1.5", "mu": mu, "nu": "1.5"})
+        assert f"key 'mu' must lie in (0, nu), got mu={float(mu)}, nu=1.5" in str(exc.value)
 
 
 @pytest.mark.parametrize("mu", ["2.0", "-1"])
@@ -273,7 +274,7 @@ def test_pimc_free_oracle_is_bin_average():
             lambda y: free_density_matrix(y, p["x0"], p["beta"], params),
             x - width / 2.0, x + width / 2.0, rel_tol=1e-11, abs_tol=1e-14,
         )
-        assert abs(o - cell.value / width) <= 1e-8
+        assert abs(o - cell / width) <= 1e-8
 
 
 def test_pimc_harmonic_oracle_is_bin_average():

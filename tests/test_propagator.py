@@ -8,7 +8,6 @@ import pytest
 from fracqm.errors import ConfigurationError, NumericalError
 from fracqm.numerics import ComplexField, PhysicalParams, make_grid
 from fracqm.propagator import (
-    KernelQuery,
     _kernel_ray,
     chapman_kolmogorov_residual,
     composition_grid,
@@ -41,7 +40,7 @@ def rotated_axis_value(t, params):
 def test_gaussian_reduction_small_lattice():
     points = [(dx, t) for dx in (0.0, 0.8, 1.9) for t in (0.3, 1.0, 1.7)]
     for dx, t in points + [(40.0, 1.0), (200.0, 1.0)]:
-        est = free_kernel(KernelQuery(dx, 0.0, t, P2))
+        est = free_kernel(dx, t, P2)
         ref = feynman_kernel(dx, t)
         # the phase dx^2 / (2 hbar t) reaches 2e4 rad at dx = 200, and a
         # double carries it to about 4e-12; allow four of its ulps there
@@ -72,7 +71,7 @@ def ray_quad_mpmath(dx, t, params):
 @pytest.mark.parametrize("alpha,t,dx", [(1.2, 0.5, 0.0), (1.5, 0.5, 6.0), (1.8, 1.0, 2.0)])
 def test_free_kernel_matches_mpmath_on_same_ray(alpha, t, dx):
     params = PhysicalParams(1.0, 1.0, alpha)
-    est = free_kernel(KernelQuery(dx, 0.0, t, params))
+    est = free_kernel(dx, t, params)
     ref = ray_quad_mpmath(dx, t, params)
     assert abs(est.value - ref) < 1e-12 * abs(ref)
 
@@ -83,7 +82,7 @@ def test_free_kernel_matches_kernel_row(params):
     grid = composition_grid(1.0, params, t_alias=1.0)
     row, spread = kernel_row(1.0, params, grid)
     nodes = grid.n_points // 2 + np.round(np.arange(4) / grid.spacing).astype(int)
-    devs = [abs(free_kernel(KernelQuery(grid.positions[i], 0.0, 1.0, params)).value - row[i])
+    devs = [abs(free_kernel(grid.positions[i], 1.0, params).value - row[i])
             for i in nodes]
     assert max(devs) <= 2.0 * np.max(spread[nodes])
 
@@ -94,11 +93,11 @@ def test_free_kernel_matches_kernel_row(params):
 ], ids=["alpha2", "alpha1.01"])
 def test_free_kernel_past_node_budget_names_point(dx, t, params, point):
     with pytest.raises(NumericalError, match=point):
-        free_kernel(KernelQuery(dx, 0.0, t, params))
+        free_kernel(dx, t, params)
 
 
 def test_on_axis_value_alpha_15():
-    est = free_kernel(KernelQuery(0.0, 0.0, 1.0, P15))
+    est = free_kernel(0.0, 1.0, P15)
     ref = rotated_axis_value(1.0, P15)
     assert abs(est.value - ref) < 5e-8 * abs(ref)
     # frozen value of (1/2 pi) int dp exp(-i |p|^1.5)
@@ -114,37 +113,33 @@ def test_kernel_unit_total_amplitude():
     assert abs(total.imag) < 1e-8
 
 
-def test_translation_invariance_and_parity():
-    e1 = free_kernel(KernelQuery(1.3, 0.3, 1.0, P15))
-    e2 = free_kernel(KernelQuery(2.0, 1.0, 1.0, P15))
-    e3 = free_kernel(KernelQuery(-1.0, 0.0, 1.0, P15))
-    assert e1.value == e2.value
-    assert e2.value == e3.value
+def test_kernel_parity():
+    assert free_kernel(1.0, 1.0, P15).value == free_kernel(-1.0, 1.0, P15).value
 
 
-def test_query_requires_positive_time():
-    with pytest.raises(ConfigurationError):
-        KernelQuery(0.0, 0.0, 0.0, P15)
+def test_free_kernel_requires_positive_time():
+    with pytest.raises(ConfigurationError, match="kernel time must be strictly positive"):
+        free_kernel(0.5, 0.0, P15)
 
 
 def test_chapman_kolmogorov_alpha2():
-    res = chapman_kolmogorov_residual(0.0, 0.0, 2.0, 1.0, P2)
+    res = chapman_kolmogorov_residual(2.0, 1.0, P2)
     assert res < 1e-9
 
 
 def test_chapman_kolmogorov_alpha15():
-    res = chapman_kolmogorov_residual(0.3, -0.2, 2.0, 1.0, P15)
+    res = chapman_kolmogorov_residual(2.0, 1.0, P15)
     assert res < 1e-6
 
 
 def test_chapman_kolmogorov_small_split_is_identity_limit():
-    res = chapman_kolmogorov_residual(0.0, 0.0, 1.0, 0.05, P15)
+    res = chapman_kolmogorov_residual(1.0, 0.05, P15)
     assert res < 1e-8
 
 
 def test_chapman_kolmogorov_validates_split():
     with pytest.raises(ConfigurationError):
-        chapman_kolmogorov_residual(0.0, 0.0, 1.0, 1.5, P15)
+        chapman_kolmogorov_residual(1.0, 1.5, P15)
 
 
 def gaussian_field(grid, sigma=1.0, p0=0.0, x0=0.0):

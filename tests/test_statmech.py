@@ -7,7 +7,6 @@ from fracqm.errors import ConfigurationError, NumericalError
 from fracqm.numerics import PhysicalParams, adaptive_quadrature, make_grid
 from fracqm.spectral import EvolverConfig, Potential, evolve, kinetic_symbol
 from fracqm.statmech import (
-    ThermoQuery,
     _grid_hamiltonian,
     bloch_density_matrix,
     bloch_matrix,
@@ -60,31 +59,31 @@ def test_free_density_matrix_even_positive_peaked_normalized():
     res = adaptive_quadrature(
         lambda x: free_density_matrix(x, 0.0, 1.0, P15), 0.0, np.inf, rel_tol=1e-8
     )
-    assert 2.0 * res.value == pytest.approx(1.0, abs=1e-6)
+    assert 2.0 * res == pytest.approx(1.0, abs=1e-6)
 
 
 def test_free_partition_function_values():
     # alpha=2 reduces to the classical ideal-gas expression
-    z2 = free_partition_function(ThermoQuery(1.0, 3.0, P2))
+    z2 = free_partition_function(1.0, 3.0, P2)
     assert z2 == pytest.approx(3.0 * math.sqrt(1.0 / (2.0 * math.pi)), rel=1e-12)
     # alpha=1.5: the diagonal value fixes Z/Omega; confirmed 0.28735275...
-    z15 = free_partition_function(ThermoQuery(1.0, 1.0, P15))
+    z15 = free_partition_function(1.0, 1.0, P15)
     assert z15 == pytest.approx(math.gamma(1.0 + 2.0 / 3.0) / math.pi, rel=1e-12)
 
 
 def test_partition_function_scalings():
-    base = free_partition_function(ThermoQuery(1.0, 1.0, P15))
-    assert free_partition_function(ThermoQuery(1.0, 2.0, P15)) == pytest.approx(
+    base = free_partition_function(1.0, 1.0, P15)
+    assert free_partition_function(1.0, 2.0, P15) == pytest.approx(
         2.0 * base, rel=1e-14
     )
-    assert free_partition_function(ThermoQuery(2.0, 1.0, P15)) == pytest.approx(
+    assert free_partition_function(2.0, 1.0, P15) == pytest.approx(
         2.0 ** (-1.0 / 1.5) * base, rel=1e-14
     )
 
 
 def test_classical_partition_free_consistency():
     z_cl = classical_partition_function(Potential.free(), 1.0, P15, (0.0, 5.0))
-    z = free_partition_function(ThermoQuery(1.0, 5.0, P15))
+    z = free_partition_function(1.0, 5.0, P15)
     assert z_cl == pytest.approx(z, rel=1e-10)
 
 
@@ -154,7 +153,7 @@ def test_bloch_positivity_for_positive_potential():
 def test_trace_identity_free():
     grid = make_grid(2048, 120.0)
     tr = bloch_trace_ladder(Potential.free(), 1.0, 0, P15, grid)[0][1]
-    z = free_partition_function(ThermoQuery(1.0, 120.0, P15))
+    z = free_partition_function(1.0, 120.0, P15)
     assert tr == pytest.approx(z, rel=1e-4)
 
 
@@ -213,8 +212,8 @@ def test_classical_ratio_monotone_on_beta_ladder():
     assert ratios[-1] == pytest.approx(1.0, abs=5e-3)
 
 
-def test_thermo_query_validation():
-    with pytest.raises(ConfigurationError):
-        ThermoQuery(-1.0, 1.0, P15)
-    with pytest.raises(ConfigurationError):
-        ThermoQuery(1.0, 0.0, P15)
+def test_free_partition_function_validation():
+    with pytest.raises(ConfigurationError, match="beta must be positive"):
+        free_partition_function(-1.0, 1.0, P15)
+    with pytest.raises(ConfigurationError, match="omega must be positive"):
+        free_partition_function(1.0, 0.0, P15)

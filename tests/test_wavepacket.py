@@ -58,15 +58,17 @@ def test_momentum_state_point_value():
 
 
 def test_normalization_constant_values_and_scaling():
-    assert normalization_constant(2.0, 1.0) == pytest.approx(
+    assert normalization_constant(PacketParams(l=1.0, p0=2.0, nu=2.0)) == pytest.approx(
         math.sqrt(2.0 * math.sqrt(math.pi)), rel=1e-12
     )
     for nu in (1.2, 1.6, 2.0):
-        assert normalization_constant(nu, 4.0) == pytest.approx(
-            2.0 * normalization_constant(nu, 1.0), rel=1e-12
+        assert normalization_constant(PacketParams(l=4.0, p0=2.0, nu=nu)) == pytest.approx(
+            2.0 * normalization_constant(PacketParams(l=1.0, p0=2.0, nu=nu)), rel=1e-12
         )
-    with pytest.raises(ConfigurationError):
-        normalization_constant(1.0, 1.0)
+    with pytest.raises(ConfigurationError, match="nu must lie in"):
+        PacketParams(l=1.0, p0=2.0, nu=1.0)
+    with pytest.raises(ConfigurationError, match="l must be positive"):
+        PacketParams(l=0.0, p0=2.0, nu=1.5)
 
 
 def test_momentum_density_peak_normalization_evenness():
@@ -77,7 +79,7 @@ def test_momentum_density_peak_normalization_evenness():
         lambda p: momentum_density(p, PK15, P15), -np.inf, np.inf,
         rel_tol=1e-12, points=[PK15.p0],
     )
-    assert res.value == pytest.approx(1.0, abs=1e-10)
+    assert res == pytest.approx(1.0, abs=1e-10)
     qs = np.array([0.3, 1.1, 2.7])
     assert np.allclose(
         momentum_density(PK15.p0 + qs, PK15, P15),
