@@ -9,9 +9,11 @@ byte-identical output files.
 
     fracqm <experiment> --config <file> [--seed N] [--out PREFIX] [--format csv|json]
 
-Each experiment's schema maps its keys to a converter and a default; the
-physical constants ``hbar`` and ``d_alpha`` come from one shared fragment,
-``_PHYSICAL``, which every experiment with dynamics includes.
+One table, ``_EXPERIMENTS``, maps each experiment to its runner and its
+schema; a schema maps keys to a converter and a default.  The physical
+constants ``hbar`` and ``d_alpha`` come from one shared fragment,
+``_PHYSICAL``, which every experiment with dynamics includes.  At alpha = 2
+`validate_config` is the one place the rule d_alpha = 1/(2 mass) is applied.
 
 Exit status is nonzero iff any comparison fails or a module raises.
 """
@@ -74,87 +76,11 @@ def _count(s) -> int:
     return n
 
 
-_PHYSICAL = {"hbar": (float, 1.0), "d_alpha": (float, 1.0)}
-_SCHEMAS: dict[str, dict[str, tuple]] = {
-    "density": {
-        "alpha": (float, 1.5),
-        "scale": (float, 1.0),
-        "x_max": (float, 8.0),
-        "n_points": (_count, 81),
-    },
-    "kernel-check": {
-        "alpha": (float, 2.0),
-        **_PHYSICAL,
-        "t_values": (_float_list, [0.5, 1.0, 1.5]),
-        "dx_values": (_float_list, [0.0, 0.5, 1.0]),
-        "t_split": (float, None),
-    },
-    "evolve": {
-        "alpha": (float, 1.5),
-        **_PHYSICAL,
-        "potential": (str, "harmonic"),
-        "mass": (float, 1.0),
-        "omega": (float, 1.0),
-        "n_points": (_count, 1024),
-        "length": (float, 40.0),
-        "dt": (float, 0.005),
-        "n_steps": (_count, 1000),
-        "x0": (float, 1.0),
-        "sigma": (float, 0.7),
-    },
-    "packet": {
-        "alpha": (float, 1.5),
-        "nu": (float, None),
-        "l": (float, 1.0),
-        "p0": (float, 2.0),
-        **_PHYSICAL,
-        "t": (float, 1.0),
-        "mu": (float, None),
-        "table_points": (_count, 65),
-    },
-    "uncertainty": {
-        "alpha": (float, 1.8),
-        "nu": (float, None),
-        "mu": (float, None),
-        "l": (float, 1.0),
-        "p0": (float, 2.0),
-        **_PHYSICAL,
-        "tau_values": (_float_list, [0.0, 1.0, 5.0]),
-    },
-    "pimc": {
-        "alpha": (float, 1.5),
-        **_PHYSICAL,
-        "mass": (float, 1.0),
-        "omega": (float, 1.0),
-        "potential": (str, "free"),
-        "beta": (float, 1.0),
-        "x0": (float, 0.0),
-        "n_slices": (_count, 32),
-        "n_chains": (_count, 16),
-        "n_paths": (_count, 2000),
-        "bin_points": (_count, 64),
-        "bin_length": (float, 30.0),
-    },
-    "statmech": {
-        "alpha": (float, 1.5),
-        **_PHYSICAL,
-        "beta": (float, 1.0),
-        "omega_size": (float, 60.0),
-        "mass": (float, 1.0),
-        "omega": (float, 1.0),
-        "n_points": (_count, 512),
-        "length": (float, 50.0),
-    },
-    "scaling": {
-        "alpha": (float, 1.5),
-        **_PHYSICAL,
-        "mu": (float, 1.0),
-        "sigma0": (float, 0.02),
-        "n_rungs": (_count, 6),
-        "n_samples": (_count, 20000),
-    },
-}
-EXPERIMENTS = tuple(_SCHEMAS)
+def _positive(s) -> float:
+    x = float(s)
+    if not x > 0.0:
+        raise ValueError("must be positive")
+    return x
 
 
 @dataclass
@@ -221,7 +147,7 @@ def validate_config(raw: str | dict) -> ExperimentConfig:
     out = raw.pop("out", experiment.replace("-", "_"))
     fmt = raw.pop("format", "json")
 
-    schema = _SCHEMAS[experiment]
+    _, schema = _EXPERIMENTS[experiment]
     params: dict = {}
     user_keys = set(raw)
     for key, (conv, default) in schema.items():
@@ -261,9 +187,14 @@ def validate_config(raw: str | dict) -> ExperimentConfig:
     potential = params.get("potential")
     if potential is not None and potential not in ("free", "harmonic"):
         errors.append(f"key 'potential' must be 'free' or 'harmonic', got {potential!r}")
-    if alpha == 2.0 and "d_alpha" in schema and "d_alpha" not in user_keys:
-        # at alpha=2 an unset diffusion coefficient follows the mass
-        params["d_alpha"] = 0.5 / params.get("mass", 1.0)
+    if alpha == 2.0 and "d_alpha" in schema:
+        # at alpha = 2, D = 1/(2 m): an unset diffusion coefficient follows the mass
+        d_two, d_alpha = 0.5 / params.get("mass", 1.0), params.get("d_alpha")
+        if "d_alpha" not in user_keys:
+            params["d_alpha"] = d_two
+        elif "mass" in params and d_alpha is not None and abs(d_alpha - d_two) > 1e-12 * d_two:
+            errors.append(f"key 'd_alpha' must equal 1/(2 mass) = {d_two} at alpha = 2, "
+                          f"got {d_alpha}")
     if params.get("n_chains") == 1:
         # the PIMC error bar is the spread of the chain means
         errors.append("n_chains must be >= 2, got 1")
@@ -347,9 +278,7 @@ def _table(anchor, columns, rows):
 
 
 def _physical(p):
-    mass = p.get("mass") if p["alpha"] == 2.0 else None
-    return PhysicalParams(hbar=p["hbar"], d_alpha=p["d_alpha"],
-                          alpha=p["alpha"], mass=mass)
+    return PhysicalParams(hbar=p["hbar"], d_alpha=p["d_alpha"], alpha=p["alpha"])
 
 
 def _potential(p):
@@ -382,9 +311,12 @@ def _run_kernel_check(p, seed):
     alpha = p["alpha"]
     params = _physical(p)
     rows, comparisons = [], []
+    t0, center = p["t_values"][0], None
     for t in p["t_values"]:
         for dx in p["dx_values"]:
             est = free_kernel(dx, t, params)
+            if (dx, t) == (0.0, t0):
+                center = est  # the on-axis value checked below
             rows.append([dx, t, est.value.real, est.value.imag, est.error])
             if alpha == 2.0:
                 m = 1.0 / (2.0 * params.d_alpha)
@@ -396,16 +328,17 @@ def _run_kernel_check(p, seed):
                          abs(est.value - ref), 0.0, 1e-8 * abs(ref), "abs",
                          "gaussian_kernel_closed_form")
                 )
-    center = free_kernel(0.0, p["t_values"][0], params)
+    if center is None:
+        center = free_kernel(0.0, t0, params)
     # the stable peak continued to the imaginary scale i (D t / hbar) hbar^alpha
-    a_phase = params.d_alpha * p["t_values"][0] / params.hbar
+    a_phase = params.d_alpha * t0 / params.hbar
     ref0 = (peak_density(StableParams(alpha, a_phase * params.hbar**alpha))
             * cmath.exp(-1j * math.pi / (2.0 * alpha)))
     comparisons.append(
         _cmp("on-axis value vs rotated gamma integral", abs(center.value - ref0),
              0.0, 1e-7 * abs(ref0), "abs", "kernel_on_axis_closed_form")
     )
-    res = chapman_kolmogorov_residual(p["t_values"][0], _t_split(p), params)
+    res = chapman_kolmogorov_residual(t0, _t_split(p), params)
     comparisons.append(
         _cmp("composition-rule residual", res, 0.0, 1e-6, "abs",
              "kernel_composition_rule")
@@ -612,21 +545,93 @@ def _run_scaling(p, seed):
     return results, comparisons
 
 
-_RUNNERS = {
-    "density": _run_density,
-    "kernel-check": _run_kernel_check,
-    "evolve": _run_evolve,
-    "packet": _run_packet,
-    "uncertainty": _run_uncertainty,
-    "pimc": _run_pimc,
-    "statmech": _run_statmech,
-    "scaling": _run_scaling,
+_PHYSICAL = {"hbar": (float, 1.0), "d_alpha": (float, 1.0)}
+_EXPERIMENTS: dict[str, tuple] = {
+    "density": (_run_density, {
+        "alpha": (float, 1.5),
+        "scale": (float, 1.0),
+        "x_max": (float, 8.0),
+        "n_points": (_count, 81),
+    }),
+    "kernel-check": (_run_kernel_check, {
+        "alpha": (float, 2.0),
+        **_PHYSICAL,
+        "t_values": (_float_list, [0.5, 1.0, 1.5]),
+        "dx_values": (_float_list, [0.0, 0.5, 1.0]),
+        "t_split": (float, None),
+    }),
+    "evolve": (_run_evolve, {
+        "alpha": (float, 1.5),
+        **_PHYSICAL,
+        "potential": (str, "harmonic"),
+        "mass": (_positive, 1.0),
+        "omega": (float, 1.0),
+        "n_points": (_count, 1024),
+        "length": (float, 40.0),
+        "dt": (float, 0.005),
+        "n_steps": (_count, 1000),
+        "x0": (float, 1.0),
+        "sigma": (_positive, 0.7),
+    }),
+    "packet": (_run_packet, {
+        "alpha": (float, 1.5),
+        "nu": (float, None),
+        "l": (float, 1.0),
+        "p0": (float, 2.0),
+        **_PHYSICAL,
+        "t": (float, 1.0),
+        "mu": (float, None),
+        "table_points": (_count, 65),
+    }),
+    "uncertainty": (_run_uncertainty, {
+        "alpha": (float, 1.8),
+        "nu": (float, None),
+        "mu": (float, None),
+        "l": (float, 1.0),
+        "p0": (float, 2.0),
+        **_PHYSICAL,
+        "tau_values": (_float_list, [0.0, 1.0, 5.0]),
+    }),
+    "pimc": (_run_pimc, {
+        "alpha": (float, 1.5),
+        **_PHYSICAL,
+        "mass": (_positive, 1.0),
+        "omega": (float, 1.0),
+        "potential": (str, "free"),
+        "beta": (float, 1.0),
+        "x0": (float, 0.0),
+        "n_slices": (_count, 32),
+        "n_chains": (_count, 16),
+        "n_paths": (_count, 2000),
+        "bin_points": (_count, 64),
+        "bin_length": (float, 30.0),
+    }),
+    "statmech": (_run_statmech, {
+        "alpha": (float, 1.5),
+        **_PHYSICAL,
+        "beta": (float, 1.0),
+        "omega_size": (_positive, 60.0),
+        "mass": (_positive, 1.0),
+        "omega": (float, 1.0),
+        "n_points": (_count, 512),
+        "length": (float, 50.0),
+    }),
+    "scaling": (_run_scaling, {
+        "alpha": (float, 1.5),
+        **_PHYSICAL,
+        "mu": (float, 1.0),
+        "sigma0": (float, 0.02),
+        "n_rungs": (_count, 6),
+        "n_samples": (_count, 20000),
+    }),
 }
+EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 def run_experiment(config: ExperimentConfig) -> RunReport:
     start = time.perf_counter()
-    results, comparisons = _RUNNERS[config.experiment](config.parameters, config.seed)
+    runner, _ = _EXPERIMENTS[config.experiment]
+    results, comparisons = runner(config.parameters, config.seed)
     wall = time.perf_counter() - start
     config_echo = {
         "experiment": config.experiment,

@@ -22,7 +22,7 @@ class NumericalError(RuntimeError):
 
 
 class QuadraturePointError(NumericalError):
-    """An integrand returned a non-finite value; names the abscissa."""
+    """An integrand returned a non-finite value or overflowed; names the abscissa."""
 
     def __init__(self, abscissa: float):
         super().__init__(f"integrand returned a non-finite value at x={abscissa!r}")

@@ -245,12 +245,8 @@ def estimate_density_matrix(
             n_slices, n_samples_per_chain, edges,
         )
 
-    workers = min(_max_workers(), n_chains)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, range(n_chains)))
-    else:
-        results = [run(i) for i in range(n_chains)]
+    with ThreadPoolExecutor(max_workers=min(_max_workers(), n_chains)) as pool:
+        results = list(pool.map(run, range(n_chains)))
 
     rows = np.stack([r[0] for r in results])
     w_sum = np.stack([r[1] for r in results]).sum(axis=0)

@@ -6,11 +6,12 @@ its Fourier inversion
     f(x) = (1/2 pi) integral dk e^{i k x} e^{-c |k|^alpha}
          = (1/pi) integral_0^inf cos(k x) e^{-c k^alpha} dk
 
-evaluated on |x| (the law is even).  alpha exactly 2 and exactly 1 dispatch
-to the Gaussian and Cauchy closed forms.  Sampling uses the Chambers,
+evaluated on |x| (the law is even).  alpha exactly 2 dispatches to the
+Gaussian closed form; every other alpha, the Cauchy point alpha = 1
+included, goes through the same quadratures.  Sampling uses the Chambers,
 Mallows and Stuck (1976) transform specialized to the symmetric case, which
-is exact and needs two uniforms per variate; at alpha = 2 it draws one
-standard normal per variate instead.
+is exact at every alpha (at alpha = 1 it is tan V) and needs two uniforms
+per variate; at alpha = 2 it draws one standard normal per variate instead.
 
 The free thermal density matrix rho_0(x, beta | x0) (the paper's Fox H
 function) is this density at x - x0 with c = beta D_alpha hbar^alpha, and a
@@ -48,7 +49,7 @@ class StableParams:
     """Levy index alpha in (0, 2] and scale c > 0 of exp(-c |k|^alpha).
 
     The physics modules restrict alpha to (1, 2]; the full (0, 2] range is
-    kept here so the Cauchy anchor point stays available to oracles.
+    kept here so tests can check the quadratures against the Cauchy law.
     """
 
     alpha: float
@@ -93,8 +94,6 @@ def _std_density(z: float, alpha: float) -> float:
     """Unit-scale density at z >= 0."""
     if alpha == 2.0:
         return math.exp(-z * z / 4.0) / (2.0 * math.sqrt(math.pi))
-    if alpha == 1.0:
-        return 1.0 / (math.pi * (1.0 + z * z))
     # truncate where the damping reaches e^-45; the finite-interval
     # oscillatory rule is more robust than the infinite-interval one
     k_max = 45.0 ** (1.0 / alpha)
@@ -134,8 +133,6 @@ def _std_cdf(z: float, alpha: float) -> float:
     """Unit-scale distribution function at z (any sign)."""
     if alpha == 2.0:
         return 0.5 * (1.0 + math.erf(z / 2.0))
-    if alpha == 1.0:
-        return 0.5 + math.atan(z) / math.pi
     if z == 0.0:
         return 0.5
     if z < 0.0:
@@ -182,14 +179,11 @@ def sample_stable(params: StableParams, rng: np.random.Generator, size=None):
         return x
     v = rng.uniform(-np.pi / 2.0, np.pi / 2.0, size=size)
     w = rng.exponential(1.0, size=size)
-    if alpha == 1.0:
-        x = np.tan(v)
-    else:
-        x = (
-            np.sin(alpha * v)
-            / np.cos(v) ** (1.0 / alpha)
-            * (np.cos((1.0 - alpha) * v) / w) ** ((1.0 - alpha) / alpha)
-        )
+    x = (
+        np.sin(alpha * v)
+        / np.cos(v) ** (1.0 / alpha)
+        * (np.cos((1.0 - alpha) * v) / w) ** ((1.0 - alpha) / alpha)
+    )
     return params.scale ** (1.0 / alpha) * x
 
 

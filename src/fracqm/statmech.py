@@ -15,8 +15,9 @@ Z(beta) = sum e^{-beta E}, exact on the grid for every beta.  Single rows,
 wanted at n = 2048-4096 where a dense eigh needs O(n^2) memory and O(n^3)
 time, step a delta spike by imaginary-time split-operator evolution.
 
-scipy is imported only inside `classical_partition_function`, the one
-quadrature here; the grid Hamiltonian is built with numpy indexing.
+This module imports no scipy of its own: `classical_partition_function`,
+the one quadrature here, goes through `numerics.adaptive_quadrature`, and
+the grid Hamiltonian is built with numpy indexing.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError
-from .numerics import ComplexField, GridSpec, PhysicalParams
+from .numerics import ComplexField, GridSpec, PhysicalParams, adaptive_quadrature
 from .spectral import EvolverConfig, Potential, evolve, kinetic_symbol, refine_time_step
 from .stable import levy_density, peak_density, thermal_law
 
@@ -71,28 +72,15 @@ def classical_partition_function(
     """Z_cl = [free-kernel diagonal] * integral e^{-beta V} over the domain.
 
     Valid when V changes little over the thermal wander scale; with V = 0 on
-    a finite domain this reproduces free_partition_function.
+    a finite domain this reproduces free_partition_function.  Raises
+    NumericalError when e^{-beta V} is not integrable on the domain.
     """
-    from scipy import integrate  # on first use: importing it costs ~0.6 s
-
     law = thermal_law(beta, params)
     lo, hi = domain if domain is not None else (-np.inf, np.inf)
-    try:
-        val, err = integrate.quad(
-            lambda x: math.exp(-beta * float(potential.func(np.asarray([x]))[0])),
-            lo, hi, epsabs=1e-12, epsrel=1e-11, limit=400,
-        )
-    except OverflowError as exc:
-        raise NumericalError(
-            "configurational integrand overflowed; e^(-beta V) is not "
-            "integrable on the domain"
-        ) from exc
-    if not np.isfinite(val) or (err > 1e-6 * max(abs(val), 1e-30)):
-        raise NumericalError(
-            "configurational integral did not converge; "
-            f"is e^(-beta V) integrable on the domain? (error {err:.2e})",
-            residual=err,
-        )
+    val = adaptive_quadrature(
+        lambda x: math.exp(-beta * float(potential.func(np.asarray([x]))[0])),
+        lo, hi, rel_tol=1e-11, abs_tol=1e-12,
+    )
     return peak_density(law) * val
 
 

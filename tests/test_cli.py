@@ -6,7 +6,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from fracqm import wavepacket
+from fracqm import cli, wavepacket
 from fracqm.cli import (
     main,
     parse_flat,
@@ -135,6 +135,23 @@ def test_bad_count_named_with_value(value):
     assert f"key 'n_steps': bad value '{value}'" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "experiment,key,value",
+    [
+        ("pimc", "mass", "0"),  # divided by in validate_config at alpha 2
+        ("pimc", "mass", "-1"),
+        ("evolve", "mass", "-1"),  # an inverted oscillator
+        ("evolve", "sigma", "0"),
+        ("statmech", "omega_size", "0"),
+        ("statmech", "mass", "nan"),
+    ],
+)
+def test_nonpositive_physical_key_named_with_value(experiment, key, value):
+    with pytest.raises(ConfigurationError) as exc:
+        validate_config({"experiment": experiment, "alpha": "2.0", key: value})
+    assert f"key {key!r}: bad value '{value}' (must be positive)" in str(exc.value)
+
+
 def test_pimc_nonpositive_beta_named():
     config = validate_config({"experiment": "pimc", "beta": "-1"})
     with pytest.raises(ConfigurationError, match="^beta must be positive"):
@@ -144,9 +161,23 @@ def test_pimc_nonpositive_beta_named():
 def test_alpha2_defaults_couple_diffusion_to_mass():
     cfg = validate_config({"experiment": "pimc", "alpha": "2.0", "mass": "2.0"})
     assert cfg.parameters["d_alpha"] == pytest.approx(0.25)
-    # an explicit d_alpha is left alone (and rejected downstream if inconsistent)
+    # an explicit d_alpha is kept when it agrees with the mass
     cfg2 = validate_config({"experiment": "pimc", "alpha": "2.0", "d_alpha": "0.5"})
     assert cfg2.parameters["d_alpha"] == 0.5
+
+
+@pytest.mark.parametrize("experiment", ["evolve", "pimc", "statmech"])
+def test_alpha2_diffusion_must_match_mass(experiment):
+    with pytest.raises(ConfigurationError) as exc:
+        validate_config({"experiment": experiment, "alpha": "2.0", "mass": "2.0",
+                         "d_alpha": "1.0"})
+    assert "key 'd_alpha' must equal 1/(2 mass) = 0.25 at alpha = 2, got 1.0" in str(exc.value)
+    # with the mass left at its default of 1, d_alpha must be 0.5
+    with pytest.raises(ConfigurationError, match="key 'd_alpha' must equal"):
+        validate_config({"experiment": experiment, "alpha": "2.0", "d_alpha": "1.0"})
+    # below alpha = 2 the two keys are independent
+    validate_config({"experiment": experiment, "alpha": "1.5", "mass": "2.0",
+                     "d_alpha": "1.0"})
 
 
 @pytest.mark.parametrize(
@@ -184,6 +215,22 @@ def test_packet_run_builds_the_state_once(monkeypatch):
     monkeypatch.setattr(wavepacket, "to_position_space", counted)
     run_experiment(validate_config((CONFIGS / "packet.cfg").read_text()))
     assert len(calls) == 1
+
+
+def test_kernel_check_reuses_the_on_axis_table_value(monkeypatch):
+    calls = []
+    kernel = cli.free_kernel
+
+    def counted(dx, t, params):
+        calls.append((dx, t))
+        return kernel(dx, t, params)
+
+    monkeypatch.setattr(cli, "free_kernel", counted)
+    config = validate_config((CONFIGS / "kernel-check.cfg").read_text())
+    run_experiment(config)
+    p = config.parameters
+    assert 0.0 in p["dx_values"]
+    assert len(calls) == len(set(calls)) == len(p["t_values"]) * len(p["dx_values"])
 
 
 def test_main_writes_json_and_exits_zero(tmp_path):

@@ -4,8 +4,13 @@ Importing fracqm, the path sampler and the CLI loads numpy alone (without
 numpy.polynomial, which the free kernel loads on first use), and so do the
 shipped configs whose experiments never integrate.  The check runs in
 a fresh interpreter, since an import cannot be undone within one.
+
+QUADPACK has one entry per integrand kind: `numerics.adaptive_quadrature`
+for plain integrals and `stable._quad` for the stable law's weighted ones.
+A syntax-tree check keeps every other function off `scipy.integrate`.
 """
 
+import ast
 import json
 import os
 import pathlib
@@ -61,3 +66,29 @@ def test_scipy_loaded_only_by_quadrature():
         assert seen[stage] == [], f"{stage} loaded {seen[stage]}"
     # the density experiment integrates, so the lazy import does fire
     assert "scipy.integrate" in seen["density"]
+
+
+def _dotted_names(node):
+    if isinstance(node, ast.ImportFrom) and node.module:
+        return [f"{node.module}.{a.name}" for a in node.names]
+    if isinstance(node, ast.Import):
+        return [a.name for a in node.names]
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        return [f"{node.value.id}.{node.attr}"]
+    return []
+
+
+def _scipy_integrate_users():
+    """(module, top-level def) pairs whose bodies name scipy.integrate."""
+    users = set()
+    for path in sorted((ROOT / "src" / "fracqm").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if any(name.split(".")[:2] == ["scipy", "integrate"]
+                   for node in ast.walk(top) for name in _dotted_names(node)):
+                users.add((path.stem, getattr(top, "name", None)))
+    return users
+
+
+def test_scipy_integrate_has_one_entry_per_integrand_kind():
+    assert _scipy_integrate_users() == {("numerics", "adaptive_quadrature"),
+                                        ("stable", "_quad")}

@@ -131,6 +131,16 @@ def test_quadrature_nan_names_abscissa():
     assert exc.value.abscissa > 2.0
 
 
+def test_quadrature_overflow_names_abscissa():
+    def steep(x):
+        return math.exp(x * x)  # OverflowError past x ~ 26.6
+
+    with pytest.raises(QuadraturePointError) as exc:
+        adaptive_quadrature(steep, 0.0, np.inf)
+    assert exc.value.abscissa > 26.0
+    assert f"x={exc.value.abscissa!r}" in str(exc.value)
+
+
 def test_quadrature_rel_tol_domain():
     with pytest.raises(ConfigurationError):
         adaptive_quadrature(lambda x: x, 0.0, 1.0, rel_tol=0.5)
@@ -141,7 +151,5 @@ def test_physical_params_validation():
         PhysicalParams(alpha=2.5)
     with pytest.raises(ConfigurationError):
         PhysicalParams(alpha=1.0)
-    with pytest.raises(ConfigurationError):
-        PhysicalParams(alpha=2.0, d_alpha=1.0, mass=1.0)  # needs d = 1/(2m)
     p = PhysicalParams.gaussian(mass=2.0)
     assert p.d_alpha == pytest.approx(0.25)

@@ -63,6 +63,16 @@ def test_density_anchor_values():
     )
 
 
+def test_cauchy_point_matches_closed_forms():
+    # alpha = 1 takes the general quadratures; the Cauchy law is their oracle
+    p = StableParams(1.0, 1.0)
+    zs = np.array([-30.0, -2.0, -0.3, 0.0, 0.7, 1.0, 5.0, 100.0])
+    np.testing.assert_allclose(levy_cdf(zs, p), 0.5 + np.arctan(zs) / math.pi,
+                               rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(levy_density(zs, p), 1.0 / (math.pi * (1.0 + zs * zs)),
+                               rtol=1e-12)
+
+
 def test_density_even_and_positive():
     p = StableParams(1.4, 0.7)
     xs = np.array([0.1, 0.5, 2.0, 9.0])
@@ -142,7 +152,7 @@ def test_fractional_moment_against_quadrature():
     assert chain_means.mean() == pytest.approx(oracle, abs=3.0 * se)
 
 
-@pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8, 2.0])
+@pytest.mark.parametrize("alpha", [1.0, 1.2, 1.5, 1.8, 2.0])
 def test_sampler_ks_against_density(alpha):
     p = StableParams(alpha, 1.0)
     rng = np.random.default_rng(int(alpha * 100))
