@@ -10,10 +10,12 @@ byte-identical output files.
     fracqm <experiment> --config <file> [--seed N] [--out PREFIX] [--format csv|json]
 
 One table, ``_EXPERIMENTS``, maps each experiment to its runner and its
-schema; a schema maps keys to a converter and a default.  The physical
-constants ``hbar`` and ``d_alpha`` come from one shared fragment,
-``_PHYSICAL``, which every experiment with dynamics includes.  At alpha = 2
-`validate_config` is the one place the rule d_alpha = 1/(2 mass) is applied.
+schema; a schema maps keys to a default and a converter that checks the
+key's range.  The physical constants ``hbar`` and ``d_alpha`` come from one
+shared fragment, ``_PHYSICAL``, which every experiment with dynamics
+includes; ``seed``, ``out`` and ``format`` come from ``_RUN``, which all read.
+At alpha = 2 `validate_config` is the one place the rule d_alpha = 1/(2 mass)
+is applied.
 
 Exit status is nonzero iff any comparison fails or a module raises.
 """
@@ -65,22 +67,30 @@ from .wavepacket import (
 )
 
 
-def _float_list(s) -> list[float]:
-    return [float(v) for v in str(s).split(",") if str(v).strip()]
+def _ranged(cast, ok, must):
+    """A schema converter: ``cast`` the text, then reject a value ``ok`` refuses
+    with "must <must>"; ``ok`` is false for nan, so a float range refuses it."""
+    def convert(s):
+        x = cast(s)
+        if not ok(x):
+            raise ValueError(f"must {must}")
+        return x
+    return convert
 
 
-def _count(s) -> int:
-    n = int(s)
-    if n < 1:
-        raise ValueError("must be a positive integer")
-    return n
+def _list_of(item):
+    """A comma-separated list of ``item`` values, at least one."""
+    return _ranged(lambda s: [item(v) for v in str(s).split(",") if v.strip()], bool,
+                   "list at least one value")
 
 
-def _positive(s) -> float:
-    x = float(s)
-    if not x > 0.0:
-        raise ValueError("must be positive")
-    return x
+_finite = _ranged(float, math.isfinite, "be finite")
+_positive = _ranged(float, lambda x: 0.0 < x < math.inf, "be positive")
+_alpha = _ranged(float, lambda a: 1.0 < a <= 2.0, "lie in (1, 2]")
+_count = _ranged(int, lambda n: n >= 1, "be a positive integer")
+_two_or_more = _ranged(int, lambda n: n >= 2, "be an integer >= 2")
+_grid_points = _ranged(int, lambda n: n >= 8 and n & (n - 1) == 0, "be a power of two >= 8")
+_potential_kind = _ranged(str, lambda s: s in ("free", "harmonic"), "be 'free' or 'harmonic'")
 
 
 @dataclass
@@ -143,11 +153,7 @@ def validate_config(raw: str | dict) -> ExperimentConfig:
             f"unknown experiment {experiment!r}; choose from {', '.join(EXPERIMENTS)}"
         )
 
-    seed = raw.pop("seed", 42)
-    out = raw.pop("out", experiment.replace("-", "_"))
-    fmt = raw.pop("format", "json")
-
-    _, schema = _EXPERIMENTS[experiment]
+    schema = {**_RUN, **_EXPERIMENTS[experiment][1]}
     params: dict = {}
     user_keys = set(raw)
     for key, (conv, default) in schema.items():
@@ -161,17 +167,10 @@ def validate_config(raw: str | dict) -> ExperimentConfig:
             params[key] = default
     if raw:
         errors.append(f"unknown keys: {', '.join(sorted(raw))}")
+    seed, out, fmt = (params.pop(key, None) for key in _RUN)
 
-    try:
-        seed = int(seed)
-    except (TypeError, ValueError):
-        errors.append("seed must be an integer")
-    if fmt not in ("csv", "json"):
-        errors.append(f"format must be 'csv' or 'json', got {fmt!r}")
-
+    # every key's own range is checked by its converter; the rules below tie keys together
     alpha = params.get("alpha")
-    if alpha is not None and not (1.0 < alpha <= 2.0):
-        errors.append(f"alpha must lie in (1,2], got {alpha}")
     if params.get("nu") is None and "nu" in schema:
         params["nu"] = alpha  # documented default: nu = alpha
     if params.get("mu") is None and "mu" in schema:
@@ -184,9 +183,6 @@ def validate_config(raw: str | dict) -> ExperimentConfig:
     if mu is not None and nu is None and alpha is not None and not (0.0 < mu < alpha):
         # scaling has no nu: its increments' mu-th moment is finite only below alpha
         errors.append(f"key 'mu' must lie in (0, alpha), got mu={mu}, alpha={alpha}")
-    potential = params.get("potential")
-    if potential is not None and potential not in ("free", "harmonic"):
-        errors.append(f"key 'potential' must be 'free' or 'harmonic', got {potential!r}")
     if alpha == 2.0 and "d_alpha" in schema:
         # at alpha = 2, D = 1/(2 m): an unset diffusion coefficient follows the mass
         d_two, d_alpha = 0.5 / params.get("mass", 1.0), params.get("d_alpha")
@@ -195,26 +191,20 @@ def validate_config(raw: str | dict) -> ExperimentConfig:
         elif "mass" in params and d_alpha is not None and abs(d_alpha - d_two) > 1e-12 * d_two:
             errors.append(f"key 'd_alpha' must equal 1/(2 mass) = {d_two} at alpha = 2, "
                           f"got {d_alpha}")
-    if params.get("n_chains") == 1:
-        # the PIMC error bar is the spread of the chain means
-        errors.append("n_chains must be >= 2, got 1")
-    for key in ("t_values", "dx_values", "tau_values"):
-        if key in params and not params[key]:
-            errors.append(f"key {key!r} must list at least one value")
     t_split, t_values = params.get("t_split"), params.get("t_values")
-    if t_values and not all(t > 0.0 for t in t_values):
-        errors.append(f"key 't_values' must hold positive times, got {t_values}")
-    elif t_values and params.get("dx_values"):
-        errors += _kernel_grid_errors(params)
     if t_split is not None and t_values and not (0.0 < t_split < t_values[0]):
         errors.append(
             f"key 't_split' must lie in (0, {t_values[0]}), the first t_values entry; "
             f"got {t_split}"
         )
+    if "dx_values" in schema and not errors:
+        errors += _kernel_grid_errors(params)  # reads every kernel-check key
 
     if errors:
         raise ConfigurationError("invalid config:\n  - " + "\n  - ".join(errors))
-    return ExperimentConfig(experiment, seed, str(out), fmt, params)
+    if out is None:
+        out = experiment.replace("-", "_")
+    return ExperimentConfig(experiment, seed, out, fmt, params)
 
 
 def _t_split(p) -> float:
@@ -224,10 +214,7 @@ def _t_split(p) -> float:
 def _kernel_grid_errors(p) -> list[str]:
     """kernel-check times whose kernel quadratures would pass 2^23 nodes or
     points: a time short against an offset, or a short composition leg."""
-    try:
-        physical = _physical(p)
-    except ConfigurationError:
-        return []  # a bad physical key fails where the run builds its parameters
+    physical = _physical(p)
     errors = []
     try:
         for t in p["t_values"]:
@@ -545,83 +532,89 @@ def _run_scaling(p, seed):
     return results, comparisons
 
 
-_PHYSICAL = {"hbar": (float, 1.0), "d_alpha": (float, 1.0)}
+_RUN = {
+    "seed": (_ranged(int, lambda n: n >= 0, "be a non-negative integer"), 42),
+    "out": (str, None),  # None: the experiment's name
+    "format": (_ranged(str, lambda s: s in ("csv", "json"), "be 'csv' or 'json'"), "json"),
+}
+_PHYSICAL = {"hbar": (_positive, 1.0), "d_alpha": (_positive, 1.0)}
 _EXPERIMENTS: dict[str, tuple] = {
     "density": (_run_density, {
-        "alpha": (float, 1.5),
-        "scale": (float, 1.0),
-        "x_max": (float, 8.0),
+        "alpha": (_alpha, 1.5),
+        "scale": (_positive, 1.0),
+        "x_max": (_positive, 8.0),
         "n_points": (_count, 81),
     }),
     "kernel-check": (_run_kernel_check, {
-        "alpha": (float, 2.0),
+        "alpha": (_alpha, 2.0),
         **_PHYSICAL,
-        "t_values": (_float_list, [0.5, 1.0, 1.5]),
-        "dx_values": (_float_list, [0.0, 0.5, 1.0]),
-        "t_split": (float, None),
+        "t_values": (_list_of(_positive), [0.5, 1.0, 1.5]),
+        "dx_values": (_list_of(_finite), [0.0, 0.5, 1.0]),
+        "t_split": (_finite, None),
     }),
     "evolve": (_run_evolve, {
-        "alpha": (float, 1.5),
+        "alpha": (_alpha, 1.5),
         **_PHYSICAL,
-        "potential": (str, "harmonic"),
+        "potential": (_potential_kind, "harmonic"),
         "mass": (_positive, 1.0),
-        "omega": (float, 1.0),
-        "n_points": (_count, 1024),
-        "length": (float, 40.0),
-        "dt": (float, 0.005),
+        "omega": (_finite, 1.0),
+        "n_points": (_grid_points, 1024),
+        "length": (_positive, 40.0),
+        "dt": (_positive, 0.005),
         "n_steps": (_count, 1000),
-        "x0": (float, 1.0),
+        "x0": (_finite, 1.0),
         "sigma": (_positive, 0.7),
     }),
     "packet": (_run_packet, {
-        "alpha": (float, 1.5),
-        "nu": (float, None),
-        "l": (float, 1.0),
-        "p0": (float, 2.0),
+        "alpha": (_alpha, 1.5),
+        "nu": (_finite, None),
+        "l": (_positive, 1.0),
+        "p0": (_positive, 2.0),
         **_PHYSICAL,
-        "t": (float, 1.0),
-        "mu": (float, None),
+        "t": (_finite, 1.0),
+        "mu": (_finite, None),
         "table_points": (_count, 65),
     }),
     "uncertainty": (_run_uncertainty, {
-        "alpha": (float, 1.8),
-        "nu": (float, None),
-        "mu": (float, None),
-        "l": (float, 1.0),
-        "p0": (float, 2.0),
+        "alpha": (_alpha, 1.8),
+        "nu": (_finite, None),
+        "mu": (_finite, None),
+        "l": (_positive, 1.0),
+        "p0": (_positive, 2.0),
         **_PHYSICAL,
-        "tau_values": (_float_list, [0.0, 1.0, 5.0]),
+        "tau_values": (_list_of(_finite), [0.0, 1.0, 5.0]),
     }),
     "pimc": (_run_pimc, {
-        "alpha": (float, 1.5),
+        "alpha": (_alpha, 1.5),
         **_PHYSICAL,
         "mass": (_positive, 1.0),
-        "omega": (float, 1.0),
-        "potential": (str, "free"),
-        "beta": (float, 1.0),
-        "x0": (float, 0.0),
+        "omega": (_finite, 1.0),
+        "potential": (_potential_kind, "free"),
+        "beta": (_positive, 1.0),
+        "x0": (_finite, 0.0),
         "n_slices": (_count, 32),
-        "n_chains": (_count, 16),
+        # the PIMC error bar is the spread of the chain means
+        "n_chains": (_two_or_more, 16),
         "n_paths": (_count, 2000),
-        "bin_points": (_count, 64),
-        "bin_length": (float, 30.0),
+        "bin_points": (_grid_points, 64),
+        "bin_length": (_positive, 30.0),
     }),
     "statmech": (_run_statmech, {
-        "alpha": (float, 1.5),
+        "alpha": (_alpha, 1.5),
         **_PHYSICAL,
-        "beta": (float, 1.0),
+        "beta": (_positive, 1.0),
         "omega_size": (_positive, 60.0),
         "mass": (_positive, 1.0),
-        "omega": (float, 1.0),
-        "n_points": (_count, 512),
-        "length": (float, 50.0),
+        "omega": (_finite, 1.0),
+        "n_points": (_grid_points, 512),
+        "length": (_positive, 50.0),
     }),
     "scaling": (_run_scaling, {
-        "alpha": (float, 1.5),
+        "alpha": (_alpha, 1.5),
         **_PHYSICAL,
-        "mu": (float, 1.0),
-        "sigma0": (float, 0.02),
-        "n_rungs": (_count, 6),
+        "mu": (_finite, 1.0),
+        "sigma0": (_positive, 0.02),
+        "n_rungs": (_two_or_more, 6),  # a slope needs two rungs
         "n_samples": (_count, 20000),
     }),
 }

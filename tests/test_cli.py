@@ -43,7 +43,7 @@ def test_parse_flat_rejects_duplicate_key():
 def test_alpha_out_of_range_message():
     with pytest.raises(ConfigurationError) as exc:
         validate_config({"experiment": "packet", "alpha": "2.5"})
-    assert "alpha must lie in (1,2]" in str(exc.value)
+    assert "key 'alpha': bad value '2.5' (must lie in (1, 2])" in str(exc.value)
 
 
 def test_mu_must_be_below_nu():
@@ -100,7 +100,8 @@ def test_unknown_potential_named(experiment):
 
 def test_pimc_single_chain_rejected():
     # one chain has no chain spread, so every std_error would be NaN
-    with pytest.raises(ConfigurationError, match="n_chains must be >= 2"):
+    with pytest.raises(ConfigurationError,
+                       match=r"key 'n_chains': bad value '1' \(must be an integer >= 2\)"):
         validate_config({"experiment": "pimc", "n_chains": "1"})
 
 
@@ -114,10 +115,15 @@ def test_pimc_single_chain_rejected():
         ("kernel-check", "t_values", "0.0, 1.0"),
         ("kernel-check", "t_values", "1e-9"),  # ~1.25e9 ray nodes against dx = 0.5
         ("kernel-check", "t_split", "1e-7"),  # a composition grid of ~2^25 points
+        ("pimc", "seed", "-1"),
+        ("scaling", "seed", "-1"),
+        ("pimc", "bin_points", "100"),  # the bin grid is a power-of-two FFT grid
+        ("scaling", "n_rungs", "1"),  # a slope needs two rungs
     ],
 )
 def test_bad_list_input_named(experiment, key, value):
-    with pytest.raises(ConfigurationError, match=f"key '{key}' must"):
+    # a key's own range fails in its converter, a rule tying keys together after it
+    with pytest.raises(ConfigurationError, match=f"key '{key}'(: bad value '.*' \\(| )must"):
         validate_config({"experiment": experiment, key: value})
 
 
@@ -144,6 +150,7 @@ def test_bad_count_named_with_value(value):
         ("evolve", "sigma", "0"),
         ("statmech", "omega_size", "0"),
         ("statmech", "mass", "nan"),
+        ("pimc", "beta", "-1"),
     ],
 )
 def test_nonpositive_physical_key_named_with_value(experiment, key, value):
@@ -152,10 +159,25 @@ def test_nonpositive_physical_key_named_with_value(experiment, key, value):
     assert f"key {key!r}: bad value '{value}' (must be positive)" in str(exc.value)
 
 
-def test_pimc_nonpositive_beta_named():
-    config = validate_config({"experiment": "pimc", "beta": "-1"})
-    with pytest.raises(ConfigurationError, match="^beta must be positive"):
-        run_experiment(config)
+@pytest.mark.parametrize("key", ["t_split", "hbar", "d_alpha", "alpha"])
+def test_kernel_check_unparsable_key_named(key):
+    # the kernel budget reads every kernel-check key, so it runs only on a valid config
+    with pytest.raises(ConfigurationError, match=f"key '{key}': bad value 'abc'"):
+        validate_config({"experiment": "kernel-check", key: "abc"})
+
+
+def test_every_schema_key_declares_its_range():
+    for experiment, (_, schema) in cli._EXPERIMENTS.items():
+        for key, (conv, default) in {**cli._RUN, **schema}.items():
+            if key == "out":
+                continue
+            assert conv not in (float, int, str), f"{experiment}: key {key!r} has no range"
+            if default is not None:
+                text = ", ".join(map(str, default)) if isinstance(default, list) else str(default)
+                assert conv(text) == default, f"{experiment}: key {key!r} default out of range"
+            for value in ("nan", "inf", "-inf", "abc"):
+                with pytest.raises(ConfigurationError, match=f"key '{key}': bad value '{value}'"):
+                    validate_config({"experiment": experiment, key: value})
 
 
 def test_alpha2_defaults_couple_diffusion_to_mass():
