@@ -198,7 +198,7 @@ def validate_config(raw: str | dict) -> ExperimentConfig:
             f"got {t_split}"
         )
     if "dx_values" in schema and not errors:
-        errors += _kernel_grid_errors(params)  # reads every kernel-check key
+        errors += _kernel_grid_errors(params, user_keys)  # reads every kernel-check key
 
     if errors:
         raise ConfigurationError("invalid config:\n  - " + "\n  - ".join(errors))
@@ -211,24 +211,33 @@ def _t_split(p) -> float:
     return p["t_split"] if p["t_split"] is not None else p["t_values"][0] / 2.0
 
 
-def _kernel_grid_errors(p) -> list[str]:
+def _kernel_grid_errors(p, user_keys) -> list[str]:
     """kernel-check times whose kernel quadratures would pass 2^23 nodes or
-    points: a time short against an offset, or a short composition leg."""
+    points, or whose scales leave the floats: a time short against an offset,
+    a short composition leg, or an extreme hbar or d_alpha.  Each failure names
+    the keys it reads that the config sets (its time key if none)."""
     physical = _physical(p)
     errors = []
+
+    def failed(reads, budget, exc):
+        keys = [k for k in reads if k in user_keys] or [reads[-1]]
+        named = ("key " if len(keys) == 1 else "keys ") + ", ".join(map(repr, keys))
+        errors.append(f"{named} must keep the {budget}; {exc}")
+
     try:
         for t in p["t_values"]:
             for dx in p["dx_values"]:
                 _kernel_ray(abs(dx), t, physical)
     except NumericalError as exc:
-        errors.append(f"key 't_values' must keep the kernel ray within 2^23 nodes; {exc}")
+        failed(("hbar", "d_alpha", "alpha", "dx_values", "t_values"),
+               "kernel ray within 2^23 nodes", exc)
     t_total, t_split = p["t_values"][0], _t_split(p)
     if 0.0 < t_split < t_total:
         try:
             _composition_size(min(t_split, t_total - t_split), t_total, physical)
         except NumericalError as exc:
-            errors.append(f"key 't_split' must keep the composition grid within 2^23 "
-                          f"points; {exc} at t_split={t_split}")
+            failed(("hbar", "d_alpha", "alpha", "t_values", "t_split"),
+                   "composition grid within 2^23 points", f"{exc} at t_split={t_split}")
     return errors
 
 
@@ -486,9 +495,7 @@ def _run_statmech(p, seed):
     row = bloch_density_matrix(Potential.free(), beta, params, row_grid, 0.0)
     mask = np.abs(row_grid.positions) <= 20.0
     idx = np.flatnonzero(mask)[:: max(1, mask.sum() // 101)]
-    quad_vals = np.array(
-        [free_density_matrix(x, 0.0, beta, params) for x in row_grid.positions[idx]]
-    )
+    quad_vals = free_density_matrix(row_grid.positions[idx], 0.0, beta, params)
     row_dev = float(np.max(np.abs(row[idx] - quad_vals)))
 
     comparisons = [

@@ -110,9 +110,6 @@ class ComplexField:
     def norm(self) -> float:
         return float(np.sqrt(self.norm_sq()))
 
-    def copy(self) -> "ComplexField":
-        return ComplexField(self.values.copy(), self.grid)
-
 
 def make_grid(n_points: int, length: float, hbar: float = 1.0) -> GridSpec:
     """Build the periodic grid [-length/2, length/2) and its momenta."""

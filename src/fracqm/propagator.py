@@ -76,29 +76,35 @@ def _richardson_to_zero(eps: np.ndarray, values: np.ndarray):
 
 
 def _char_scales(t: float, params: PhysicalParams):
-    """Phase strength A = D t / hbar and the kernel length scale."""
+    """Phase strength A = D t / hbar and the kernel length scale; raises
+    NumericalError when either leaves the positive finite floats."""
     a_phase = params.d_alpha * t / params.hbar
     x_c = params.hbar * a_phase ** (1.0 / params.alpha)
+    if not (0.0 < a_phase < math.inf and 0.0 < x_c < math.inf):
+        raise NumericalError(f"kernel scales at t={t} are not finite and positive "
+                             f"(A = {a_phase:.3g}, length {x_c:.3g})")
     return a_phase, x_c
 
 
 def _grid_points(eps_min: float, alias_length: float, params: PhysicalParams) -> int:
     """Power-of-two point count at momentum spacing 2 pi hbar / alias_length
-    whose reach holds exp(-eps_min |p|^alpha) down to e^-30; at most 2^23."""
-    p_max = (_TRUNC_LOG / eps_min) ** (1.0 / params.alpha)
+    whose reach holds exp(-eps_min |p|^alpha) down to e^-30; NumericalError
+    past 2^23 points or when the count is not finite."""
+    p_max = (_TRUNC_LOG / eps_min) ** (1.0 / params.alpha) if eps_min > 0.0 else math.inf
     dp = 2.0 * math.pi * params.hbar / alias_length
-    n = 1 << max(8, int(math.ceil(2.0 * p_max / dp)) - 1).bit_length()
-    if n > (1 << 23):
-        raise NumericalError(f"kernel momentum grid would need {n} points")
-    return n
+    count = 2.0 * p_max / dp if dp > 0.0 else math.inf
+    if not count <= (1 << 23):
+        raise NumericalError(f"kernel momentum grid would need {count:.3g} points")
+    return 1 << max(8, int(math.ceil(count)) - 1).bit_length()
 
 
 def _kernel_ray(dx: float, t: float, params: PhysicalParams):
     """free_kernel's ray angle phi, reach r_max and panel count at offset |dx|
-    and time t; raises NumericalError past 2^23 nodes.  On p = r e^{-i phi}
-    the integrand is at most e^{s1 r - s2 r^alpha}, s1 = |dx| sin(phi) / hbar,
-    s2 = A sin(alpha phi); phi is pi / (2 alpha) tilted by f = min(1, 2 / g), g
-    that exponent's peak there, and the ray ends where it falls to -40."""
+    and time t; raises NumericalError past 2^23 nodes or with no finite reach.
+    On p = r e^{-i phi} the integrand is at most e^{s1 r - s2 r^alpha},
+    s1 = |dx| sin(phi) / hbar, s2 = A sin(alpha phi); phi is pi / (2 alpha)
+    tilted by f = min(1, 2 / g), g that exponent's peak there, and the ray ends
+    where it falls to -40."""
     alpha = params.alpha
     a_phase, _ = _char_scales(t, params)
     b = dx / params.hbar
@@ -117,7 +123,10 @@ def _kernel_ray(dx: float, t: float, params: PhysicalParams):
         q = s1 * math.exp(y) + _RAY_CUT_LOG
         step = (math.log(q / s2) - alpha * y) / (alpha - 1.0 + _RAY_CUT_LOG / q)
         y += step
-    return phi, math.exp(y), panels
+    r_max = math.exp(y)
+    if not 0.0 < r_max < math.inf:
+        raise NumericalError(f"kernel ray at dx={dx}, t={t} has no finite reach ({r_max})")
+    return phi, r_max, panels
 
 
 @functools.cache
@@ -208,20 +217,15 @@ def chapman_kolmogorov_residual(t_total: float, t_split: float, params: Physical
     Both sides are evaluated on a shared `composition_grid`, whose row index
     k holds offset (k - n // 2) dx; both endpoints sit at the middle node
     n // 2, and the intermediate integral is the periodic convolution sum.
+    One `kernel_row` is built per distinct time, so the even split t_total / 2
+    builds two rows.
     """
     if not (0.0 < t_split < t_total):
         raise ConfigurationError("need 0 < t_split < t_total")
-    grid = composition_grid(min(t_split, t_total - t_split), params, t_alias=t_total)
+    t_second = t_total - t_split
+    grid = composition_grid(min(t_split, t_second), params, t_alias=t_total)
     n, dx = grid.n_points, grid.spacing
-
-    rows = {}
-    for tag, t in (("first leg", t_split), ("second leg", t_total - t_split), ("direct", t_total)):
-        try:
-            rows[tag] = kernel_row(t, params, grid)
-        except NumericalError as exc:
-            raise NumericalError(f"{tag} kernel failed: {exc}", residual=exc.residual) from exc
-
-    second = rows["second leg"][0][-np.arange(n) % n]
-    composed = np.sum(second * rows["first leg"][0]) * dx
-    direct = rows["direct"][0][n // 2]
-    return float(abs(direct - composed))
+    times = dict.fromkeys((t_split, t_second, t_total))
+    rows = {t: kernel_row(t, params, grid)[0] for t in times}
+    composed = np.sum(rows[t_second][-np.arange(n) % n] * rows[t_split]) * dx
+    return float(abs(rows[t_total][n // 2] - composed))

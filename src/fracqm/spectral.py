@@ -102,9 +102,8 @@ def evolve(
     params: PhysicalParams,
     config: EvolverConfig,
 ) -> ComplexField:
-    """Split-operator evolution of `field` through n_steps of size dt."""
-    if config.n_steps == 0:
-        return field.copy()
+    """Split-operator evolution of `field` through n_steps of size dt; a new
+    field even at zero steps."""
     grid = field.grid
     v = potential.on_grid(grid)
     kin = kinetic_symbol(grid, params)

@@ -41,12 +41,12 @@ __all__ = [
 ]
 
 
-def free_density_matrix(x: float, x0: float, beta: float, params: PhysicalParams) -> float:
+def free_density_matrix(x, x0: float, beta: float, params: PhysicalParams):
     """rho_0(x, beta | x0) = (1/2 pi hbar) integral dp e^{ip(x-x0)/hbar - beta D |p|^alpha}.
 
     The symmetric stable density of x - x0 with scale beta D_alpha hbar^alpha
     (`stable.thermal_law`): even in x - x0, maximal on the diagonal, and
-    integrates to one over x.
+    integrates to one over x.  x is a scalar or an array, as in `levy_density`.
     """
     return levy_density(x - x0, thermal_law(beta, params))
 
@@ -92,18 +92,6 @@ def _delta_field(grid: GridSpec, x0: float) -> ComplexField:
     return ComplexField(values, grid)
 
 
-def _pick_steps(
-    potential: Potential,
-    beta: float,
-    params: PhysicalParams,
-    grid: GridSpec,
-    x0: float,
-) -> int:
-    field = _delta_field(grid, x0)
-    dt = refine_time_step(field, potential, params, beta / 16.0, mode="imaginary_time")
-    return max(16, int(math.ceil(beta / dt)))
-
-
 def bloch_density_matrix(
     potential: Potential,
     beta: float,
@@ -115,11 +103,14 @@ def bloch_density_matrix(
 
     The delta initial condition is a unit-mass grid spike; for V = 0 the
     splitting is exact and the result matches the free stable density up to
-    grid truncation.
+    grid truncation.  The step is `refine_time_step`'s on that spike from
+    beta / 16, and at least 16 steps are taken.
     """
-    n_steps = _pick_steps(potential, beta, params, grid, x0)
+    spike = _delta_field(grid, x0)
+    dt = refine_time_step(spike, potential, params, beta / 16.0, mode="imaginary_time")
+    n_steps = max(16, int(math.ceil(beta / dt)))
     cfg = EvolverConfig(dt=beta / n_steps, n_steps=n_steps, mode="imaginary_time")
-    out = evolve(_delta_field(grid, x0), potential, params, cfg)
+    out = evolve(spike, potential, params, cfg)
     imag_max = float(np.max(np.abs(out.values.imag)))
     real_max = float(np.max(np.abs(out.values.real)))
     if imag_max > 1e-10 * max(real_max, 1e-300):

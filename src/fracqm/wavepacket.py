@@ -172,17 +172,16 @@ def suggest_grid(
 
     For nu < 2 the position density has |x|^(-2-2nu) power tails, so the
     domain length comes from the image-mass bound; the momentum reach covers
-    the stretched-exponential weight.  The domain is snapped so that p0 falls
-    exactly on the momentum grid, which makes grid momentum averages of the
-    (p0-even) densities cancel symmetrically.
+    the stretched-exponential weight.  At nu = 2 that bound is below the
+    floor of 40 l on each side of the packet, which then decides the length.
+    The domain is snapped so that p0 falls exactly on the momentum grid,
+    which makes grid momentum averages of the (p0-even) densities cancel
+    symmetrically.
     """
     hbar, l, nu = params.hbar, packet.l, packet.nu
     s = 2.0 ** (1.0 / nu) * l  # conservative image scale of |phi|^2 in x (cm)
-    if nu == 2.0:
-        length_norm = s * (4.0 + 2.0 * math.sqrt(math.log(1.0 / _NORM_TOL)))
-    else:
-        c_nu = math.gamma(1.0 + nu) * math.sin(math.pi * nu / 2.0) / math.gamma(1.0 + 1.0 / nu)
-        length_norm = s * (2.0 * c_nu / _NORM_TOL) ** (1.0 / (1.0 + nu))
+    c_nu = math.gamma(1.0 + nu) * math.sin(math.pi * nu / 2.0) / math.gamma(1.0 + 1.0 / nu)
+    length_norm = s * (2.0 * c_nu / _NORM_TOL) ** (1.0 / (1.0 + nu))
     drift = abs(drift_velocity(packet, params) * t)
     tau = abs(reduced_time(t, packet, params))
     length = max(length_norm, 2.0 * (drift + 40.0 * l * (1.0 + tau)), 40.0 * l)

@@ -115,6 +115,10 @@ def test_pimc_single_chain_rejected():
         ("kernel-check", "t_values", "0.0, 1.0"),
         ("kernel-check", "t_values", "1e-9"),  # ~1.25e9 ray nodes against dx = 0.5
         ("kernel-check", "t_split", "1e-7"),  # a composition grid of ~2^25 points
+        # kernel scales that leave the floats: subnormal and smallest normal inputs
+        *(("kernel-check", key, value)
+          for key in ("hbar", "d_alpha", "t_values", "t_split")
+          for value in ("5e-324", "1e-310", "2.2250738585072014e-308")),
         ("pimc", "seed", "-1"),
         ("scaling", "seed", "-1"),
         ("pimc", "bin_points", "100"),  # the bin grid is a power-of-two FFT grid

@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from fracqm import propagator
 from fracqm.errors import ConfigurationError, NumericalError
 from fracqm.numerics import ComplexField, PhysicalParams, make_grid
 from fracqm.propagator import (
@@ -140,6 +141,33 @@ def test_chapman_kolmogorov_small_split_is_identity_limit():
 def test_chapman_kolmogorov_validates_split():
     with pytest.raises(ConfigurationError):
         chapman_kolmogorov_residual(1.0, 1.5, P15)
+
+
+@pytest.mark.parametrize("t_total,t_split,n_rows", [(2.0, 1.0, 2), (1.0, 0.3, 3)])
+def test_chapman_kolmogorov_builds_one_row_per_distinct_time(monkeypatch, t_total, t_split,
+                                                             n_rows):
+    times = []
+    row = propagator.kernel_row
+
+    def counted(t, params, grid):
+        times.append(t)
+        return row(t, params, grid)
+
+    monkeypatch.setattr(propagator, "kernel_row", counted)
+    chapman_kolmogorov_residual(t_total, t_split, P15)
+    assert len(times) == n_rows
+
+
+@pytest.mark.parametrize("params,t", [
+    (PhysicalParams(5e-324, 1.0, 1.5), 0.5),  # D t / hbar overflows
+    (PhysicalParams(1.0, 1e-310, 1.5), 0.5),  # the composition grid needs inf points
+    (P2, 5e-324),  # D t / hbar underflows to a ray with no finite reach
+], ids=["hbar", "d_alpha", "t"])
+def test_kernels_at_extreme_scales_raise_numerical_error(params, t):
+    with pytest.raises(NumericalError):
+        free_kernel(0.0, t, params)
+    with pytest.raises(NumericalError):
+        chapman_kolmogorov_residual(2.0 * t, t, params)
 
 
 def gaussian_field(grid, sigma=1.0, p0=0.0, x0=0.0):

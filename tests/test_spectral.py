@@ -104,6 +104,15 @@ def test_zero_steps_returns_input_bit_identical():
     field = gaussian_state(grid)
     out = evolve(field, Potential.free(), params, EvolverConfig(0.1, 0))
     assert np.array_equal(out.values, field.values)
+    assert out is not field and not np.shares_memory(out.values, field.values)
+
+
+def test_zero_steps_still_validate_the_potential():
+    grid = make_grid(64, 8.0)
+    params = PhysicalParams(1.0, 1.0, 1.5)
+    pot = Potential(lambda x: np.where(np.abs(x) < 1.0, np.inf, 0.0))
+    with pytest.raises(ConfigurationError, match="potential is not finite"):
+        evolve(gaussian_state(grid), pot, params, EvolverConfig(0.1, 0))
 
 
 def test_coherent_state_oscillates_classically():

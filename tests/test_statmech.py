@@ -56,6 +56,9 @@ def test_free_density_matrix_even_positive_peaked_normalized():
     assert vals[0] == pytest.approx(vals[-1], rel=1e-12)
     assert vals[1] == pytest.approx(vals[-2], rel=1e-12)
     assert vals[2] == max(vals)
+    # one array call gives the scalar calls' bits
+    row = free_density_matrix(np.array([-2.0, -0.5, 0.0, 0.5, 2.0]), 0.0, 1.0, P15)
+    assert np.array_equal(row, vals)
     res = adaptive_quadrature(
         lambda x: free_density_matrix(x, 0.0, 1.0, P15), 0.0, np.inf, rel_tol=1e-8
     )

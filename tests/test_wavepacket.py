@@ -17,6 +17,7 @@ from fracqm.wavepacket import (
     packet_position_state,
     packet_spread_factor,
     reduced_carrier,
+    reduced_time,
     suggest_grid,
     time_from_reduced,
     uncertainty_report,
@@ -251,6 +252,16 @@ def test_position_uncertainty_grows_with_time():
 
 
 def test_suggest_grid_puts_carrier_on_momentum_grid():
-    grid = suggest_grid(PK15, P15, 0.0)
-    k = np.argmin(np.abs(grid.momenta - PK15.p0))
-    assert abs(grid.momenta[k] - PK15.p0) < 1e-9
+    cases = [(PK15, P15, 0.0), (PK2, P2, 0.0), (PK2, P2, 1.0),
+             (PacketParams(l=0.3, p0=5.0, nu=2.0), P2, 2.5)]
+    for packet, params, t in cases:
+        grid = suggest_grid(packet, params, t)
+        k = np.argmin(np.abs(grid.momenta - packet.p0))
+        assert abs(grid.momenta[k] - packet.p0) < 1e-9
+        if packet.nu == 2.0:
+            # the Gaussian's image-mass bound sits far below the floor of
+            # 40 l on each side of the drifted packet, so the floor decides
+            tau = reduced_time(t, packet, params)
+            floor = 2.0 * (drift_velocity(packet, params) * t + 40.0 * packet.l * (1.0 + tau))
+            dp_unit = 2.0 * math.pi * params.hbar / packet.p0
+            assert grid.length == pytest.approx(round(floor / dp_unit) * dp_unit, rel=1e-14)
