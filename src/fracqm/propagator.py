@@ -17,7 +17,6 @@ exp(-i D |p|^alpha t / hbar).
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
@@ -28,6 +27,7 @@ from .numerics import (
     ComplexField,
     GridSpec,
     PhysicalParams,
+    gauss_legendre,
     make_grid,
     to_position_space,
 )
@@ -129,13 +129,6 @@ def _kernel_ray(dx: float, t: float, params: PhysicalParams):
     return phi, r_max, panels
 
 
-@functools.cache
-def _gauss_legendre():
-    from numpy.polynomial.legendre import leggauss  # ~5 ms to import: on first use only
-
-    return leggauss(_GL_NODES)
-
-
 def free_kernel(dx: float, t: float, params: PhysicalParams) -> KernelEstimate:
     """Free kernel amplitude at offset dx = x_b - x_a and time t > 0; even in dx.
 
@@ -152,7 +145,7 @@ def free_kernel(dx: float, t: float, params: PhysicalParams) -> KernelEstimate:
     # on the ray dp = 2 u e^{-i phi} du, and cos z = (e^{iz} + e^{-iz}) / 2
     rot = cmath.exp(-1j * phi)
     c1, c3 = 1j * dx / params.hbar * rot, -1j * a_phase * rot**params.alpha
-    x, w = _gauss_legendre()
+    x, w = gauss_legendre(_GL_NODES)
     sums = []
     for n in (panels, panels // 2):
         width, total = math.sqrt(r_max) / n, 0j

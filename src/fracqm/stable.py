@@ -7,31 +7,35 @@ its Fourier inversion
          = (1/pi) integral_0^inf cos(k x) e^{-c k^alpha} dk
 
 evaluated on |x| (the law is even).  alpha exactly 2 dispatches to the
-Gaussian closed form; every other alpha, the Cauchy point alpha = 1
-included, goes through the same quadratures.  Sampling uses the Chambers,
-Mallows and Stuck (1976) transform specialized to the symmetric case, which
-is exact at every alpha (at alpha = 1 it is tan V) and needs two uniforms
-per variate; at alpha = 2 it draws one standard normal per variate instead.
+Gaussian closed forms; there e^{-z^2/4} falls faster than any sum can
+cancel, and the ray sum below is 4e-11 off at z = 8 and 11% off at z = 12.
+Every other alpha, the Cauchy point alpha = 1 included, takes one fixed
+composite Gauss-Legendre rule on the ray k = r e^{i pi / (4 alpha)}, where
+e^{ikz} and e^{-k^alpha} both decay (`_ray_sums`), for a whole array of
+points at once; the CDF comes from the same ray with no second quadrature.
+Sampling uses the Chambers, Mallows and Stuck (1976) transform specialized
+to the symmetric case, which is exact at every alpha (at alpha = 1 it is
+tan V) and needs two uniforms per variate; at alpha = 2 it draws one
+standard normal per variate instead.
 
 The free thermal density matrix rho_0(x, beta | x0) (the paper's Fox H
 function) is this density at x - x0 with c = beta D_alpha hbar^alpha, and a
 Levy path's increment over imaginary time hbar * tau is a draw of the same
 law at beta = tau; `thermal_law` is the one place that scale is written.
 
-scipy.integrate is imported by `_quad` on the first density or CDF
-quadrature, never at import time, so the sampler loads numpy alone.
+This module is numpy-only: no density, CDF or sample loads scipy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError
-from .numerics import PhysicalParams
+from .numerics import PhysicalParams, gauss_legendre
 
 __all__ = [
     "StableParams",
@@ -43,13 +47,21 @@ __all__ = [
     "chain_rngs",
 ]
 
+# _ray_sums: Gauss-Legendre nodes per panel, panels, r = reach t^4, the ray's
+# cut at modulus e^-40, and points per block (temporaries of ~0.3 MB each)
+_RAY_NODES = 24
+_RAY_PANELS = 8
+_RAY_POWER = 4
+_RAY_CUT_LOG = 40.0
+_RAY_BLOCK = 128
+
 
 @dataclass(frozen=True)
 class StableParams:
     """Levy index alpha in (0, 2] and scale c > 0 of exp(-c |k|^alpha).
 
     The physics modules restrict alpha to (1, 2]; the full (0, 2] range is
-    kept here so tests can check the quadratures against the Cauchy law.
+    kept here so tests can check the ray sums against the Cauchy law.
     """
 
     alpha: float
@@ -69,37 +81,67 @@ def thermal_law(beta: float, params: PhysicalParams) -> StableParams:
     return StableParams(params.alpha, beta * params.d_alpha * params.hbar**params.alpha)
 
 
-def _quad(func, lower: float, upper: float, **weight) -> tuple[float, float]:
-    """QUADPACK (value, error) at the stable law's tolerances, warnings off:
-    every caller tests the error with `_check_converged`.  scipy.integrate is
-    imported here, on the first quadrature, so sampling never loads it."""
-    from scipy import integrate
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        return integrate.quad(
-            func, lower, upper, epsabs=1e-13, epsrel=1e-12, limit=2000, **weight
-        )
-
-
-def _check_converged(what: str, z: float, val: float, err: float) -> None:
-    if not math.isfinite(val) or (err > 1e-8 * abs(val) and err > 1e-12):
-        raise NumericalError(
-            f"stable {what} quadrature did not converge at z={z} (error {err:.2e})",
-            residual=err,
-        )
+@functools.cache
+def _ray_rule(panels: int):
+    """The composite rule of `_ray_sums`: s = t^4 at the nodes t in (0, 1) of
+    `panels` Gauss-Legendre panels and then of panels // 2, side by side, and
+    each node's weight times dr / (r dt) = 4 / t."""
+    x, w = gauss_legendre(_RAY_NODES)
+    t, wt = [], []
+    for n in (panels, panels // 2):
+        t.append(((np.arange(n)[:, None] + 0.5 * (x + 1.0)) / n).ravel())
+        wt.append(np.tile(w, n) / (2.0 * n))
+    t, wt = np.concatenate(t), np.concatenate(wt)
+    return t**_RAY_POWER, _RAY_POWER * wt / t
 
 
-def _std_density(z: float, alpha: float) -> float:
-    """Unit-scale density at z >= 0."""
-    if alpha == 2.0:
-        return math.exp(-z * z / 4.0) / (2.0 * math.sqrt(math.pi))
-    # truncate where the damping reaches e^-45; the finite-interval
-    # oscillatory rule is more robust than the infinite-interval one
-    k_max = 45.0 ** (1.0 / alpha)
-    val, err = _quad(lambda k: math.exp(-(k ** alpha)), 0.0, k_max, weight="cos", wvar=z)
-    _check_converged("density", z, val, err)
-    return val / math.pi
+def _ray_sums(what: str, z: np.ndarray, alpha: float) -> np.ndarray:
+    """Unit-scale density ("density") or F - 1/2 ("CDF") at every z >= 0 of
+    a 1-D array, block by block; raises NumericalError naming the first z
+    whose sum is not finite or misses max(1e-8 |value|, 1e-12).
+
+    On k = r e^{i theta}, theta = pi / (4 alpha), e^{ikz - k^alpha} has
+    modulus e^{-r z sin(theta) - r^alpha cos(alpha theta)}: both factors decay,
+    and neither turns through more than 2.5 radians per e-fold (at most
+    cot(pi / 8) for e^{ikz}, 1 for e^{-k^alpha}).  The density is
+    (1/pi) Re int e^{i theta} e^{ikz - k^alpha} dr; F - 1/2 is
+    (1/pi) [int Im e^{ikz - k^alpha} dr / r + theta], the theta being
+    -Im int e^{-k^alpha} dr / r.  The sum in r = reach t^4 ends where one
+    factor alone reaches e^-40, the nearer of the two reaches; its error is
+    the change from the sum on half the panels.
+    """
+    theta = math.pi / (4.0 * alpha)
+    sin_t, cos_t = math.sin(theta), math.cos(theta)
+    cos_a, sin_a = math.cos(alpha * theta), math.sin(alpha * theta)
+    # the reach where r^alpha cos(alpha theta) alone reaches the cut, as a rate
+    rate_floor = _RAY_CUT_LOG / (_RAY_CUT_LOG / cos_a) ** (1.0 / alpha)
+    s, weight = _ray_rule(_RAY_PANELS)
+    n_full = _RAY_NODES * _RAY_PANELS
+    out = np.empty(len(z))
+    for start in range(0, len(z), _RAY_BLOCK):
+        zb = z[start:start + _RAY_BLOCK, None]
+        decay = zb * sin_t
+        r = _RAY_CUT_LOG / np.maximum(decay, rate_floor) * s
+        r_alpha = r**alpha
+        modulus = np.exp(-decay * r - cos_a * r_alpha)
+        phase = (zb * cos_t) * r - sin_a * r_alpha
+        if what == "density":
+            terms = modulus * np.cos(phase + theta) * r * weight
+        else:
+            terms = modulus * np.sin(phase) * weight
+        full, half = terms[:, :n_full].sum(axis=1), terms[:, n_full:].sum(axis=1)
+        if what == "CDF":
+            full, half = full + theta, half + theta
+        val, err = full / math.pi, np.abs(full - half) / math.pi
+        bad = ~np.isfinite(val) | ((err > 1e-8 * np.abs(val)) & (err > 1e-12))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise NumericalError(
+                f"stable {what} sum did not converge at z={float(zb[i, 0])} "
+                f"(error {err[i]:.2e})", residual=float(err[i]),
+            )
+        out[start:start + _RAY_BLOCK] = val
+    return out
 
 
 def levy_density(x, params: StableParams):
@@ -108,11 +150,13 @@ def levy_density(x, params: StableParams):
     Even in x by construction (evaluated on |x|); accepts scalars or arrays.
     """
     s = params.scale ** (1.0 / params.alpha)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.array([_std_density(abs(z), params.alpha) for z in xs / s]) / s
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out[0])
-    return out
+    z = np.abs(np.asarray(x, dtype=float)) / s
+    if params.alpha == 2.0:
+        out = np.exp(-z * z / 4.0) / (2.0 * math.sqrt(math.pi))
+    else:
+        out = _ray_sums("density", z.ravel(), params.alpha).reshape(z.shape)
+    out = out / s
+    return float(out) if out.ndim == 0 else out
 
 
 def peak_density(params: StableParams) -> float:
@@ -129,31 +173,15 @@ def peak_density(params: StableParams) -> float:
     )
 
 
-def _std_cdf(z: float, alpha: float) -> float:
-    """Unit-scale distribution function at z (any sign)."""
-    if alpha == 2.0:
-        return 0.5 * (1.0 + math.erf(z / 2.0))
-    if z == 0.0:
-        return 0.5
-    if z < 0.0:
-        return 1.0 - _std_cdf(-z, alpha)
-    # F(z) = 1/2 + (1/pi) int_0^inf e^{-k^alpha} sin(k z) / k dk,
-    # split at k=1 so the oscillatory tail can use the sine-weighted rule
-    head, head_err = _quad(lambda k: math.exp(-(k ** alpha)) * math.sin(k * z) / k, 0.0, 1.0)
-    k_max = 45.0 ** (1.0 / alpha)
-    tail, tail_err = _quad(lambda k: math.exp(-(k ** alpha)) / k, 1.0, k_max, weight="sin", wvar=z)
-    _check_converged("CDF", z, head + tail, head_err + tail_err)
-    return 0.5 + (head + tail) / math.pi
-
-
 def levy_cdf(x, params: StableParams):
-    """Distribution function of the symmetric stable law."""
-    s = params.scale ** (1.0 / params.alpha)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.array([_std_cdf(z, params.alpha) for z in xs / s])
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out[0])
-    return out
+    """Distribution function of the symmetric stable law; scalars or arrays."""
+    z = np.asarray(x, dtype=float) / params.scale ** (1.0 / params.alpha)
+    if params.alpha == 2.0:
+        half = 0.5 * np.vectorize(math.erf, otypes=[float])(np.abs(z) / 2.0)
+    else:
+        half = _ray_sums("CDF", np.abs(z).ravel(), params.alpha).reshape(z.shape)
+    out = 0.5 + np.sign(z) * half
+    return float(out) if out.ndim == 0 else out
 
 
 def sample_stable(params: StableParams, rng: np.random.Generator, size=None):

@@ -218,12 +218,12 @@ def packet_position_state(
     packet: PacketParams,
     params: PhysicalParams,
     grid: GridSpec | None = None,
-) -> ComplexField:
-    """psi_L(., t) on the grid, unit-normalized by construction; the state
-    the observables (`observable_means`, `tail_mass_estimate`) take.
+) -> tuple[ComplexField, float]:
+    """(psi, tail): psi_L(., t) on the grid, unit-normalized by construction,
+    the state the observables (`observable_means`, `tail_mass_estimate`)
+    take, and its estimated off-grid probability mass (`tail_mass_estimate`).
 
-    Raises DomainTooSmallError when the estimated off-grid mass exceeds
-    1e-6 (`_TAIL_TOL`).
+    Raises DomainTooSmallError when that mass exceeds 1e-6 (`_TAIL_TOL`).
     """
     if grid is None:
         grid = suggest_grid(packet, params, t)
@@ -236,7 +236,7 @@ def packet_position_state(
             f"estimated off-grid probability mass {tail:.3e} exceeds {_TAIL_TOL:.1e}; "
             "enlarge the domain", tail,
         )
-    return psi
+    return psi, tail
 
 
 def drift_velocity(
@@ -301,12 +301,14 @@ def gamma_ratio_deviation(mu: float, packet: PacketParams, params: PhysicalParam
     ) ** (1.0 / mu)
 
 
-def _cusp_weighted_sum(u: np.ndarray, h: np.ndarray, du: float, mu: float) -> float:
-    """Sum of |u|^mu h(u) du with the |u|^mu cusp removed by subtraction.
+def _cusp_moment(u: np.ndarray, h: np.ndarray, du: float, mu: float) -> float:
+    """Normalised moment sum |u|^mu h(u) du / sum h(u) du, each sum with the
+    |u|^mu cusp removed by subtraction.
 
     Plain midpoint converges only as du^(1+mu) because of the cusp at u=0.
-    Subtracting h(0) * gaussian(u) cancels the cusp coefficient; the
-    subtracted piece integrates in closed form against |u|^mu.
+    Subtracting h(0) * gaussian(u), built once for both sums, cancels the
+    cusp coefficient; the subtracted piece integrates in closed form against
+    |u|^mu.
     """
     j = int(np.argmin(np.abs(u)))
     lo = max(0, min(j - 1, len(u) - 4))
@@ -319,10 +321,13 @@ def _cusp_weighted_sum(u: np.ndarray, h: np.ndarray, du: float, mu: float) -> fl
                 weight *= (0.0 - u[k]) / (u[i] - u[k])
         h0 += weight * h[i]
     w = 16.0 * du
-    gauss = np.exp(-(u * u) / (2.0 * w * w))
-    base = float(np.sum(np.abs(u) ** mu * (h - h0 * gauss))) * du
-    closed = h0 * (math.sqrt(2.0) * w) ** (mu + 1.0) * math.gamma((mu + 1.0) / 2.0)
-    return base + closed
+    smooth = h - h0 * np.exp(-(u * u) / (2.0 * w * w))
+
+    def moment(m):
+        closed = h0 * (math.sqrt(2.0) * w) ** (m + 1.0) * math.gamma((m + 1.0) / 2.0)
+        return float(np.sum(np.abs(u) ** m * smooth)) * du + closed
+
+    return moment(mu) / moment(0.0)
 
 
 def packet_spread_factor(
@@ -337,9 +342,9 @@ def packet_spread_factor(
     Evaluates g(sigma) on a fine sigma grid with one FFT of the
     zero-padded eta window (at least 2^18 points; sigma reach 1024 past
     the drift), then integrates |sigma|^mu |g|^2 by the midpoint rule with
-    the cusp subtraction of `_cusp_weighted_sum` (the grid-moment oracle in
-    tests/oracles.py uses the same rule).  The result is self-normalized by the mu = 0 sum, which equals
-    one exactly in the continuum.
+    the cusp subtraction of `_cusp_moment` (the grid-moment oracle in
+    tests/oracles.py uses the same rule).  The result is self-normalized by
+    the mu = 0 sum, which equals one exactly in the continuum.
     """
     if not (0.0 < mu < nu <= alpha <= 2.0):
         raise ContractError(
@@ -360,8 +365,7 @@ def packet_spread_factor(
     sigma = 2.0 * math.pi * np.fft.fftfreq(n_fft, d=d_eta)
     d_sigma = 2.0 * math.pi / (n_fft * d_eta)
 
-    return (_cusp_weighted_sum(sigma, g_mag2, d_sigma, mu)
-            / _cusp_weighted_sum(sigma, g_mag2, d_sigma, 0.0))
+    return _cusp_moment(sigma, g_mag2, d_sigma, mu)
 
 
 def uncertainty_report(

@@ -2,11 +2,12 @@
 
 import math
 
+import mpmath
 import numpy as np
 
 from fracqm.errors import GridMismatchError
 from fracqm.spectral import apply_riesz
-from fracqm.wavepacket import _cusp_weighted_sum
+from fracqm.wavepacket import _cusp_moment
 
 
 def inner_product(a, b):
@@ -49,8 +50,44 @@ def position_deviation(psi, mu, center):
     drift_velocity(packet, params) * t, the origin of its reduction.
     """
     rho = np.abs(psi.values) ** 2
-    du = psi.grid.spacing
-    moment = _cusp_weighted_sum(psi.grid.positions - center, rho, du, mu) / (
-        float(np.sum(rho)) * du
-    )
-    return moment ** (1.0 / mu)
+    return _cusp_moment(psi.grid.positions - center, rho, psi.grid.spacing, mu) ** (1.0 / mu)
+
+
+def bergstrom_tail(z, alpha, terms=30):
+    """Unit-scale symmetric stable density f(z) and upper tail 1 - F(z) at
+    large z > 0 from Bergstrom's series (Ark. Mat. 2, 1952), alpha in (1, 2):
+
+        f(z)     = (1/pi) sum_n (-1)^(n+1) Gamma(n alpha + 1) / n! sin(n pi alpha / 2) z^(-n alpha - 1)
+        1 - F(z) = (1/pi) sum_n (-1)^(n+1) Gamma(n alpha) / n! sin(n pi alpha / 2) z^(-n alpha)
+
+    The series is asymptotic; 30 terms at 40 digits leave it far below
+    double round-off from z = 30 on.
+    """
+    with mpmath.workdps(40):
+        z, a = mpmath.mpf(z), mpmath.mpf(alpha)
+        dens = tail = mpmath.mpf(0)
+        for n in range(1, terms + 1):
+            term = (-1) ** (n + 1) * mpmath.sin(n * mpmath.pi * a / 2) / mpmath.factorial(n)
+            dens += term * mpmath.gamma(n * a + 1) * z ** (-n * a - 1)
+            tail += term * mpmath.gamma(n * a) * z ** (-n * a)
+        return float(dens / mpmath.pi), float(tail / mpmath.pi)
+
+
+def stable_power_series(z, alpha, terms=80):
+    """Unit-scale symmetric stable density f(z) and F(z) - 1/2 from their
+    power series in z, entire for alpha in (1, 2]:
+
+        f(z)       = (1/(pi alpha)) sum_n (-1)^n Gamma((2n+1)/alpha) z^(2n) / (2n)!
+        F(z) - 1/2 = (1/(pi alpha)) sum_n (-1)^n Gamma((2n+1)/alpha) z^(2n+1) / (2n+1)!
+
+    summed at 40 digits, so for |z| up to a few it is exact to double
+    precision; it shares no contour or quadrature with `stable`.
+    """
+    with mpmath.workdps(40):
+        z, a = mpmath.mpf(z), mpmath.mpf(alpha)
+        dens = half = mpmath.mpf(0)
+        for n in range(terms):
+            g = (-1) ** n * mpmath.gamma((2 * n + 1) / a)
+            dens += g * z ** (2 * n) / mpmath.factorial(2 * n)
+            half += g * z ** (2 * n + 1) / mpmath.factorial(2 * n + 1)
+        return float(dens / (mpmath.pi * a)), float(half / (mpmath.pi * a))

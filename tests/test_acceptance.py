@@ -153,7 +153,7 @@ def test_criterion_05_wave_packet_observables():
         grid = suggest_grid(packet, params, times[-1])
         means_x = []
         for t in times:
-            psi = packet_position_state(t, packet, params, grid)
+            psi, _ = packet_position_state(t, packet, params, grid)
             mx, mp = observable_means(psi, packet, params)
             means_x.append(mx)
             worst_p = max(worst_p, abs(mp - packet.p0))

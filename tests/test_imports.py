@@ -1,13 +1,13 @@
 """scipy is imported only where a quadrature runs.
 
 Importing fracqm, the path sampler and the CLI loads numpy alone (without
-numpy.polynomial, which the free kernel loads on first use), and so do the
-shipped configs whose experiments never integrate.  The check runs in
-a fresh interpreter, since an import cannot be undone within one.
+numpy.polynomial, which the Gauss-Legendre sums load on first use), and so
+do the shipped configs whose experiments never integrate adaptively: the
+stable density and CDF are fixed Gauss-Legendre sums in numpy.  The check
+runs in a fresh interpreter, since an import cannot be undone within one.
 
-QUADPACK has one entry per integrand kind: `numerics.adaptive_quadrature`
-for plain integrals and `stable._quad` for the stable law's weighted ones.
-A syntax-tree check keeps every other function off `scipy.integrate`.
+QUADPACK has one entry, `numerics.adaptive_quadrature`.  A syntax-tree
+check keeps every other function off `scipy.integrate`.
 """
 
 import ast
@@ -54,13 +54,13 @@ def _loaded_after(experiments):
 
 
 def test_cli_import_leaves_out_numpy_polynomial():
-    # free_kernel's Gauss-Legendre nodes import numpy.polynomial on first use
+    # numerics.gauss_legendre imports numpy.polynomial on first use
     code = "import sys, fracqm.cli; print('numpy.polynomial' in sys.modules)"
     assert _last_line_fresh(code) == "False"
 
 
 def test_scipy_loaded_only_by_quadrature():
-    lazy = ["scaling", "evolve", "kernel-check", "uncertainty"]
+    lazy = ["scaling", "evolve", "kernel-check", "uncertainty", "pimc"]
     seen = _loaded_after(lazy + ["density"])
     for stage in ["import", *lazy]:
         assert seen[stage] == [], f"{stage} loaded {seen[stage]}"
@@ -90,5 +90,4 @@ def _scipy_integrate_users():
 
 
 def test_scipy_integrate_has_one_entry_per_integrand_kind():
-    assert _scipy_integrate_users() == {("numerics", "adaptive_quadrature"),
-                                        ("stable", "_quad")}
+    assert _scipy_integrate_users() == {("numerics", "adaptive_quadrature")}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from fracqm import stable
 from fracqm.errors import ConfigurationError, NumericalError
 from fracqm.numerics import adaptive_quadrature
 from fracqm.stable import (
@@ -13,6 +14,7 @@ from fracqm.stable import (
     levy_density,
     sample_stable,
 )
+from oracles import bergstrom_tail, stable_power_series
 
 
 def tail_probability(x, params):
@@ -92,14 +94,60 @@ def test_density_normalization_with_tail_bound():
 
 @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8])
 def test_cdf_far_tail_matches_power_law(alpha):
-    # at z = 1e4 the k in [0, 1] head needs more than 200 subintervals
     params = StableParams(alpha)
     assert 1.0 - levy_cdf(1e4, params) == pytest.approx(tail_probability(1e4, params), rel=1e-4)
 
 
-def test_cdf_unconverged_quadrature_raises():
-    with pytest.raises(NumericalError, match="CDF quadrature did not converge at z=100000.0"):
-        levy_cdf(1e5, StableParams(1.5))
+@pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8])
+@pytest.mark.parametrize("z", [30.0, 100.0, 1e3])
+def test_tails_relative_accuracy_against_bergstrom(alpha, z):
+    density, tail = bergstrom_tail(z, alpha)
+    params = StableParams(alpha)
+    assert levy_density(z, params) == pytest.approx(density, rel=1e-9)
+    assert levy_density(-z, params) == pytest.approx(density, rel=1e-9)
+    assert 1.0 - levy_cdf(z, params) == pytest.approx(tail, rel=1e-9)
+    assert levy_cdf(-z, params) == pytest.approx(tail, rel=1e-9)
+
+
+@pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8])
+def test_core_against_power_series(alpha):
+    params = StableParams(alpha)
+    for z in (0.0, 0.4, 1.0, 1.5):
+        density, half = stable_power_series(z, alpha)
+        assert levy_density(z, params) == pytest.approx(density, rel=1e-12)
+        assert levy_cdf(z, params) - 0.5 == pytest.approx(half, rel=1e-12, abs=1e-16)
+
+
+def test_cdf_at_1e5_matches_bergstrom_tail():
+    # 1 - F is 6.3e-9 here, so F's own spacing near 1 (1.1e-16) allows ~2e-8
+    _, tail = bergstrom_tail(1e5, 1.5)
+    assert 1.0 - levy_cdf(1e5, StableParams(1.5)) == pytest.approx(tail, rel=1e-7)
+
+
+def test_unconverged_sum_raises_naming_z(monkeypatch):
+    # with two panels the half-panel sum is one panel, far from converged
+    monkeypatch.setattr(stable, "_RAY_PANELS", 2)
+    # the message names the first point that fails, at unit scale
+    with pytest.raises(NumericalError, match=r"CDF sum did not converge at z=10\.0 "):
+        levy_cdf(np.array([1.0, 3.0, 10.0, 100.0]), StableParams(1.5))
+    with pytest.raises(NumericalError, match=r"density sum did not converge at z=10\.0 "):
+        levy_density(-20.0, StableParams(1.5, 2.0**1.5))
+
+
+def test_scalar_and_array_calls_agree_bitwise():
+    p = StableParams(1.3, 0.8)
+    xs = np.array([-40.0, -2.5, -0.1, 0.0, 0.3, 1.7, 12.0, 900.0])
+    for fn in (levy_density, levy_cdf):
+        assert np.array_equal(fn(xs, p), [fn(float(x), p) for x in xs])
+
+
+def test_large_call_equals_its_blocks():
+    # sums run block by block, so memory per call stays bounded
+    p = StableParams(1.7)
+    xs = np.linspace(-60.0, 60.0, 5 * stable._RAY_BLOCK + 37)
+    for fn in (levy_density, levy_cdf):
+        parts = [fn(xs[i:i + 101], p) for i in range(0, len(xs), 101)]
+        assert np.array_equal(fn(xs, p), np.concatenate(parts))
 
 
 def test_params_validation():

@@ -19,6 +19,7 @@ from fracqm.wavepacket import (
     reduced_carrier,
     reduced_time,
     suggest_grid,
+    tail_mass_estimate,
     time_from_reduced,
     uncertainty_report,
 )
@@ -90,7 +91,7 @@ def test_momentum_density_peak_normalization_evenness():
 
 
 def test_position_state_gaussian_case():
-    psi = packet_position_state(0.0, PK2, P2)
+    psi, _ = packet_position_state(0.0, PK2, P2)
     assert psi.norm_sq() == pytest.approx(1.0, abs=1e-10)
     # |psi|^2 is a centered Gaussian with sigma^2 = l^2 / 2
     rho = np.abs(psi.values) ** 2
@@ -99,19 +100,25 @@ def test_position_state_gaussian_case():
 
 
 def test_position_state_norm_time_invariant():
-    a = packet_position_state(0.0, PK15, P15)
-    b = packet_position_state(1.0, PK15, P15, a.grid)
+    a, _ = packet_position_state(0.0, PK15, P15)
+    b, _ = packet_position_state(1.0, PK15, P15, a.grid)
     assert abs(a.norm_sq() - b.norm_sq()) < 1e-10
     assert b.norm_sq() == pytest.approx(1.0, abs=1e-8)
 
 
 def test_position_density_maximum_tracks_drift():
     t = 1.0
-    psi = packet_position_state(t, PK15, P15)
+    psi, _ = packet_position_state(t, PK15, P15)
     rho = np.abs(psi.values) ** 2
     x_max = psi.grid.positions[int(np.argmax(rho))]
     mean_x = drift_velocity(PK15, P15) * t
     assert abs(x_max - mean_x) <= psi.grid.spacing + 0.08 * mean_x
+
+
+def test_position_state_returns_its_guard_tail():
+    psi, tail = packet_position_state(1.0, PK15, P15)
+    assert tail == tail_mass_estimate(psi, PK15, P15)
+    assert 0.0 < tail <= 1e-6
 
 
 def test_tail_guard_rejects_small_domain():
@@ -133,13 +140,13 @@ def test_observable_means_closed_form():
 
 
 def test_grid_mean_momentum_matches_carrier():
-    _, mean_p = observable_means(packet_position_state(0.7, PK15, P15), PK15, P15)
+    _, mean_p = observable_means(packet_position_state(0.7, PK15, P15)[0], PK15, P15)
     assert mean_p == pytest.approx(2.0, abs=1e-8)
 
 
 def test_grid_mean_position_matches_exact_first_moment():
     t = 1.0
-    mean_x_g, _ = observable_means(packet_position_state(t, PK15, P15), PK15, P15)
+    mean_x_g, _ = observable_means(packet_position_state(t, PK15, P15)[0], PK15, P15)
     assert mean_x_g == pytest.approx(
         drift_velocity(PK15, P15, exact=True) * t, rel=1e-6
     )
@@ -147,8 +154,8 @@ def test_grid_mean_position_matches_exact_first_moment():
 
 def test_mean_momentum_time_invariant_from_evolved_field():
     grid = suggest_grid(PK15, P15, 1.0)
-    a = packet_position_state(0.0, PK15, P15, grid)
-    b = packet_position_state(1.0, PK15, P15, grid)
+    a, _ = packet_position_state(0.0, PK15, P15, grid)
+    b, _ = packet_position_state(1.0, PK15, P15, grid)
     means = []
     for f in (a, b):
         phi2 = np.abs(to_momentum_space(f).values) ** 2
@@ -166,7 +173,7 @@ def test_momentum_deviation_gamma_anchor():
 def test_position_deviation_gaussian_initial_moment():
     # t=0, nu=alpha=2: E|X|^mu for sigma^2 = l^2/2, mu-rooted
     mu = 1.2
-    val = position_deviation(packet_position_state(0.0, PK2, P2), mu, 0.0)
+    val = position_deviation(packet_position_state(0.0, PK2, P2)[0], mu, 0.0)
     sigma = 1.0 / math.sqrt(2.0)
     moment = sigma**mu * 2.0 ** (mu / 2.0) * math.gamma((mu + 1.0) / 2.0) / math.sqrt(math.pi)
     assert val == pytest.approx(moment ** (1.0 / mu), rel=1e-5)
@@ -199,7 +206,7 @@ def test_spread_route_matches_grid_moment(nu, tau):
     mu = 0.6 * nu
     t = time_from_reduced(tau, packet, params)
     dx_grid = position_deviation(
-        packet_position_state(t, packet, params), mu, drift_velocity(packet, params) * t
+        packet_position_state(t, packet, params)[0], mu, drift_velocity(packet, params) * t
     )
     dx_spread = uncertainty_report(mu, t, packet, params).dx_mu
     assert dx_spread == pytest.approx(dx_grid, rel=1e-3)
