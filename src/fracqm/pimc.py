@@ -285,8 +285,9 @@ def fractal_scaling_exponent(
 
     The free-measure increments scale as sigma^(1/alpha), so the fitted
     slope estimates mu / alpha.  Requires mu < alpha (higher moments of the
-    stable law diverge).  The fit is weighted least squares with per-rung
-    errors taken across 16 chains (`_SCALING_CHAINS`).
+    stable law diverge).  The fit is `np.polyfit` weighted by the inverse
+    per-rung errors, taken across 16 chains (`_SCALING_CHAINS`); its
+    std_error comes from the unscaled covariance, those errors propagated.
     """
     if not (0.0 < mu < params.alpha):
         raise ContractError(
@@ -307,17 +308,10 @@ def fractal_scaling_exponent(
         log_s.append(math.log(sigma))
         y.append(math.log(m))
         y_err.append(se / m)
-    x = np.array(log_s)
-    y = np.array(y)
-    w = 1.0 / np.array(y_err) ** 2
-    xbar = np.sum(w * x) / np.sum(w)
-    ybar = np.sum(w * y) / np.sum(w)
-    denom = np.sum(w * (x - xbar) ** 2)
-    slope = float(np.sum(w * (x - xbar) * (y - ybar)) / denom)
-    stderr = float(1.0 / math.sqrt(denom))
+    (slope, _), cov = np.polyfit(log_s, y, 1, w=1.0 / np.array(y_err), cov="unscaled")
     return McEstimate(
-        mean=slope,
-        std_error=stderr,
+        mean=float(slope),
+        std_error=math.sqrt(cov[0, 0]),
         n_chains=_SCALING_CHAINS,
         n_samples_per_chain=per_chain * len(slice_ladder),
         master_seed=master_seed,

@@ -6,12 +6,14 @@ The kernel is the conditionally convergent Fourier integral
                exp{i p dx / hbar - i D_alpha |p|^alpha t / hbar}
 
 A point (`free_kernel`) is a Gauss-Legendre sum on a momentum ray rotated
-into the lower half plane, where the integral converges absolutely.  A row
-(`kernel_row`, for the composition check) is an FFT of the integrand damped
-by exp(-eps |p|^alpha) for a ladder of eps, Richardson-extrapolated to
-eps -> 0.  State propagation never goes through the position-space kernel:
-it is `spectral.evolve`, whose V = 0 step is the exact spectral multiplier
-exp(-i D |p|^alpha t / hbar).
+into the lower half plane, where the integral converges absolutely.  Rows
+(`kernel_row`) and the composition check use one grid multiplier per time:
+the integrand damped by exp(-eps |p|^alpha) on a fixed ladder of eps and
+Richardson-extrapolated to eps -> 0 by one constant weight vector.  A row is
+that multiplier's inverse transform, and the composition residual is a sum
+of multipliers over the grid momenta.  State propagation never goes through
+the position-space kernel: it is `spectral.evolve`, whose V = 0 step is the
+exact spectral multiplier exp(-i D |p|^alpha t / hbar).
 """
 
 from __future__ import annotations
@@ -50,29 +52,24 @@ _PANEL_BLOCK = 1024
 _RAY_CUT_LOG = 40.0
 
 
+def _extrapolation_weights(eps) -> np.ndarray:
+    """w_i = prod_{j != i} eps_j / (eps_j - eps_i), so that sum_i w_i f(eps_i)
+    is the polynomial through the points (eps_i, f(eps_i)) at eps = 0: the
+    limit of Neville's table."""
+    return np.array([math.prod(e / (e - ei) for j, e in enumerate(eps) if j != i)
+                     for i, ei in enumerate(eps)])
+
+
+# The ladder scales with D t / hbar, so the weights do not depend on t.  A
+# spread is the change from dropping the strongest rung.
+_LIMIT_WEIGHTS = _extrapolation_weights(_EPS_LADDER)
+_SPREAD_WEIGHTS = _LIMIT_WEIGHTS - np.concatenate(([0.0], _extrapolation_weights(_EPS_LADDER[1:])))
+
+
 @dataclass(frozen=True)
 class KernelEstimate:
     value: complex
     error: float
-
-
-def _richardson_to_zero(eps: np.ndarray, values: np.ndarray):
-    """Neville polynomial extrapolation of values(eps) to eps = 0.
-
-    `values` may carry trailing array dimensions; returns (limit, spread)
-    where spread is the magnitude of the last diagonal correction.
-    """
-    m = len(eps)
-    table = [np.asarray(v, dtype=complex) for v in values]
-    prev_diag = table[-1]
-    for j in range(1, m):
-        for i in range(m - 1, j - 1, -1):
-            table[i] = (eps[i - j] * table[i] - eps[i] * table[i - 1]) / (
-                eps[i - j] - eps[i]
-            )
-        if j == m - 2:
-            prev_diag = table[-1].copy()
-    return table[-1], np.abs(table[-1] - prev_diag)
 
 
 def _char_scales(t: float, params: PhysicalParams):
@@ -84,18 +81,6 @@ def _char_scales(t: float, params: PhysicalParams):
         raise NumericalError(f"kernel scales at t={t} are not finite and positive "
                              f"(A = {a_phase:.3g}, length {x_c:.3g})")
     return a_phase, x_c
-
-
-def _grid_points(eps_min: float, alias_length: float, params: PhysicalParams) -> int:
-    """Power-of-two point count at momentum spacing 2 pi hbar / alias_length
-    whose reach holds exp(-eps_min |p|^alpha) down to e^-30; NumericalError
-    past 2^23 points or when the count is not finite."""
-    p_max = (_TRUNC_LOG / eps_min) ** (1.0 / params.alpha) if eps_min > 0.0 else math.inf
-    dp = 2.0 * math.pi * params.hbar / alias_length
-    count = 2.0 * p_max / dp if dp > 0.0 else math.inf
-    if not count <= (1 << 23):
-        raise NumericalError(f"kernel momentum grid would need {count:.3g} points")
-    return 1 << max(8, int(math.ceil(count)) - 1).bit_length()
 
 
 def _kernel_ray(dx: float, t: float, params: PhysicalParams):
@@ -158,9 +143,21 @@ def free_kernel(dx: float, t: float, params: PhysicalParams) -> KernelEstimate:
     return KernelEstimate(sums[0], abs(sums[0] - sums[1]))
 
 
-def kernel_row(
-    t: float, params: PhysicalParams, grid: GridSpec
-) -> tuple[np.ndarray, np.ndarray]:
+def _ladder_symbol(t: float, params: PhysicalParams, momenta: np.ndarray,
+                   weights: np.ndarray = _LIMIT_WEIGHTS) -> np.ndarray:
+    """Grid multiplier e^{-i A |p|^alpha} sum_i w_i e^{-eps_i A |p|^alpha},
+    A = D t / hbar, eps_i = _EPS_LADDER; raises NumericalError when the
+    weakest rung is not damped below 1e-10 at the largest momentum."""
+    a_phase, _ = _char_scales(t, params)
+    r = a_phase * np.abs(momenta) ** params.alpha
+    floor = math.exp(-_EPS_LADDER[-1] * float(np.max(r)))
+    if floor > 1e-10:
+        raise NumericalError(f"kernel factor at t={t}: momentum grid too small "
+                             f"(damping floor {floor:.2e})", residual=floor)
+    return np.exp(-1j * r) * sum(w * np.exp(-eps * r) for w, eps in zip(weights, _EPS_LADDER))
+
+
+def kernel_row(t: float, params: PhysicalParams, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """Kernel K(dx, t) for every grid offset dx = grid.positions.
 
     Returns (values, spreads).  A spread is the change from dropping the
@@ -170,21 +167,11 @@ def kernel_row(
     The grid's momentum range must cover the damped integrand: callers
     should build the grid with `composition_grid`.
     """
-    a_phase, _ = _char_scales(t, params)
-    eps = np.array(_EPS_LADDER) * a_phase
-    r = np.abs(grid.momenta) ** params.alpha
-    rows = []
-    for e in eps:
-        phi = ComplexField(np.exp(-(e + 1j * a_phase) * r), grid)
-        rows.append(to_position_space(phi).values)
-    value, spread = _richardson_to_zero(eps, np.array(rows))
-    trunc = math.exp(-float(eps[-1]) * float(np.max(r)))
-    if trunc > 1e-10:
-        raise NumericalError(
-            f"kernel factor at t={t}: momentum grid too small "
-            f"(damping floor {trunc:.2e})", residual=trunc,
-        )
-    return value, spread
+    def row(weights):
+        symbol = _ladder_symbol(t, params, grid.momenta, weights)
+        return to_position_space(ComplexField(symbol, grid)).values
+
+    return row(_LIMIT_WEIGHTS), np.abs(row(_SPREAD_WEIGHTS))
 
 
 def composition_grid(t_min: float, params: PhysicalParams, *, t_alias: float) -> GridSpec:
@@ -196,29 +183,39 @@ def composition_grid(t_min: float, params: PhysicalParams, *, t_alias: float) ->
 
 
 def _composition_size(t_min: float, t_alias: float, params: PhysicalParams):
-    """composition_grid's point count and length, without building the grid;
-    raises NumericalError past 2^23 points."""
+    """composition_grid's point count and length, without building the grid:
+    the power of two at momentum spacing 2 pi hbar / length whose reach holds
+    exp(-eps |p|^alpha) of the weakest rung at t_min down to e^-30; raises
+    NumericalError past 2^23 points or when the count is not finite."""
     a_min, _ = _char_scales(t_min, params)
     _, x_c = _char_scales(t_alias, params)
-    alias_length = 400.0 * x_c
-    return _grid_points(_EPS_LADDER[-1] * a_min, alias_length, params), alias_length
+    length = 400.0 * x_c
+    eps_min = _EPS_LADDER[-1] * a_min
+    p_max = (_TRUNC_LOG / eps_min) ** (1.0 / params.alpha) if eps_min > 0.0 else math.inf
+    dp = 2.0 * math.pi * params.hbar / length
+    count = 2.0 * p_max / dp if dp > 0.0 else math.inf
+    if not count <= (1 << 23):
+        raise NumericalError(f"kernel momentum grid would need {count:.3g} points")
+    return 1 << max(8, int(math.ceil(count)) - 1).bit_length(), length
 
 
 def chapman_kolmogorov_residual(t_total: float, t_split: float, params: PhysicalParams) -> float:
     """|K(0, t_total) - int dx' K(-x', t_total - t_split) K(x', t_split)|.
 
-    Both sides are evaluated on a shared `composition_grid`, whose row index
-    k holds offset (k - n // 2) dx; both endpoints sit at the middle node
-    n // 2, and the intermediate integral is the periodic convolution sum.
-    One `kernel_row` is built per distinct time, so the even split t_total / 2
-    builds two rows.
+    Both sides are the `kernel_row` values at the middle of a shared
+    `composition_grid` of length L, taken in momentum space: by Parseval on
+    the grid a row's middle value is (1/L) sum_k phi_t(p_k), and the periodic
+    convolution at the middle is (1/L) sum_k phi_{t_a}(p_k) phi_{t_b}(p_k),
+    with phi_t the `_ladder_symbol`.  No row is formed, and one multiplier is
+    built per distinct time.  Each eps rung composes exactly on the grid, and
+    the periodic images cancel between the two sides, so the residual
+    measures the Richardson cross terms only.
     """
     if not (0.0 < t_split < t_total):
         raise ConfigurationError("need 0 < t_split < t_total")
     t_second = t_total - t_split
     grid = composition_grid(min(t_split, t_second), params, t_alias=t_total)
-    n, dx = grid.n_points, grid.spacing
-    times = dict.fromkeys((t_split, t_second, t_total))
-    rows = {t: kernel_row(t, params, grid)[0] for t in times}
-    composed = np.sum(rows[t_second][-np.arange(n) % n] * rows[t_split]) * dx
-    return float(abs(rows[t_total][n // 2] - composed))
+    phi = {t: _ladder_symbol(t, params, grid.momenta)
+           for t in dict.fromkeys((t_split, t_second, t_total))}
+    composed = np.sum(phi[t_second] * phi[t_split])
+    return float(abs(np.sum(phi[t_total]) - composed)) / grid.length

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from fracqm import propagator
 from fracqm.errors import ConfigurationError, NumericalError
-from fracqm.numerics import ComplexField, PhysicalParams, make_grid
+from fracqm.numerics import ComplexField, PhysicalParams, make_grid, to_position_space
 from fracqm.propagator import (
     _kernel_ray,
     chapman_kolmogorov_residual,
@@ -143,19 +144,94 @@ def test_chapman_kolmogorov_validates_split():
         chapman_kolmogorov_residual(1.0, 1.5, P15)
 
 
-@pytest.mark.parametrize("t_total,t_split,n_rows", [(2.0, 1.0, 2), (1.0, 0.3, 3)])
-def test_chapman_kolmogorov_builds_one_row_per_distinct_time(monkeypatch, t_total, t_split,
-                                                             n_rows):
+@pytest.mark.parametrize("t_total,t_split,n_symbols", [(2.0, 1.0, 2), (1.0, 0.3, 3)])
+def test_chapman_kolmogorov_builds_one_multiplier_per_distinct_time(monkeypatch, t_total, t_split,
+                                                                    n_symbols):
     times = []
-    row = propagator.kernel_row
+    symbol = propagator._ladder_symbol
 
-    def counted(t, params, grid):
+    def counted(t, *args):
         times.append(t)
-        return row(t, params, grid)
+        return symbol(t, *args)
 
-    monkeypatch.setattr(propagator, "kernel_row", counted)
+    def no_rows(*args):
+        raise AssertionError("the residual formed a kernel row")
+
+    monkeypatch.setattr(propagator, "_ladder_symbol", counted)
+    monkeypatch.setattr(propagator, "kernel_row", no_rows)
     chapman_kolmogorov_residual(t_total, t_split, P15)
-    assert len(times) == n_rows
+    assert len(set(times)) == len(times) == n_symbols
+
+
+def test_kernel_row_on_too_coarse_grid_raises():
+    # the weakest rung is still e^-0.2 at this grid's largest momentum
+    with pytest.raises(NumericalError, match="momentum grid too small"):
+        kernel_row(1.0, P15, make_grid(256, 40.0))
+
+
+def neville_to_zero(eps, values):
+    """Neville's table for values(eps) at eps = 0, with the change from
+    dropping the first point."""
+    m = len(eps)
+    table = [np.asarray(v, dtype=complex) for v in values]
+    prev_diag = table[-1]
+    for j in range(1, m):
+        for i in range(m - 1, j - 1, -1):
+            table[i] = (eps[i - j] * table[i] - eps[i] * table[i - 1]) / (eps[i - j] - eps[i])
+        if j == m - 2:
+            prev_diag = table[-1].copy()
+    return table[-1], np.abs(table[-1] - prev_diag)
+
+
+@pytest.mark.parametrize("alpha", [1.5, 1.8, 2.0])
+def test_kernel_row_matches_neville_over_separate_rows(alpha):
+    params = PhysicalParams(1.0, 1.0, alpha)
+    grid = composition_grid(1.0, params, t_alias=1.0)
+    eps = np.array(propagator._EPS_LADDER) * params.d_alpha / params.hbar
+    r = np.abs(grid.momenta) ** alpha
+    rows = [to_position_space(ComplexField(np.exp(-(e + 1j) * r), grid)).values for e in eps]
+    ref, ref_spread = neville_to_zero(eps, rows)
+    value, spread = kernel_row(1.0, params, grid)
+    assert np.max(np.abs(value - ref)) < 1e-14
+    assert np.max(np.abs(spread - ref_spread)) < 1e-14
+
+
+def test_extrapolation_weights_reproduce_polynomials():
+    # relative to the strongest rung, so every power is of order one
+    eps = np.array(propagator._EPS_LADDER) / propagator._EPS_LADDER[0]
+    weak = propagator._extrapolation_weights(propagator._EPS_LADDER[1:])
+    for k in range(5):
+        assert abs(np.sum(propagator._LIMIT_WEIGHTS * eps**k) - (k == 0)) < 1e-15
+    for k in range(4):
+        assert abs(np.sum(weak * eps[1:] ** k) - (k == 0)) < 1e-15
+
+
+@pytest.mark.parametrize("alpha", [1.5, 1.8, 2.0])
+@pytest.mark.parametrize("t_total,t_split", [(2.0, 1.0), (1.0, 0.3)])
+def test_momentum_sums_match_position_space_composition(alpha, t_total, t_split):
+    params = PhysicalParams(1.0, 1.0, alpha)
+    t_second = t_total - t_split
+    grid = composition_grid(min(t_split, t_second), params, t_alias=t_total)
+    n, dx, length = grid.n_points, grid.spacing, grid.length
+    rows = {t: kernel_row(t, params, grid)[0] for t in (t_split, t_second, t_total)}
+    # the periodic convolution at the middle node n // 2 (offset 0)
+    composed = np.sum(rows[t_second][-np.arange(n) % n] * rows[t_split]) * dx
+    phi = {t: propagator._ladder_symbol(t, params, grid.momenta) for t in rows}
+    assert abs(np.sum(phi[t_second] * phi[t_split]) / length - composed) < 1e-15
+    assert abs(np.sum(phi[t_total]) / length - rows[t_total][n // 2]) < 1e-15
+    residual = chapman_kolmogorov_residual(t_total, t_split, params)
+    assert residual == pytest.approx(abs(rows[t_total][n // 2] - composed), abs=2e-15)
+
+
+def test_chapman_kolmogorov_peak_memory():
+    # 2^19 grid points: forming five position-space rows per time peaks at 172 MiB
+    tracemalloc.start()
+    try:
+        chapman_kolmogorov_residual(1.0, 0.05, P15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 96 * 2**20
 
 
 @pytest.mark.parametrize("params,t", [
