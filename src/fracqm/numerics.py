@@ -76,9 +76,9 @@ class PhysicalParams:
     alpha: float = 2.0
 
     def __post_init__(self):
-        if not (self.hbar > 0):
+        if not (0 < self.hbar < math.inf):
             raise ConfigurationError(f"hbar must be positive, got {self.hbar}")
-        if not (self.d_alpha > 0):
+        if not (0 < self.d_alpha < math.inf):
             raise ConfigurationError(f"d_alpha must be positive, got {self.d_alpha}")
         if not (1.0 < self.alpha <= 2.0):
             raise ConfigurationError(
@@ -120,9 +120,9 @@ def make_grid(n_points: int, length: float, hbar: float = 1.0) -> GridSpec:
         raise ConfigurationError(
             f"n_points must be a power of two >= 8, got {n_points}"
         )
-    if not (length > 0):
+    if not (0 < length < math.inf):
         raise ConfigurationError(f"length must be positive, got {length}")
-    if not (hbar > 0):
+    if not (0 < hbar < math.inf):
         raise ConfigurationError(f"hbar must be positive, got {hbar}")
     spacing = length / n_points
     positions = -length / 2.0 + spacing * np.arange(n_points)

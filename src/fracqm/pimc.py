@@ -154,7 +154,9 @@ def _chain_histogram(
     n_slices: int,
     n_samples: int,
     edges: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
+) -> tuple[np.ndarray, np.ndarray]:
+    """One chain's raw (sum w, sum w^2) in `_binned`'s slots, under- and
+    overflow included; with V = 0 every w is one and the slots sum to n_samples."""
     if potential.kind == "free":
         endpoints = x0 + sample_stable(thermal_law(beta, params), rng, n_samples)
         w_sum, w_sq = _binned(endpoints, None, edges)
@@ -196,10 +198,7 @@ def _chain_histogram(
             block_sum, block_sq = _binned(positions[:, -1], weights, edges)
             w_sum += block_sum
             w_sq += block_sq
-    hist = w_sum[1:-1]
-    width = edges[1] - edges[0]
-    return (hist / (n_samples * width), hist, w_sq[1:-1],
-            w_sum[0] / n_samples, w_sum[-1] / n_samples)
+    return w_sum, w_sq
 
 
 def estimate_density_matrix(
@@ -248,9 +247,10 @@ def estimate_density_matrix(
     with ThreadPoolExecutor(max_workers=min(_max_workers(), n_chains)) as pool:
         results = list(pool.map(run, range(n_chains)))
 
-    rows = np.stack([r[0] for r in results])
-    w_sum = np.stack([r[1] for r in results]).sum(axis=0)
-    w_sq_sum = np.stack([r[2] for r in results]).sum(axis=0)
+    sums, sq_sums = (np.stack(chain_sums) for chain_sums in zip(*results))
+    rows = sums[:, 1:-1] / (n_samples_per_chain * (edges[1] - edges[0]))
+    overflow = sums[:, [0, -1]] / n_samples_per_chain
+    w_sum, w_sq_sum = sums[:, 1:-1].sum(axis=0), sq_sums[:, 1:-1].sum(axis=0)
     mean = rows.mean(axis=0)
     std_error = rows.std(axis=0, ddof=1) / math.sqrt(n_chains)
     # a bin is statistically usable once several chains hit it and the
@@ -269,8 +269,8 @@ def estimate_density_matrix(
         master_seed=master_seed,
         covered=covered,
         effective_counts=ess,
-        overflow_low=float(np.mean([r[3] for r in results])),
-        overflow_high=float(np.mean([r[4] for r in results])),
+        overflow_low=float(np.mean(overflow[:, 0])),
+        overflow_high=float(np.mean(overflow[:, 1])),
     )
 
 

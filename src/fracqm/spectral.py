@@ -79,7 +79,7 @@ class EvolverConfig:
     def __post_init__(self):
         if self.mode not in ("real_time", "imaginary_time"):
             raise ConfigurationError(f"unknown mode {self.mode!r}")
-        if not (self.dt > 0):
+        if not (0 < self.dt < np.inf):
             raise ConfigurationError(f"dt must be positive, got {self.dt}")
         if self.n_steps < 0:
             raise ConfigurationError(f"n_steps must be >= 0, got {self.n_steps}")

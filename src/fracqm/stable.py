@@ -19,9 +19,10 @@ tan V) and needs two uniforms per variate; at alpha = 2 it draws one
 standard normal per variate instead.
 
 The free thermal density matrix rho_0(x, beta | x0) (the paper's Fox H
-function) is this density at x - x0 with c = beta D_alpha hbar^alpha, and a
-Levy path's increment over imaginary time hbar * tau is a draw of the same
-law at beta = tau; `thermal_law` is the one place that scale is written.
+function) is this density at x - x0 with c = beta D_alpha hbar^alpha, a Levy
+path's increment over imaginary time hbar * tau is a draw of the same law at
+beta = tau, and the real-time kernel's diagonal is its peak continued to
+beta = i t / hbar; `thermal_law` is the one place that scale is written.
 
 This module is numpy-only: no density, CDF or sample loads scipy.
 """
@@ -70,13 +71,13 @@ class StableParams:
     def __post_init__(self):
         if not (0.0 < self.alpha <= 2.0):
             raise ConfigurationError(f"alpha must lie in (0, 2], got {self.alpha}")
-        if not (self.scale > 0.0):
+        if not (0.0 < self.scale < math.inf):
             raise ConfigurationError(f"scale must be positive, got {self.scale}")
 
 
 def thermal_law(beta: float, params: PhysicalParams) -> StableParams:
     """Law of x - x0 under the free thermal kernel: scale beta D_alpha hbar^alpha."""
-    if not (beta > 0):
+    if not (0 < beta < math.inf):
         raise ConfigurationError(f"beta must be positive, got {beta}")
     return StableParams(params.alpha, beta * params.d_alpha * params.hbar**params.alpha)
 

@@ -58,7 +58,7 @@ def free_partition_function(beta: float, omega: float, params: PhysicalParams) -
     Linear in Omega, scaling as beta^(-1/alpha); reduces to the classical
     ideal-gas Omega sqrt(m / 2 pi beta hbar^2) at alpha = 2.
     """
-    if not (omega > 0):
+    if not (0 < omega < math.inf):
         raise ConfigurationError(f"omega must be positive, got {omega}")
     return omega * peak_density(thermal_law(beta, params))
 
@@ -86,6 +86,9 @@ def classical_partition_function(
 
 def _delta_field(grid: GridSpec, x0: float) -> ComplexField:
     # Kronecker spike of height 1/dx at the node nearest x0: unit grid mass
+    if not (-grid.length / 2.0 <= x0 < grid.length / 2.0):
+        raise ConfigurationError(
+            f"x0 = {x0} lies off the grid domain [{-grid.length / 2.0}, {grid.length / 2.0})")
     values = np.zeros(grid.n_points, dtype=complex)
     idx = int(round((x0 + grid.length / 2.0) / grid.spacing)) % grid.n_points
     values[idx] = 1.0 / grid.spacing
@@ -104,12 +107,12 @@ def bloch_density_matrix(
     The delta initial condition is a unit-mass grid spike; for V = 0 the
     splitting is exact and the result matches the free stable density up to
     grid truncation.  The step is `refine_time_step`'s on that spike from
-    beta / 16, and at least 16 steps are taken.
+    beta / 16; it only halves, so beta / dt is a power of two, 16 or more.
+    Raises ConfigurationError when x0 lies off the domain [-L/2, L/2).
     """
     spike = _delta_field(grid, x0)
     dt = refine_time_step(spike, potential, params, beta / 16.0, mode="imaginary_time")
-    n_steps = max(16, int(math.ceil(beta / dt)))
-    cfg = EvolverConfig(dt=beta / n_steps, n_steps=n_steps, mode="imaginary_time")
+    cfg = EvolverConfig(dt=dt, n_steps=round(beta / dt), mode="imaginary_time")
     out = evolve(spike, potential, params, cfg)
     imag_max = float(np.max(np.abs(out.values.imag)))
     real_max = float(np.max(np.abs(out.values.real)))

@@ -53,7 +53,6 @@ __all__ = [
     "tail_mass_estimate",
     "reduced_time",
     "reduced_carrier",
-    "time_from_reduced",
     "observable_means",
     "drift_velocity",
     "momentum_deviation",
@@ -78,9 +77,9 @@ class PacketParams:
     nu: float
 
     def __post_init__(self):
-        if not (self.l > 0):
+        if not (0 < self.l < math.inf):
             raise ConfigurationError(f"l must be positive, got {self.l}")
-        if not (self.p0 > 0):
+        if not (0 < self.p0 < math.inf):
             raise ConfigurationError(f"p0 must be positive, got {self.p0}")
         if not (1.0 < self.nu <= 2.0):
             raise ConfigurationError(f"nu must lie in (1, 2], got {self.nu}")
@@ -154,14 +153,6 @@ def reduced_time(t: float, packet: PacketParams, params: PhysicalParams) -> floa
     )
 
 
-def time_from_reduced(tau: float, packet: PacketParams, params: PhysicalParams) -> float:
-    """Invert reduced_time."""
-    return (
-        tau * params.hbar / params.d_alpha
-        * (packet.l / (2.0 ** (1.0 / packet.nu) * params.hbar)) ** params.alpha
-    )
-
-
 def suggest_grid(
     packet: PacketParams,
     params: PhysicalParams,
@@ -206,10 +197,9 @@ def tail_mass_estimate(
         + momentum_density(-q, packet, params),
         grid.max_momentum, np.inf, rel_tol=1e-6, abs_tol=1e-14,
     )
-    rho = np.abs(psi.values) ** 2
-    half = grid.length / 2.0
+    rho = np.abs(psi.values[[0, -1]]) ** 2
     # rho ~ C |x|^(-2-2nu): integral past the edge is rho_edge * |x| / (1+2nu)
-    pos_tail = (rho[0] + rho[-1]) * half / (1.0 + 2.0 * packet.nu)
+    pos_tail = (rho[0] + rho[1]) * (grid.length / 2.0) / (1.0 + 2.0 * packet.nu)
     return float(mom_tail + pos_tail)
 
 
@@ -254,7 +244,7 @@ def drift_velocity(
     if not exact or a == 2.0:
         return a * d * packet.p0 ** (a - 1.0)
     mean = adaptive_quadrature(
-        lambda p: np.abs(p) ** (a - 1.0) * np.sign(p)
+        lambda p: p ** (a - 1.0)
         * (momentum_density(p, packet, params) - momentum_density(-p, packet, params)),
         0.0, np.inf, rel_tol=1e-11, points=[packet.p0],
     )
@@ -310,7 +300,8 @@ def _cusp_moment(u: np.ndarray, h: np.ndarray, du: float, mu: float) -> float:
     cusp coefficient; the subtracted piece integrates in closed form against
     |u|^mu.
     """
-    j = int(np.argmin(np.abs(u)))
+    au = np.abs(u)
+    j = int(np.argmin(au))
     lo = max(0, min(j - 1, len(u) - 4))
     # cubic Lagrange interpolation of h at u = 0 from the four nearest cells
     h0 = 0.0
@@ -323,11 +314,11 @@ def _cusp_moment(u: np.ndarray, h: np.ndarray, du: float, mu: float) -> float:
     w = 16.0 * du
     smooth = h - h0 * np.exp(-(u * u) / (2.0 * w * w))
 
-    def moment(m):
+    def moment(m, weighted):
         closed = h0 * (math.sqrt(2.0) * w) ** (m + 1.0) * math.gamma((m + 1.0) / 2.0)
-        return float(np.sum(np.abs(u) ** m * smooth)) * du + closed
+        return float(np.sum(weighted)) * du + closed
 
-    return moment(mu) / moment(0.0)
+    return moment(mu, au**mu * smooth) / moment(0.0, smooth)
 
 
 def packet_spread_factor(
@@ -369,16 +360,16 @@ def packet_spread_factor(
 
 
 def uncertainty_report(
-    mu: float, t: float, packet: PacketParams, params: PhysicalParams
+    mu: float, tau: float, packet: PacketParams, params: PhysicalParams
 ) -> UncertaintyReport:
-    """Uncertainty product against the fractional lower bound hbar/(2 alpha)^(1/mu).
+    """Uncertainty product against the fractional lower bound hbar/(2 alpha)^(1/mu)
+    at reduced time tau (`reduced_time` of t).
 
     dx comes from the spread-factor route, dp from the closed gamma-ratio
     form; the bound comparison presumes nu = alpha.
     """
     _check_nu(packet, params)
     nu, l, alpha, hbar = packet.nu, packet.l, params.alpha, params.hbar
-    tau = reduced_time(t, packet, params)
     eta0 = reduced_carrier(packet, params)
     n_factor = packet_spread_factor(alpha, mu, nu, tau, eta0)
     dx_mu = (l / 2.0 ** (1.0 / nu)) * n_factor ** (1.0 / mu)

@@ -39,7 +39,6 @@ from fracqm.wavepacket import (
     observable_means,
     packet_position_state,
     suggest_grid,
-    time_from_reduced,
     uncertainty_report,
 )
 from oracles import hermiticity_residual, mehler_bin_averages
@@ -191,8 +190,7 @@ def test_criterion_06_fractional_uncertainty_lattice():
         packet = PacketParams(l=1.0, p0=2.0, nu=alpha)
         mu = 0.6 * alpha
         for tau in (0.0, 1.0, 5.0):
-            t = time_from_reduced(tau, packet, params)
-            rep = uncertainty_report(mu, t, packet, params)
+            rep = uncertainty_report(mu, tau, packet, params)
             margins.append(rep.product / rep.bound)
             if not rep.exceeds_bound:
                 violations.append(

@@ -17,6 +17,7 @@ from fracqm.cli import (
 from fracqm.errors import ConfigurationError
 from fracqm.numerics import PhysicalParams, adaptive_quadrature, apply_symbol, make_grid
 from fracqm.spectral import Potential
+from fracqm.stable import StableParams, levy_density
 from fracqm.statmech import bloch_density_matrix, free_density_matrix
 from oracles import mehler_bin_averages
 
@@ -217,6 +218,9 @@ def test_alpha2_diffusion_must_match_mass(experiment):
         ("pimc", {"n_chains": "8", "n_paths": "500"}),
         ("statmech", {}),
         ("scaling", {"n_samples": "8000"}),
+        # the on-axis oracle, thermal_law at beta = t / hbar, away from unit constants
+        ("kernel-check", {"alpha": "1.5", "hbar": "0.7", "d_alpha": "1.3", "t_values": "0.8",
+                          "dx_values": "0.0"}),
     ],
 )
 def test_experiments_run_and_pass(experiment, overrides, tmp_path):
@@ -257,6 +261,16 @@ def test_kernel_check_reuses_the_on_axis_table_value(monkeypatch):
     p = config.parameters
     assert 0.0 in p["dx_values"]
     assert len(calls) == len(set(calls)) == len(p["t_values"]) * len(p["dx_values"])
+
+
+@pytest.mark.parametrize("alpha", [1.05, 1.5, 1.95, 2.0])
+@pytest.mark.parametrize("scale", [0.3, 7.0])
+def test_density_unit_mass_rule_matches_quadrature(alpha, scale):
+    p = {"alpha": alpha, "scale": scale, "x_max": 1.0, "n_points": 3}
+    row = next(c for c in cli._run_density(p, 0)[1] if c["name"] == "unit normalization")
+    law = StableParams(alpha, scale)
+    half = adaptive_quadrature(lambda x: levy_density(x, law), 0.0, np.inf, rel_tol=1e-12)
+    assert row["value"] == pytest.approx(2.0 * half, rel=1e-12, abs=0.0)
 
 
 def test_main_writes_json_and_exits_zero(tmp_path):

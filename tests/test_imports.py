@@ -3,7 +3,8 @@
 Importing fracqm, the path sampler and the CLI loads numpy alone (without
 numpy.polynomial, which the Gauss-Legendre sums load on first use), and so
 do the shipped configs whose experiments never integrate adaptively: the
-stable density and CDF are fixed Gauss-Legendre sums in numpy.  The check
+stable density and CDF, and the density's unit-mass check, are fixed
+Gauss-Legendre sums in numpy.  The check
 runs in a fresh interpreter, since an import cannot be undone within one.
 
 QUADPACK has one entry, `numerics.adaptive_quadrature`.  A syntax-tree
@@ -60,12 +61,12 @@ def test_cli_import_leaves_out_numpy_polynomial():
 
 
 def test_scipy_loaded_only_by_quadrature():
-    lazy = ["scaling", "evolve", "kernel-check", "uncertainty", "pimc"]
-    seen = _loaded_after(lazy + ["density"])
+    lazy = ["scaling", "evolve", "kernel-check", "uncertainty", "pimc", "density"]
+    seen = _loaded_after(lazy + ["statmech"])
     for stage in ["import", *lazy]:
         assert seen[stage] == [], f"{stage} loaded {seen[stage]}"
-    # the density experiment integrates, so the lazy import does fire
-    assert "scipy.integrate" in seen["density"]
+    # the statmech experiment integrates, so the lazy import does fire
+    assert "scipy.integrate" in seen["statmech"]
 
 
 def _dotted_names(node):

@@ -12,7 +12,28 @@ from fracqm.numerics import (
     to_momentum_space,
     to_position_space,
 )
+from fracqm.spectral import EvolverConfig
+from fracqm.stable import StableParams, thermal_law
+from fracqm.statmech import free_partition_function
+from fracqm.wavepacket import PacketParams
 from oracles import inner_product
+
+
+@pytest.mark.parametrize("build", [
+    lambda v: PhysicalParams(hbar=v),
+    lambda v: PhysicalParams(d_alpha=v),
+    lambda v: make_grid(64, v),
+    lambda v: make_grid(64, 1.0, hbar=v),
+    lambda v: StableParams(1.5, v),
+    lambda v: thermal_law(v, PhysicalParams()),
+    lambda v: PacketParams(l=v, p0=2.0, nu=1.5),
+    lambda v: PacketParams(l=1.0, p0=v, nu=1.5),
+    lambda v: EvolverConfig(dt=v, n_steps=1),
+    lambda v: free_partition_function(1.0, v, PhysicalParams()),
+], ids=["hbar", "d_alpha", "length", "grid-hbar", "scale", "beta", "l", "p0", "dt", "omega"])
+def test_positive_scales_reject_inf(build):
+    with pytest.raises(ConfigurationError, match="must be positive"):
+        build(math.inf)
 
 
 def test_make_grid_basic_spacings():

@@ -272,8 +272,9 @@ def test_partner_reflects_about_middle_slice(n_slices):
     k = n_slices // 2
     y = np.concatenate([x[:k + 1], 2.0 * x[k] - x[k + 1:]])
     edges = np.linspace(-40.0, 40.0, 800_001)
-    _, hist, _, low, high = _chain_histogram(rng, tilt, x0, 1.0, P15, n_slices, 2, edges)
-    assert low == high == 0.0 and np.count_nonzero(hist) == 2
+    w_sum, _ = _chain_histogram(rng, tilt, x0, 1.0, P15, n_slices, 2, edges)
+    hist = w_sum[1:-1]
+    assert w_sum[0] == w_sum[-1] == 0.0 and np.count_nonzero(hist) == 2
     for path in (x, y):
         v = 0.25 * path
         weight = math.exp(-(v[1:-1].sum() + 0.5 * (v[0] + v[-1])) / n_slices)
@@ -285,18 +286,29 @@ def test_even_potential_row_not_mirror_symmetric():
     # each bin repeating its mirror bin; at 2 and 3 slices a second pivot at
     # n_slices // 4 = 0 would mirror whole paths
     for n_slices in (2, 3, 16):
-        _, hist, _, _, _ = _chain_histogram(
-            chain_rngs(61, 1)[0], ZERO, 0.0, 1.0, P15, n_slices, 600, SYMMETRIC_EDGES)
+        hist = _chain_histogram(
+            chain_rngs(61, 1)[0], ZERO, 0.0, 1.0, P15, n_slices, 600, SYMMETRIC_EDGES)[0][1:-1]
         assert hist.sum() > 0 and not np.array_equal(hist, hist[::-1])
 
 
 @pytest.mark.parametrize("n_paths", [2, 3, 5, 7, 257, 258])
 def test_unpaired_path_counts_once(n_paths):
     # blocks whose size is not a multiple of four end on cut-short families;
-    # every binned path counts once
-    _, hist, _, low, high = _chain_histogram(
+    # every binned path counts once, under- and overflow slots included
+    w_sum, _ = _chain_histogram(
         chain_rngs(62, 1)[0], ZERO, 0.3, 1.0, P15, 16, n_paths, SYMMETRIC_EDGES)
-    assert abs(hist.sum() / n_paths + low + high - 1.0) <= 1e-15
+    assert abs(w_sum.sum() / n_paths - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("potential", [Potential.free(), ZERO], ids=["free", "sampled"])
+def test_chain_returns_raw_slot_sums(potential):
+    # V = 0: every weight is one, so both sums are hit counts and the slots,
+    # the under- and overflow included, hold every path once
+    edges = np.linspace(-2.0, 2.0, 9)
+    w_sum, w_sq = _chain_histogram(chain_rngs(65, 1)[0], potential, 0.3, 1.0, P15, 8, 601, edges)
+    assert w_sum.shape == w_sq.shape == (len(edges) + 1,)
+    assert np.array_equal(w_sum, w_sq) and np.array_equal(w_sum, np.round(w_sum))
+    assert w_sum.sum() == 601 and w_sum[0] > 0 and w_sum[-1] > 0
 
 
 def test_chain_draws_a_quarter_of_the_increments():
@@ -323,8 +335,9 @@ def test_family_of_four_sign_patterns(n_slices):
     segment = np.searchsorted([n_slices // 4, n_slices // 2], np.arange(n_slices),
                               side="right")
     edges = np.linspace(-40.0, 40.0, 800_001)
-    _, hist, _, low, high = _chain_histogram(rng, tilt, x0, 1.0, P15, n_slices, 4, edges)
-    assert low == high == 0.0 and np.count_nonzero(hist) == 4
+    w_sum, _ = _chain_histogram(rng, tilt, x0, 1.0, P15, n_slices, 4, edges)
+    hist = w_sum[1:-1]
+    assert w_sum[0] == w_sum[-1] == 0.0 and np.count_nonzero(hist) == 4
     for signs in ((1, 1, 1), (1, 1, -1), (1, -1, -1), (1, -1, 1)):
         path = np.concatenate([[x0], x0 + np.cumsum(steps * np.take(signs, segment))])
         v = 0.25 * path

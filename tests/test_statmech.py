@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fracqm import statmech
 from fracqm.errors import ConfigurationError, NumericalError
 from fracqm.numerics import PhysicalParams, adaptive_quadrature, make_grid
 from fracqm.spectral import EvolverConfig, Potential, evolve, kinetic_symbol
@@ -119,6 +120,28 @@ def test_bloch_small_beta_concentrates_at_start():
         m0 = np.sum(row) * grid.spacing
         second_moments.append(float(np.sum(grid.positions**2 * row) / m0 * grid.spacing))
     assert second_moments[0] > second_moments[1] > second_moments[2]
+
+
+def test_free_row_steps_with_the_refined_dt(monkeypatch):
+    # the statmech experiment's free row: the split is exact for V = 0, so the
+    # refined step stays beta / 16 and the row takes 16 steps of it
+    configs = []
+
+    def spy(field, potential, params, config):
+        configs.append(config)
+        return evolve(field, potential, params, config)
+
+    monkeypatch.setattr(statmech, "evolve", spy)
+    bloch_density_matrix(Potential.free(), 1.0, P15, make_grid(2048, 120.0), 0.0)
+    [row_config] = configs  # refine_time_step's trial steps call spectral.evolve
+    assert (row_config.n_steps, row_config.dt, row_config.mode) == (16, 1.0 / 16, "imaginary_time")
+
+
+@pytest.mark.parametrize("x0", [10.0, 15.0, -10.1, math.nan])
+def test_bloch_off_grid_start_rejected(x0):
+    # make_grid(256, 20.0) spans [-10, 10); 15 used to wrap to a row peaked at -5
+    with pytest.raises(ConfigurationError, match=r"x0 = .*\[-10.0, 10.0\)"):
+        bloch_density_matrix(Potential.free(), 1.0, P15, make_grid(256, 20.0), x0)
 
 
 def test_bloch_harmonic_matches_mehler():

@@ -20,7 +20,6 @@ from fracqm.wavepacket import (
     reduced_time,
     suggest_grid,
     tail_mass_estimate,
-    time_from_reduced,
     uncertainty_report,
 )
 from oracles import position_deviation
@@ -204,11 +203,11 @@ def test_spread_route_matches_grid_moment(nu, tau):
     params = PhysicalParams(1.0, 1.0, nu) if nu < 2.0 else P2
     packet = PacketParams(l=1.0, p0=2.0, nu=nu)
     mu = 0.6 * nu
-    t = time_from_reduced(tau, packet, params)
+    t = tau / reduced_time(1.0, packet, params)
     dx_grid = position_deviation(
         packet_position_state(t, packet, params)[0], mu, drift_velocity(packet, params) * t
     )
-    dx_spread = uncertainty_report(mu, t, packet, params).dx_mu
+    dx_spread = uncertainty_report(mu, tau, packet, params).dx_mu
     assert dx_spread == pytest.approx(dx_grid, rel=1e-3)
 
 
@@ -221,8 +220,7 @@ def test_spread_factor_validates_exponents():
 
 def test_uncertainty_report_fields_and_bound():
     mu = 1.0
-    t = time_from_reduced(1.0, PK15, P15)
-    rep = uncertainty_report(mu, t, PK15, P15)
+    rep = uncertainty_report(mu, 1.0, PK15, P15)
     assert rep.product == pytest.approx(rep.dx_mu * rep.dp_mu, rel=1e-15)
     assert rep.bound == pytest.approx(1.0 / (2.0 * 1.5) ** (1.0 / mu), rel=1e-15)
     assert rep.tau == pytest.approx(1.0, rel=1e-12)
@@ -233,8 +231,36 @@ def test_uncertainty_exceeds_bound_for_alpha18_lattice():
     params = PhysicalParams(1.0, 1.0, 1.8)
     packet = PacketParams(l=1.0, p0=2.0, nu=1.8)
     for tau in (0.0, 1.0, 5.0):
-        rep = uncertainty_report(1.2, time_from_reduced(tau, packet, params), packet, params)
+        rep = uncertainty_report(1.2, tau, packet, params)
         assert rep.exceeds_bound, f"tau={tau}: product {rep.product} <= {rep.bound}"
+
+
+# (alpha = nu, tau, dx_mu, product) of criterion 06's lattice at mu = 0.6 alpha,
+# as the report gave them when it took t and formed tau = reduced_time(t)
+# from t = tau / reduced_time(1)
+TIME_ROUTE_REPORTS = [
+    (1.2, 0.0, 0.34476145285855997, 0.24626534347907658),
+    (1.2, 1.0, 0.3997780394436068, 0.28556404836639854),
+    (1.2, 5.0, 0.6301540000400577, 0.4501230922943241),
+    (1.5, 0.0, 0.4505817261449593, 0.28728835894059046),
+    (1.5, 1.0, 0.51561464862196, 0.32875298231840916),
+    (1.5, 5.0, 1.0904432852174457, 0.695260468302085),
+    (1.8, 0.0, 0.5410476127008169, 0.3276442807316098),
+    (1.8, 1.0, 0.6775956641418128, 0.41033420865931586),
+    (1.8, 5.0, 2.0240277982842083, 1.2256982871419144),
+    (2.0, 0.0, 0.5953944492118823, 0.3544945500619392),
+    (2.0, 1.0, 0.8420149049239798, 0.5013310004175896),
+    (2.0, 5.0, 3.035927914064669, 1.807574627780655),
+]
+
+
+@pytest.mark.parametrize("alpha,tau,dx_mu,product", TIME_ROUTE_REPORTS)
+def test_uncertainty_report_in_tau_matches_time_route(alpha, tau, dx_mu, product):
+    params = P2 if alpha == 2.0 else PhysicalParams(1.0, 1.0, alpha)
+    rep = uncertainty_report(0.6 * alpha, tau, PacketParams(l=1.0, p0=2.0, nu=alpha), params)
+    assert rep.tau == tau
+    assert rep.dx_mu == pytest.approx(dx_mu, rel=1e-14)
+    assert rep.product == pytest.approx(product, rel=1e-14)
 
 
 def test_uncertainty_boundary_probe_recovers_heisenberg_scale():
@@ -252,7 +278,7 @@ def test_position_uncertainty_grows_with_time():
     mu = 0.9
     taus = [0.0, 0.5, 1.0, 2.0, 5.0]
     vals = [
-        uncertainty_report(mu, time_from_reduced(tau, PK15, P15), PK15, P15).dx_mu
+        uncertainty_report(mu, tau, PK15, P15).dx_mu
         for tau in taus
     ]
     assert all(b > a for a, b in zip(vals, vals[1:]))
