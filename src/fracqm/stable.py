@@ -23,8 +23,6 @@ function) is this density at x - x0 with c = beta D_alpha hbar^alpha, a Levy
 path's increment over imaginary time hbar * tau is a draw of the same law at
 beta = tau, and the real-time kernel's diagonal is its peak continued to
 beta = i t / hbar; `thermal_law` is the one place that scale is written.
-
-This module is numpy-only: no density, CDF or sample loads scipy.
 """
 
 from __future__ import annotations

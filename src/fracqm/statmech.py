@@ -14,10 +14,6 @@ J. Chem. Phys. 91, 3571 (1989)): rho(beta) = U e^{-beta E} U^T / dx and
 Z(beta) = sum e^{-beta E}, exact on the grid for every beta.  Single rows,
 wanted at n = 2048-4096 where a dense eigh needs O(n^2) memory and O(n^3)
 time, step a delta spike by imaginary-time split-operator evolution.
-
-This module imports no scipy of its own: `classical_partition_function`,
-the one quadrature here, goes through `numerics.adaptive_quadrature`, and
-the grid Hamiltonian is built with numpy indexing.
 """
 
 from __future__ import annotations
@@ -78,7 +74,7 @@ def classical_partition_function(
     law = thermal_law(beta, params)
     lo, hi = domain if domain is not None else (-np.inf, np.inf)
     val = adaptive_quadrature(
-        lambda x: math.exp(-beta * float(potential.func(np.asarray([x]))[0])),
+        lambda x: np.exp(-beta * potential.func(x)),
         lo, hi, rel_tol=1e-11, abs_tol=1e-12,
     )
     return peak_density(law) * val
@@ -139,7 +135,7 @@ def _grid_hamiltonian(
 
 def _boltzmann_weights(energies: np.ndarray, beta: float) -> np.ndarray:
     """e^{-beta E} for the grid energies; overflow means V is unbounded below."""
-    if not (beta > 0):
+    if not (0 < beta < math.inf):
         raise ConfigurationError(f"beta must be positive, got {beta}")
     with np.errstate(over="ignore"):
         weights = np.exp(-beta * energies)

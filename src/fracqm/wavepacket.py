@@ -278,7 +278,7 @@ def momentum_deviation(mu: float, packet: PacketParams, params: PhysicalParams) 
     pref = packet.nu * packet.l / (2.0 * params.hbar * math.gamma(1.0 / packet.nu))
     scale = packet.l / params.hbar
     moment = adaptive_quadrature(
-        lambda q: 2.0 * pref * q**mu * math.exp(-((q * scale) ** packet.nu)),
+        lambda q: 2.0 * pref * q**mu * np.exp(-((q * scale) ** packet.nu)),
         0.0, np.inf, rel_tol=1e-11,
     )
     return moment ** (1.0 / mu)

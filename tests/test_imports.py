@@ -1,14 +1,13 @@
-"""scipy is imported only where a quadrature runs.
+"""The package never loads scipy.
 
 Importing fracqm, the path sampler and the CLI loads numpy alone (without
-numpy.polynomial, which the Gauss-Legendre sums load on first use), and so
-do the shipped configs whose experiments never integrate adaptively: the
-stable density and CDF, and the density's unit-mass check, are fixed
-Gauss-Legendre sums in numpy.  The check
-runs in a fresh interpreter, since an import cannot be undone within one.
-
-QUADPACK has one entry, `numerics.adaptive_quadrature`.  A syntax-tree
-check keeps every other function off `scipy.integrate`.
+numpy.polynomial, which the Gauss-Legendre sums load on first use), and
+running all eight shipped configs leaves no scipy module in sys.modules:
+the stable density and CDF are fixed Gauss-Legendre sums, and
+`numerics.adaptive_quadrature` is a double-exponential rule, both in numpy.
+The check runs in a fresh interpreter, since an import cannot be undone
+within one.  A syntax-tree check keeps every `src/fracqm` module from
+naming scipy at all.
 """
 
 import ast
@@ -19,14 +18,14 @@ import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-SCIPY_PARTS = ("scipy.integrate", "scipy.linalg")
+EXPERIMENTS = sorted(p.stem for p in (ROOT / "configs").glob("*.cfg"))
 
 _PROBE = """
 import json, pathlib, sys
 import fracqm, fracqm.cli, fracqm.pimc
 
 def loaded():
-    return sorted(m for m in {parts!r} if m in sys.modules)
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
 seen = {{"import": loaded()}}
 for name in {experiments!r}:
@@ -49,8 +48,7 @@ def _last_line_fresh(code):
 
 
 def _loaded_after(experiments):
-    code = _PROBE.format(parts=SCIPY_PARTS, experiments=experiments,
-                         configs=str(ROOT / "configs"))
+    code = _PROBE.format(experiments=experiments, configs=str(ROOT / "configs"))
     return json.loads(_last_line_fresh(code))
 
 
@@ -60,35 +58,25 @@ def test_cli_import_leaves_out_numpy_polynomial():
     assert _last_line_fresh(code) == "False"
 
 
-def test_scipy_loaded_only_by_quadrature():
-    lazy = ["scaling", "evolve", "kernel-check", "uncertainty", "pimc", "density"]
-    seen = _loaded_after(lazy + ["statmech"])
-    for stage in ["import", *lazy]:
+def test_no_experiment_loads_scipy():
+    assert len(EXPERIMENTS) == 8, EXPERIMENTS
+    seen = _loaded_after(EXPERIMENTS)
+    for stage in ["import", *EXPERIMENTS]:
         assert seen[stage] == [], f"{stage} loaded {seen[stage]}"
-    # the statmech experiment integrates, so the lazy import does fire
-    assert "scipy.integrate" in seen["statmech"]
 
 
-def _dotted_names(node):
-    if isinstance(node, ast.ImportFrom) and node.module:
-        return [f"{node.module}.{a.name}" for a in node.names]
-    if isinstance(node, ast.Import):
-        return [a.name for a in node.names]
-    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-        return [f"{node.value.id}.{node.attr}"]
-    return []
-
-
-def _scipy_integrate_users():
-    """(module, top-level def) pairs whose bodies name scipy.integrate."""
+def _scipy_users():
+    """(module, line) pairs that import scipy or use the name scipy."""
     users = set()
     for path in sorted((ROOT / "src" / "fracqm").glob("*.py")):
-        for top in ast.parse(path.read_text()).body:
-            if any(name.split(".")[:2] == ["scipy", "integrate"]
-                   for node in ast.walk(top) for name in _dotted_names(node)):
-                users.add((path.stem, getattr(top, "name", None)))
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom)
+                     else [node.id] if isinstance(node, ast.Name) else [])
+            if any(name.split(".")[0] == "scipy" for name in names):
+                users.add((path.stem, node.lineno))
     return users
 
 
-def test_scipy_integrate_has_one_entry_per_integrand_kind():
-    assert _scipy_integrate_users() == {("numerics", "adaptive_quadrature")}
+def test_no_module_names_scipy():
+    assert _scipy_users() == set()

@@ -12,10 +12,10 @@ from fracqm.numerics import (
     to_momentum_space,
     to_position_space,
 )
-from fracqm.spectral import EvolverConfig
-from fracqm.stable import StableParams, thermal_law
-from fracqm.statmech import free_partition_function
-from fracqm.wavepacket import PacketParams
+from fracqm.spectral import EvolverConfig, Potential
+from fracqm.stable import StableParams, peak_density, thermal_law
+from fracqm.statmech import classical_partition_function, free_partition_function
+from fracqm.wavepacket import PacketParams, gamma_ratio_deviation, momentum_deviation
 from oracles import inner_product
 
 
@@ -115,7 +115,7 @@ def test_inner_product_requires_matching_grids():
 
 
 def test_quadrature_exponential():
-    res = adaptive_quadrature(lambda k: math.exp(-k), 0.0, np.inf)
+    res = adaptive_quadrature(lambda k: np.exp(-k), 0.0, np.inf)
     assert res == pytest.approx(1.0, abs=1e-10)
 
 
@@ -127,7 +127,7 @@ def test_quadrature_divergent_integral_raises():
 
 def test_quadrature_stretched_exponential_gamma():
     # oracle: Gamma(1 + 1/alpha) for alpha = 3/2 via the gamma routine
-    res = adaptive_quadrature(lambda k: math.exp(-(k ** 1.5)), 0.0, np.inf)
+    res = adaptive_quadrature(lambda k: np.exp(-(k ** 1.5)), 0.0, np.inf)
     assert res == pytest.approx(math.gamma(1.0 + 2.0 / 3.0), rel=1e-10)
 
 
@@ -137,7 +137,7 @@ def test_quadrature_odd_integrand_vanishes():
 
 
 def test_quadrature_even_integrand_equals_twice_half_line():
-    f = lambda k: math.exp(-(abs(k) ** 1.3))
+    f = lambda k: np.exp(-(np.abs(k) ** 1.3))
     whole = adaptive_quadrature(f, -np.inf, np.inf, points=[0.0])
     half = adaptive_quadrature(f, 0.0, np.inf)
     assert whole == pytest.approx(2.0 * half, rel=1e-9)
@@ -145,7 +145,7 @@ def test_quadrature_even_integrand_equals_twice_half_line():
 
 def test_quadrature_nan_names_abscissa():
     def bad(x):
-        return math.nan if x > 2.0 else 1.0
+        return np.where(x > 2.0, math.nan, 1.0)
 
     with pytest.raises(QuadraturePointError) as exc:
         adaptive_quadrature(bad, 0.0, 10.0)
@@ -154,12 +154,48 @@ def test_quadrature_nan_names_abscissa():
 
 def test_quadrature_overflow_names_abscissa():
     def steep(x):
-        return math.exp(x * x)  # OverflowError past x ~ 26.6
+        return np.exp(x * x)  # inf past x ~ 26.6
 
     with pytest.raises(QuadraturePointError) as exc:
         adaptive_quadrature(steep, 0.0, np.inf)
     assert exc.value.abscissa > 26.0
     assert f"x={exc.value.abscissa!r}" in str(exc.value)
+
+
+@pytest.mark.parametrize("s", [0.3, 0.5, 1.9, 3.0])
+def test_quadrature_gamma_function(s):
+    # exp-sinh on [0, inf), x^(s-1) singular at 0 for s < 1
+    res = adaptive_quadrature(lambda x: x ** (s - 1.0) * np.exp(-x), 0.0, np.inf, rel_tol=1e-12)
+    assert res == pytest.approx(math.gamma(s), rel=1e-12)
+
+
+@pytest.mark.parametrize("f, lower, upper, points, exact", [
+    (lambda x: np.exp(-x * x), -np.inf, np.inf, None, math.sqrt(math.pi)),  # sinh-sinh
+    (lambda x: x ** -0.5, 0.0, 1.0, None, 2.0),  # tanh-sinh, singular end
+    (lambda x: x ** -0.5 * np.sqrt(1.0 - x), 0.0, 1.0, None, math.pi / 2.0),  # Beta(1/2, 3/2)
+    (lambda x: np.sqrt(np.abs(x)), -1.0, 1.0, [0.0], 4.0 / 3.0),  # cusp at a break point
+    (lambda x: np.exp(x), -np.inf, 0.0, None, 1.0),  # mirrored exp-sinh
+], ids=["gauss", "rsqrt", "beta", "cusp", "left-half-line"])
+def test_quadrature_closed_form_lattice(f, lower, upper, points, exact):
+    res = adaptive_quadrature(f, lower, upper, rel_tol=1e-12, points=points)
+    assert res == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("nu, mu", [(1.2, 0.72), (1.5, 0.3), (1.5, 0.9), (2.0, 1.0), (2.0, 1.9)])
+def test_momentum_deviation_matches_gamma_ratio(nu, mu):
+    params = PhysicalParams(1.0, 1.0, nu)
+    packet = PacketParams(l=1.3, p0=2.0, nu=nu)
+    assert momentum_deviation(mu, packet, params) == pytest.approx(
+        gamma_ratio_deviation(mu, packet, params), rel=1e-12)
+
+
+@pytest.mark.parametrize("beta", [0.125, 0.25, 0.5, 1.0, 2.0])
+def test_classical_harmonic_partition_closed_form(beta):
+    # Z_cl = [free-kernel diagonal] * sqrt(2 pi / (beta m omega^2)), the statmech ladder's betas
+    params, m, w = PhysicalParams(1.0, 1.0, 1.5), 1.0, 1.0
+    z = classical_partition_function(Potential.harmonic(m, w), beta, params)
+    exact = peak_density(thermal_law(beta, params)) * math.sqrt(2.0 * math.pi / (beta * m * w * w))
+    assert z == pytest.approx(exact, rel=1e-12)
 
 
 def test_quadrature_rel_tol_domain():

@@ -228,6 +228,16 @@ def test_bloch_trace_unbounded_below_potential_rejected():
         bloch_trace_ladder(sinkhole, 10.0, 0, P15, grid)
 
 
+@pytest.mark.parametrize("beta", [math.inf, math.nan])
+def test_bloch_non_finite_beta_rejected(beta):
+    # beta = inf used to get past the check and be blamed on the potential
+    grid = make_grid(64, 20.0)
+    with pytest.raises(ConfigurationError, match="beta must be positive"):
+        bloch_trace_ladder(Potential.free(), beta, 1, P15, grid)
+    with pytest.raises(ConfigurationError, match="beta must be positive"):
+        bloch_matrix(Potential.free(), beta, P15, grid)
+
+
 def test_classical_ratio_monotone_on_beta_ladder():
     grid = make_grid(512, 50.0)
     pot = Potential.harmonic(1.0, 1.0)
