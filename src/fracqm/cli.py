@@ -356,7 +356,7 @@ def _run_evolve(p, seed):
     psi0 /= math.sqrt(float(np.sum(np.abs(psi0) ** 2) * grid.spacing))
     field = ComplexField(psi0, grid)
     e0 = energy_expectation(field, pot, params)
-    cfg = EvolverConfig(dt=p["dt"], n_steps=p["n_steps"], mode="real_time")
+    cfg = EvolverConfig(dt=p["dt"], n_steps=p["n_steps"])
     out = evolve(field, pot, params, cfg)
     e1 = energy_expectation(out, pot, params)
     rows = [[0.0, 1.0, e0], [p["dt"] * p["n_steps"], out.norm(), e1]]
@@ -491,7 +491,7 @@ def _run_statmech(p, seed):
     mono = all(gaps[i] > gaps[i + 1] for i in range(len(gaps) - 1))
     diag = free_density_matrix(0.0, 0.0, beta, params)
 
-    # free thermal-kernel row: split-operator solution against quadrature,
+    # free thermal-kernel row: the exact V = 0 multiplier against quadrature,
     # on a wide grid so wrapped power tails stay below the tolerance
     row_grid = make_grid(2048, 120.0, params.hbar)
     row = bloch_density_matrix(Potential.free(), beta, params, row_grid, 0.0)

@@ -29,14 +29,6 @@ class QuadraturePointError(NumericalError):
         self.abscissa = abscissa
 
 
-class DivergenceError(RuntimeError):
-    """Time stepping produced non-finite values; names the step index."""
-
-    def __init__(self, step: int):
-        super().__init__(f"evolution diverged (non-finite values) at step {step}")
-        self.step = step
-
-
 class DomainTooSmallError(ValueError):
     """Too much probability mass lies beyond the configured domain."""
 

@@ -5,14 +5,14 @@ The kinetic operator is diagonal in momentum space with symbol -|p|^alpha
 
     H = -D_alpha (hbar nabla)^alpha + V(x)
 
-has the positive kinetic symbol +D_alpha |p|^alpha.  Real-time evolution
-integrates i hbar dpsi/dt = H psi; imaginary-time evolution integrates
--drho/dbeta = H rho (the thermal kernel equation, beta in inverse energy).
+has the positive kinetic symbol +D_alpha |p|^alpha.  `evolve` integrates
+i hbar dpsi/dt = H psi in real time; the thermal kernel equation
+-drho/dbeta = H rho is `statmech.bloch_density_matrix`'s.
 
 Stepping is symmetric Strang splitting: a half potential factor, the exact
 kinetic factor in momentum space, and another half potential factor.  Each
-factor is unit-modulus in real time, so the per-step L2 norm is conserved
-exactly up to round-off.
+factor is unit-modulus, so the per-step L2 norm is conserved exactly up to
+round-off, and a finite state stays finite.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractError, DivergenceError
+from .errors import ConfigurationError, ContractError
 from .numerics import ComplexField, GridSpec, PhysicalParams, apply_symbol
 
 __all__ = [
@@ -70,15 +70,12 @@ class Potential:
 
 @dataclass(frozen=True)
 class EvolverConfig:
-    """Stepping schedule: dt (seconds, or inverse energy in imaginary time)."""
+    """Real-time stepping schedule: n_steps steps of dt seconds."""
 
     dt: float
     n_steps: int
-    mode: str = "real_time"
 
     def __post_init__(self):
-        if self.mode not in ("real_time", "imaginary_time"):
-            raise ConfigurationError(f"unknown mode {self.mode!r}")
         if not (0 < self.dt < np.inf):
             raise ConfigurationError(f"dt must be positive, got {self.dt}")
         if self.n_steps < 0:
@@ -102,27 +99,22 @@ def evolve(
     params: PhysicalParams,
     config: EvolverConfig,
 ) -> ComplexField:
-    """Split-operator evolution of `field` through n_steps of size dt; a new
-    field even at zero steps."""
+    """Real-time split-operator evolution of `field` through n_steps of size
+    dt; a new field even at zero steps.  Raises ConfigurationError when the
+    field or a phase factor is not finite (dt V or dt D |p|^alpha overflows)."""
     grid = field.grid
     v = potential.on_grid(grid)
     kin = kinetic_symbol(grid, params)
     with np.errstate(over="ignore", invalid="ignore"):
-        # overflow surfaces as the explicit divergence check below
-        if config.mode == "real_time":
-            half_v = np.exp(-0.5j * v * config.dt / params.hbar)
-            kin_fac = np.exp(-1j * kin * config.dt / params.hbar)
-        else:
-            half_v = np.exp(-0.5 * v * config.dt)
-            kin_fac = np.exp(-kin * config.dt)
-
-        psi = field.values.copy()
-        for step in range(config.n_steps):
-            psi = half_v * psi
-            psi = apply_symbol(psi, kin_fac)
-            psi = half_v * psi
-            if not np.all(np.isfinite(psi)):
-                raise DivergenceError(step)
+        half_v = np.exp(-0.5j * v * config.dt / params.hbar)
+        kin_fac = np.exp(-1j * kin * config.dt / params.hbar)
+    if not all(np.isfinite(f).all() for f in (half_v, kin_fac, field.values)):
+        raise ConfigurationError("phase factors or initial field not finite")
+    psi = field.values.copy()
+    for _ in range(config.n_steps):
+        psi = half_v * psi
+        psi = apply_symbol(psi, kin_fac)
+        psi = half_v * psi
     return ComplexField(psi, grid)
 
 
@@ -149,7 +141,6 @@ def refine_time_step(
     potential: Potential,
     params: PhysicalParams,
     dt0: float,
-    mode: str = "real_time",
 ) -> float:
     """Halve dt, at most 30 times (`_MAX_HALVINGS`), until the Strang defect
     on `field` drops below 1e-8 (`_DEFECT_TOL`).
@@ -162,8 +153,8 @@ def refine_time_step(
     if ref == 0.0:
         raise ContractError("cannot calibrate dt on a zero field")
     for _ in range(_MAX_HALVINGS):
-        one = evolve(field, potential, params, EvolverConfig(dt, 1, mode))
-        two = evolve(field, potential, params, EvolverConfig(dt / 2.0, 2, mode))
+        one = evolve(field, potential, params, EvolverConfig(dt, 1))
+        two = evolve(field, potential, params, EvolverConfig(dt / 2.0, 2))
         defect = np.sqrt(
             np.sum(np.abs(one.values - two.values) ** 2) * field.grid.spacing
         ) / ref

@@ -13,7 +13,7 @@ the Fourier-grid Hamiltonian H = U diag(E) U^T once (Marston & Balint-Kurti,
 J. Chem. Phys. 91, 3571 (1989)): rho(beta) = U e^{-beta E} U^T / dx and
 Z(beta) = sum e^{-beta E}, exact on the grid for every beta.  Single rows,
 wanted at n = 2048-4096 where a dense eigh needs O(n^2) memory and O(n^3)
-time, step a delta spike by imaginary-time split-operator evolution.
+time, apply a Chebyshev series of e^{-beta H} to a delta spike.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError
-from .numerics import ComplexField, GridSpec, PhysicalParams, adaptive_quadrature
-from .spectral import EvolverConfig, Potential, evolve, kinetic_symbol, refine_time_step
+from .numerics import GridSpec, PhysicalParams, adaptive_quadrature
+from .spectral import Potential, kinetic_symbol
 from .stable import levy_density, peak_density, thermal_law
 
 __all__ = [
@@ -80,15 +80,16 @@ def classical_partition_function(
     return peak_density(law) * val
 
 
-def _delta_field(grid: GridSpec, x0: float) -> ComplexField:
-    # Kronecker spike of height 1/dx at the node nearest x0: unit grid mass
-    if not (-grid.length / 2.0 <= x0 < grid.length / 2.0):
-        raise ConfigurationError(
-            f"x0 = {x0} lies off the grid domain [{-grid.length / 2.0}, {grid.length / 2.0})")
-    values = np.zeros(grid.n_points, dtype=complex)
-    idx = int(round((x0 + grid.length / 2.0) / grid.spacing)) % grid.n_points
-    values[idx] = 1.0 / grid.spacing
-    return ComplexField(values, grid)
+def _scaled_bessel(z: float) -> np.ndarray:
+    """e^{-z} I_k(z), k = 0..10 sqrt(z) + 40, by Miller's backward recurrence
+    I_{k-1} = (2k / z) I_k + I_{k+1}, kept as the ratios I_k / I_{k-1} so
+    nothing overflows, and normalised by I_0 + 2 sum I_k = e^z."""
+    ratios, r = [], 0.0
+    for k in range(int(10.0 * math.sqrt(z)) + 40, 0, -1):
+        r = 1.0 / (2.0 * k / z + r)
+        ratios.append(r)
+    rel = np.cumprod([1.0] + ratios[::-1])
+    return rel / (2.0 * rel.sum() - 1.0)
 
 
 def bloch_density_matrix(
@@ -98,26 +99,42 @@ def bloch_density_matrix(
     grid: GridSpec,
     x0: float,
 ) -> np.ndarray:
-    """Row rho(., beta | x0) from split-operator imaginary-time evolution.
+    """Row rho(., beta | x0): e^{-beta H} on a unit-mass spike at the node nearest x0.
 
-    The delta initial condition is a unit-mass grid spike; for V = 0 the
-    splitting is exact and the result matches the free stable density up to
-    grid truncation.  The step is `refine_time_step`'s on that spike from
-    beta / 16; it only halves, so beta / dt is a power of two, 16 or more.
-    Raises ConfigurationError when x0 lies off the domain [-L/2, L/2).
+    V = 0 on the grid is the exact multiplier e^{-beta D |p|^alpha}.  Otherwise
+    the spectrum of H lies in [lo, hi] = [min V, max D|p|^alpha + max V]; with
+    centre a, half-width b and z = beta b, e^{-beta H} = e^{-beta lo} sum_k
+    c_k T_k((H - a) / b), c_0 = e^{-z} I_0(z), c_k = 2 (-1)^k e^{-z} I_k(z)
+    (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)), cut where c_k < 1e-17.
+    |T_k| <= 1 on the spectrum, so the dropped c_k bound the error in advance.
+    Raises ConfigurationError when x0 lies off [-L/2, L/2) or beta is not
+    positive and finite, and NumericalError when e^{-beta lo} overflows.
     """
-    spike = _delta_field(grid, x0)
-    dt = refine_time_step(spike, potential, params, beta / 16.0, mode="imaginary_time")
-    cfg = EvolverConfig(dt=dt, n_steps=round(beta / dt), mode="imaginary_time")
-    out = evolve(spike, potential, params, cfg)
-    imag_max = float(np.max(np.abs(out.values.imag)))
-    real_max = float(np.max(np.abs(out.values.real)))
-    if imag_max > 1e-10 * max(real_max, 1e-300):
+    if not (-grid.length / 2.0 <= x0 < grid.length / 2.0):
+        raise ConfigurationError(
+            f"x0 = {x0} lies off the grid domain [{-grid.length / 2.0}, {grid.length / 2.0})")
+    if not (0 < beta < math.inf):
+        raise ConfigurationError(f"beta must be positive, got {beta}")
+    n, v = grid.n_points, potential.on_grid(grid)
+    spike = np.zeros(n)
+    spike[int(round((x0 + grid.length / 2.0) / grid.spacing)) % n] = 1.0 / grid.spacing
+    kin = kinetic_symbol(grid, params)[: n // 2 + 1]  # rfft layout
+    if not v.any():
+        return np.fft.irfft(np.exp(-beta * kin) * np.fft.rfft(spike), n)
+    lo, hi = float(v.min()), float(kin.max() + v.max())
+    if -beta * lo > math.log(np.finfo(float).max):
         raise NumericalError(
-            f"thermal kernel row acquired an imaginary part ({imag_max:.2e})",
-            residual=imag_max,
-        )
-    return out.values.real.copy()
+            f"thermal kernel diverged at beta={beta}: lowest grid potential {lo:.3e}")
+    a, b = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    coef = 2.0 * _scaled_bessel(beta * b)  # c_0 doubled, halved in row's start
+    # the series in y = (a - H) / b: T_k(-y) = (-1)^k T_k(y) absorbs the signs of c_k
+    kin_b, v_b = -kin / b, (a - v) / b
+    prev, cur, row = np.zeros(n), spike, 0.5 * coef[0] * spike
+    for k, c in enumerate(coef[1:int(np.argmax(coef < 1e-17))]):
+        y_cur = np.fft.irfft(kin_b * np.fft.rfft(cur), n) + v_b * cur
+        prev, cur = cur, (2.0 if k else 1.0) * y_cur - prev
+        row += c * cur
+    return math.exp(-beta * lo) * row
 
 
 def _grid_hamiltonian(

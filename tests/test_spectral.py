@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fracqm.errors import ConfigurationError, ContractError
+from fracqm.errors import ConfigurationError, ContractError, NumericalError
 from fracqm.numerics import ComplexField, PhysicalParams, make_grid
 from fracqm.spectral import (
     EvolverConfig,
@@ -13,6 +13,7 @@ from fracqm.spectral import (
     evolve,
     refine_time_step,
 )
+from fracqm.statmech import bloch_density_matrix
 from oracles import hermiticity_residual, inner_product
 
 
@@ -167,16 +168,17 @@ def test_plane_wave_phase_law():
     assert np.max(np.abs(out.values - expected)) < 1e-12
 
 
-def test_imaginary_time_projects_ground_state():
+def normalized_row(pot, beta, params, grid, x0):
+    row = ComplexField(bloch_density_matrix(pot, beta, params, grid, x0), grid)
+    return ComplexField(row.values / row.norm(), grid)
+
+
+def test_thermal_row_projects_ground_state():
     m = omega = 1.0
     params = PhysicalParams.gaussian(mass=m)
     grid = make_grid(512, 30.0)
     pot = Potential.harmonic(m, omega)
-    field = gaussian_state(grid, x0=0.8, sigma=0.9)
-    cfg = EvolverConfig(0.001, 9000, mode="imaginary_time")
-    out = evolve(field, pot, params, cfg)
-    # the evolution is linear, so one normalization at the end suffices
-    out = ComplexField(out.values / out.norm(), grid)
+    out = normalized_row(pot, 9.0, params, grid, 0.8)
     assert energy_expectation(out, pot, params) == pytest.approx(0.5, abs=1e-5)
 
 
@@ -192,25 +194,21 @@ def test_imaginary_projection_matches_dense_diagonalization():
     h += np.diag(v)
     e0_dense = float(np.linalg.eigvalsh((h + h.conj().T) / 2.0)[0])
 
-    field = gaussian_state(grid, sigma=0.8)
-    cfg = EvolverConfig(0.002, 8000, mode="imaginary_time")
-    ground = evolve(field, pot, params, cfg)
-    ground = ComplexField(ground.values / ground.norm(), grid)
+    ground = normalized_row(pot, 16.0, params, grid, 0.0)
     e0_projected = energy_expectation(ground, pot, params)
     assert e0_projected == pytest.approx(e0_dense, rel=1e-6)
 
 
-def test_imaginary_time_norm_nonincreasing_for_positive_potential():
+def test_thermal_row_mass_nonincreasing_for_positive_potential():
+    # d/dbeta of the row mass is -sum V rho dx <= 0; the spike has unit mass
     params = PhysicalParams(1.0, 1.0, 1.6)
     grid = make_grid(256, 30.0)
     pot = Potential.harmonic(1.0, 1.0)
-    field = gaussian_state(grid)
-    norms = [field.norm()]
-    state = field
-    for _ in range(5):
-        state = evolve(state, pot, params, EvolverConfig(0.05, 4, mode="imaginary_time"))
-        norms.append(state.norm())
-    assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
+    masses = [1.0] + [
+        float(np.sum(bloch_density_matrix(pot, 0.05 * 2.0**k, params, grid, 0.5)) * grid.spacing)
+        for k in range(6)
+    ]
+    assert all(b <= a + 1e-12 for a, b in zip(masses, masses[1:]))
 
 
 @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8, 2.0])
@@ -281,16 +279,25 @@ def test_refine_time_step_halves_until_defect_met():
     assert dt > 0.0
 
 
-def test_divergent_stepping_names_step_index():
-    from fracqm.errors import DivergenceError
-
+def test_divergent_row_names_beta_and_non_finite_field_rejected():
     params = PhysicalParams(1.0, 1.0, 1.5)
     grid = make_grid(64, 8.0)
-    field = gaussian_state(grid)
     deep_well = Potential(lambda x: np.full_like(np.asarray(x, float), -1e6))
-    with pytest.raises(DivergenceError) as exc:
-        evolve(field, deep_well, params, EvolverConfig(10.0, 50, mode="imaginary_time"))
-    assert exc.value.step >= 0
+    with pytest.raises(NumericalError, match="beta=1.0"):
+        bloch_density_matrix(deep_well, 1.0, params, grid, 0.0)
+    field = gaussian_state(grid)
+    field.values[3] = np.nan
+    with pytest.raises(ConfigurationError, match="not finite"):
+        evolve(field, Potential.free(), params, EvolverConfig(0.1, 5))
+
+
+def test_evolve_rejects_overflowing_phase():
+    # dt V = 1e300 * 1e10 overflows, so the half-step factor e^{-i V dt / 2 hbar} is nan
+    params = PhysicalParams(1.0, 1.0, 1.5)
+    grid = make_grid(64, 8.0)
+    steep = Potential(lambda x: np.full_like(np.asarray(x, float), 1e300))
+    with pytest.raises(ConfigurationError, match="not finite"):
+        evolve(gaussian_state(grid), steep, params, EvolverConfig(1e10, 1))
 
 
 def test_potential_must_be_finite_on_grid():

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from fracqm import statmech
 from fracqm.errors import ConfigurationError, NumericalError
 from fracqm.numerics import PhysicalParams, adaptive_quadrature, make_grid
-from fracqm.spectral import EvolverConfig, Potential, evolve, kinetic_symbol
+from fracqm.spectral import Potential, kinetic_symbol
 from fracqm.statmech import (
     _grid_hamiltonian,
+    _scaled_bessel,
     bloch_density_matrix,
     bloch_matrix,
     bloch_trace_ladder,
@@ -122,19 +122,15 @@ def test_bloch_small_beta_concentrates_at_start():
     assert second_moments[0] > second_moments[1] > second_moments[2]
 
 
-def test_free_row_steps_with_the_refined_dt(monkeypatch):
-    # the statmech experiment's free row: the split is exact for V = 0, so the
-    # refined step stays beta / 16 and the row takes 16 steps of it
-    configs = []
-
-    def spy(field, potential, params, config):
-        configs.append(config)
-        return evolve(field, potential, params, config)
-
-    monkeypatch.setattr(statmech, "evolve", spy)
-    bloch_density_matrix(Potential.free(), 1.0, P15, make_grid(2048, 120.0), 0.0)
-    [row_config] = configs  # refine_time_step's trial steps call spectral.evolve
-    assert (row_config.n_steps, row_config.dt, row_config.mode) == (16, 1.0 / 16, "imaginary_time")
+def test_constant_potential_row_is_shifted_free_row():
+    # e^{-beta (H0 + c)} = e^{-beta c} e^{-beta H0}: the Chebyshev series at
+    # V = c against the exact V = 0 multiplier, on the statmech free row's grid
+    grid = make_grid(2048, 120.0)
+    free = bloch_density_matrix(Potential.free(), 1.0, P15, grid, 0.0)
+    for c in (0.7, -3.0, 50.0):
+        flat = Potential(lambda x, c=c: np.full_like(np.asarray(x, dtype=float), c))
+        row = bloch_density_matrix(flat, 1.0, P15, grid, 0.0) * math.exp(c)
+        assert np.max(np.abs(row - free)) <= 1e-12 * np.max(free), c
 
 
 @pytest.mark.parametrize("x0", [10.0, 15.0, -10.1, math.nan])
@@ -142,6 +138,34 @@ def test_bloch_off_grid_start_rejected(x0):
     # make_grid(256, 20.0) spans [-10, 10); 15 used to wrap to a row peaked at -5
     with pytest.raises(ConfigurationError, match=r"x0 = .*\[-10.0, 10.0\)"):
         bloch_density_matrix(Potential.free(), 1.0, P15, make_grid(256, 20.0), x0)
+
+
+def test_bloch_harmonic_row_matches_mehler_on_benchmark_shape():
+    # the pimc benchmark's oracle row: the kinetic span is ~5e4, 1311 terms
+    grid = make_grid(2048, 20.0)
+    row = bloch_density_matrix(Potential.harmonic(1.0, 1.0), 1.0, P2, grid, 0.0)
+    ref = np.array([mehler_kernel(x, 0.0, 1.0) for x in grid.positions])
+    assert np.max(np.abs(row - ref)) <= 1e-11 * np.max(ref)
+
+
+@pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8, 2.0])
+def test_bloch_row_matches_bloch_matrix_column(alpha):
+    params = P2 if alpha == 2.0 else PhysicalParams(1.0, 1.0, alpha)
+    grid = make_grid(512, 60.0)
+    pot = Potential.harmonic(1.0, 1.0)
+    col = bloch_matrix(pot, 1.0, params, grid)[:, 256]  # x = 0
+    row = bloch_density_matrix(pot, 1.0, params, grid, 0.0)
+    assert np.max(np.abs(row - col)) <= 1e-12 * np.max(col)
+
+
+@pytest.mark.parametrize("z", [0.3, 5.0, 300.0, 1500.0])
+def test_scaled_bessel_matches_scipy(z):
+    from scipy import special
+
+    vals = _scaled_bessel(z)
+    kept = vals[: int(np.argmax(2.0 * vals < 1e-17))]  # the coefficients a row uses
+    ref = special.ive(np.arange(kept.size), z)
+    assert np.max(np.abs(kept / ref - 1.0)) <= 1e-13
 
 
 def test_bloch_harmonic_matches_mehler():
@@ -158,16 +182,11 @@ def test_bloch_semigroup(alpha):
     params = PhysicalParams.gaussian(mass=1.0) if alpha == 2.0 else PhysicalParams(1.0, 1.0, alpha)
     grid = make_grid(512, 60.0)
     pot = Potential.harmonic(1.0, 1.0)
-    from fracqm.numerics import ComplexField
-
-    spike = np.zeros(512, dtype=complex)
-    spike[256] = 1.0 / grid.spacing
-    field = ComplexField(spike, grid)
-    dt = 1.0 / 256.0
-    half = evolve(field, pot, params, EvolverConfig(dt, 128, mode="imaginary_time"))
-    full = evolve(half, pot, params, EvolverConfig(dt, 128, mode="imaginary_time"))
-    direct = evolve(field, pot, params, EvolverConfig(dt, 256, mode="imaginary_time"))
-    assert np.max(np.abs(full.values - direct.values)) < 1e-8
+    # rho(x0, 2 beta | x0) = sum_y rho(x0, beta | y) rho(y, beta | x0) dx, and
+    # the grid kernel is symmetric: exact on the grid
+    half = bloch_density_matrix(pot, 0.5, params, grid, 0.0)
+    full = bloch_density_matrix(pot, 1.0, params, grid, 0.0)
+    assert abs(full[256] - np.sum(half**2) * grid.spacing) < 1e-8
 
 
 def test_bloch_positivity_for_positive_potential():
@@ -236,6 +255,8 @@ def test_bloch_non_finite_beta_rejected(beta):
         bloch_trace_ladder(Potential.free(), beta, 1, P15, grid)
     with pytest.raises(ConfigurationError, match="beta must be positive"):
         bloch_matrix(Potential.free(), beta, P15, grid)
+    with pytest.raises(ConfigurationError, match="beta must be positive"):
+        bloch_density_matrix(Potential.free(), beta, P15, grid, 0.0)
 
 
 def test_classical_ratio_monotone_on_beta_ladder():

@@ -274,6 +274,18 @@ def test_uncertainty_boundary_probe_recovers_heisenberg_scale():
     assert abs(rep.product - 0.5) < 5e-4
 
 
+@pytest.mark.parametrize("l,p0,hbar", [(1.0, 2.0, 1.0), (0.3, 5.0, 0.7)])
+@pytest.mark.parametrize("mu,rel", [(1.2, 1e-9), (1.8, 1e-11), (1.9, 1e-11), (1.99, 1e-11)])
+def test_gaussian_uncertainty_product_closed_form(l, p0, hbar, mu, rel):
+    # criterion 06 at alpha = nu = 2, tau = 0: hbar [Gamma((mu+1)/2) / sqrt(pi)]^(2/mu),
+    # which crosses the bound hbar / 4^(1/mu) at mu* = 1.847416
+    rep = uncertainty_report(mu, 0.0, PacketParams(l=l, p0=p0, nu=2.0),
+                             PhysicalParams.gaussian(mass=1.0, hbar=hbar))
+    closed = hbar * (math.gamma((mu + 1.0) / 2.0) / math.sqrt(math.pi)) ** (2.0 / mu)
+    assert rep.product == pytest.approx(closed, rel=rel)
+    assert rep.exceeds_bound == (mu < 1.847416)
+
+
 def test_position_uncertainty_grows_with_time():
     mu = 0.9
     taus = [0.0, 0.5, 1.0, 2.0, 5.0]
