@@ -36,7 +36,8 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigurationError, NumericalError
-from .numerics import ComplexField, PhysicalParams, apply_symbol, gauss_legendre, make_grid
+from .numerics import (ComplexField, PhysicalParams, apply_symbol, gauss_legendre, grid_momenta,
+                       make_grid)
 from .propagator import (
     _composition_size,
     _kernel_ray,
@@ -350,7 +351,7 @@ def _run_kernel_check(p, seed):
 
 def _run_evolve(p, seed):
     params = _physical(p)
-    grid = make_grid(p["n_points"], p["length"], params.hbar)
+    grid = make_grid(p["n_points"], p["length"])
     pot = _potential(p)
     psi0 = np.exp(-((grid.positions - p["x0"]) ** 2) / (4.0 * p["sigma"] ** 2)).astype(complex)
     psi0 /= math.sqrt(float(np.sum(np.abs(psi0) ** 2) * grid.spacing))
@@ -434,7 +435,7 @@ _ORACLE_DOMAIN = 4
 
 def _run_pimc(p, seed):
     params = _physical(p)
-    bin_grid = make_grid(p["bin_points"], p["bin_length"], params.hbar)
+    bin_grid = make_grid(p["bin_points"], p["bin_length"])
     pot = _potential(p)
     est = estimate_density_matrix(
         pot, p["x0"], p["beta"], params, p["n_slices"], p["n_chains"],
@@ -453,10 +454,9 @@ def _run_pimc(p, seed):
         # its periodic images small; the bin grid is its middle, and every
         # r-th node from the first bin's centre is a bin centre
         n_per = max(1024, p["bin_points"])
-        fine = make_grid(_ORACLE_DOMAIN * n_per, _ORACLE_DOMAIN * p["bin_length"],
-                         params.hbar)
+        fine = make_grid(_ORACLE_DOMAIN * n_per, _ORACLE_DOMAIN * p["bin_length"])
         row = bloch_density_matrix(pot, p["beta"], params, fine, p["x0"])
-        box = np.sinc(fine.momenta * bin_grid.spacing / (2.0 * math.pi * params.hbar))
+        box = np.sinc(grid_momenta(fine, params) * bin_grid.spacing / (2.0 * math.pi * params.hbar))
         first = (_ORACLE_DOMAIN - 1) * n_per // 2
         oracle = apply_symbol(row, box).real[first:first + n_per:n_per // p["bin_points"]]
         anchor = "thermal_kernel_bin_average"
@@ -481,7 +481,7 @@ def _run_statmech(p, seed):
     params = _physical(p)
     beta = p["beta"]
     z_free = free_partition_function(beta, p["omega_size"], params)
-    grid = make_grid(p["n_points"], p["length"], params.hbar)
+    grid = make_grid(p["n_points"], p["length"])
     pot = Potential.harmonic(p["mass"], p["omega"])
     ladder = bloch_trace_ladder(pot, 0.125, 4, params, grid)
     ratios = [
@@ -493,7 +493,7 @@ def _run_statmech(p, seed):
 
     # free thermal-kernel row: the exact V = 0 multiplier against quadrature,
     # on a wide grid so wrapped power tails stay below the tolerance
-    row_grid = make_grid(2048, 120.0, params.hbar)
+    row_grid = make_grid(2048, 120.0)
     row = bloch_density_matrix(Potential.free(), beta, params, row_grid, 0.0)
     mask = np.abs(row_grid.positions) <= 20.0
     idx = np.flatnonzero(mask)[:: max(1, mask.sum() // 101)]

@@ -6,7 +6,7 @@ class ConfigurationError(ValueError):
 
 
 class GridMismatchError(ValueError):
-    """Field values and grid have incompatible shapes, or grids differ."""
+    """A field's values and its grid, or two fields' grids, differ in shape."""
 
 
 class ContractError(ValueError):

@@ -6,9 +6,10 @@ Transform convention (the hbar-scaled physics pair):
     phi(p) = integral dx  e^{-i p x / hbar} psi(x)          (forward)
     psi(x) = (1 / 2 pi hbar) integral dp e^{+i p x / hbar} phi(p)   (inverse)
 
-On a periodic grid of n points over [-L/2, L/2) the conjugate momenta are
-p_k = 2 pi hbar k / L with k in the symmetric integer range (FFT layout,
-exactly one zero entry, one unpaired Nyquist value).  Parseval then reads
+A grid is geometry only: n points over [-L/2, L/2).  Its conjugate momenta
+p_k = 2 pi hbar k / L, k in the symmetric integer range (FFT layout, exactly
+one zero entry, one unpaired Nyquist value), take hbar from PhysicalParams
+and are formed in one place, `grid_momenta`.  Parseval then reads
 
     sum |psi_j|^2 dx == (1 / 2 pi hbar) sum |phi_k|^2 dp
 """
@@ -34,6 +35,7 @@ __all__ = [
     "PhysicalParams",
     "ComplexField",
     "make_grid",
+    "grid_momenta",
     "to_momentum_space",
     "to_position_space",
     "apply_symbol",
@@ -44,19 +46,12 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class GridSpec:
-    """Uniform periodic position grid with its conjugate momentum grid."""
+    """Uniform periodic position grid, geometry only; `grid_momenta` gives its momenta."""
 
     n_points: int
     length: float
-    hbar: float
     spacing: float
     positions: np.ndarray = field(repr=False)
-    momenta: np.ndarray = field(repr=False)
-
-    @property
-    def max_momentum(self) -> float:
-        """Magnitude of the Nyquist momentum."""
-        return np.pi * self.hbar * self.n_points / self.length
 
 
 @dataclass(frozen=True)
@@ -111,28 +106,21 @@ class ComplexField:
         return float(np.sqrt(self.norm_sq()))
 
 
-def make_grid(n_points: int, length: float, hbar: float = 1.0) -> GridSpec:
-    """Build the periodic grid [-length/2, length/2) and its momenta."""
+def make_grid(n_points: int, length: float) -> GridSpec:
+    """Build the periodic grid [-length/2, length/2) of n_points points."""
     if n_points < 8 or (n_points & (n_points - 1)) != 0:
         raise ConfigurationError(
             f"n_points must be a power of two >= 8, got {n_points}"
         )
     if not (0 < length < math.inf):
         raise ConfigurationError(f"length must be positive, got {length}")
-    if not (0 < hbar < math.inf):
-        raise ConfigurationError(f"hbar must be positive, got {hbar}")
     spacing = length / n_points
-    positions = -length / 2.0 + spacing * np.arange(n_points)
-    # p_k = 2 pi hbar k / length, k in FFT layout {0,..,n/2-1,-n/2,..,-1}
-    momenta = 2.0 * np.pi * hbar * np.fft.fftfreq(n_points, d=spacing)
-    return GridSpec(
-        n_points=n_points,
-        length=length,
-        hbar=hbar,
-        spacing=spacing,
-        positions=positions,
-        momenta=momenta,
-    )
+    return GridSpec(n_points, length, spacing, -length / 2.0 + spacing * np.arange(n_points))
+
+
+def grid_momenta(grid: GridSpec, params: PhysicalParams) -> np.ndarray:
+    """p_k = 2 pi hbar k / length, k in FFT layout {0,..,n/2-1,-n/2,..,-1}."""
+    return 2.0 * np.pi * params.hbar * np.fft.fftfreq(grid.n_points, d=grid.spacing)
 
 
 def _phase_signs(n: int) -> np.ndarray:

@@ -218,8 +218,10 @@ def estimate_density_matrix(
     accumulated in the overflow fields, never silently dropped.  Bins that
     fewer than two chains ever hit are marked uncovered (their std_error is
     meaningless), not zero-filled silently.  The error bar is the spread of
-    the chain means, so n_chains must be at least 2.
+    the chain means, so n_chains must be at least 2, and x0 must be finite.
     """
+    if not math.isfinite(x0):
+        raise ConfigurationError(f"x0 must be finite, got {x0}")
     if n_slices < 1:
         raise ConfigurationError(f"n_slices must be >= 1, got {n_slices}")
     if n_chains < 2:

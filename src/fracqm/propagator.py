@@ -30,6 +30,7 @@ from .numerics import (
     GridSpec,
     PhysicalParams,
     gauss_legendre,
+    grid_momenta,
     make_grid,
     to_position_space,
 )
@@ -167,11 +168,10 @@ def kernel_row(t: float, params: PhysicalParams, grid: GridSpec) -> tuple[np.nda
     The grid's momentum range must cover the damped integrand: callers
     should build the grid with `composition_grid`.
     """
-    def row(weights):
-        symbol = _ladder_symbol(t, params, grid.momenta, weights)
-        return to_position_space(ComplexField(symbol, grid)).values
-
-    return row(_LIMIT_WEIGHTS), np.abs(row(_SPREAD_WEIGHTS))
+    momenta = grid_momenta(grid, params)
+    rows = [to_position_space(ComplexField(_ladder_symbol(t, params, momenta, w), grid)).values
+            for w in (_LIMIT_WEIGHTS, _SPREAD_WEIGHTS)]
+    return rows[0], np.abs(rows[1])
 
 
 def composition_grid(t_min: float, params: PhysicalParams, *, t_alias: float) -> GridSpec:
@@ -179,7 +179,7 @@ def composition_grid(t_min: float, params: PhysicalParams, *, t_alias: float) ->
     t_min (weakest damping), domain length 400 kernel length scales of the
     longest, t_alias (widest kernel)."""
     n, length = _composition_size(t_min, t_alias, params)
-    return make_grid(n, length, params.hbar)
+    return make_grid(n, length)
 
 
 def _composition_size(t_min: float, t_alias: float, params: PhysicalParams):
@@ -215,7 +215,8 @@ def chapman_kolmogorov_residual(t_total: float, t_split: float, params: Physical
         raise ConfigurationError("need 0 < t_split < t_total")
     t_second = t_total - t_split
     grid = composition_grid(min(t_split, t_second), params, t_alias=t_total)
-    phi = {t: _ladder_symbol(t, params, grid.momenta)
+    momenta = grid_momenta(grid, params)
+    phi = {t: _ladder_symbol(t, params, momenta)
            for t in dict.fromkeys((t_split, t_second, t_total))}
     composed = np.sum(phi[t_second] * phi[t_split])
     return float(abs(np.sum(phi[t_total]) - composed)) / grid.length

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, ContractError
-from .numerics import ComplexField, GridSpec, PhysicalParams, apply_symbol
+from .numerics import ComplexField, GridSpec, PhysicalParams, apply_symbol, grid_momenta
 
 __all__ = [
     "Potential",
@@ -84,12 +84,12 @@ class EvolverConfig:
 
 def kinetic_symbol(grid: GridSpec, params: PhysicalParams) -> np.ndarray:
     """D_alpha |p|^alpha on the grid momenta (Nyquist included by magnitude)."""
-    return params.d_alpha * np.abs(grid.momenta) ** params.alpha
+    return params.d_alpha * np.abs(grid_momenta(grid, params)) ** params.alpha
 
 
 def apply_riesz(field: ComplexField, params: PhysicalParams) -> ComplexField:
     """(hbar nabla)^alpha field: multiply by -|p|^alpha in momentum space."""
-    symbol = -np.abs(field.grid.momenta) ** params.alpha
+    symbol = -np.abs(grid_momenta(field.grid, params)) ** params.alpha
     return ComplexField(apply_symbol(field.values, symbol), field.grid)
 
 

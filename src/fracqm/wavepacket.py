@@ -38,6 +38,7 @@ from .numerics import (
     GridSpec,
     PhysicalParams,
     adaptive_quadrature,
+    grid_momenta,
     make_grid,
     to_position_space,
 )
@@ -167,8 +168,10 @@ def suggest_grid(
     floor of 40 l on each side of the packet, which then decides the length.
     The domain is snapped so that p0 falls exactly on the momentum grid,
     which makes grid momentum averages of the (p0-even) densities cancel
-    symmetrically.
+    symmetrically.  A non-finite t raises ConfigurationError.
     """
+    if not math.isfinite(t):
+        raise ConfigurationError(f"t must be finite, got {t}")
     hbar, l, nu = params.hbar, packet.l, packet.nu
     s = 2.0 ** (1.0 / nu) * l  # conservative image scale of |phi|^2 in x (cm)
     c_nu = math.gamma(1.0 + nu) * math.sin(math.pi * nu / 2.0) / math.gamma(1.0 + 1.0 / nu)
@@ -183,7 +186,7 @@ def suggest_grid(
     p_need = packet.p0 + q_max + 6.0 * hbar / l
     dx_target = math.pi * hbar / p_need
     n = 1 << max(8, int(math.ceil(length / dx_target)) - 1).bit_length()
-    return make_grid(min(n, _N_MAX), length, hbar)
+    return make_grid(min(n, _N_MAX), length)
 
 
 def tail_mass_estimate(
@@ -195,7 +198,7 @@ def tail_mass_estimate(
     mom_tail = adaptive_quadrature(
         lambda q: momentum_density(q, packet, params)
         + momentum_density(-q, packet, params),
-        grid.max_momentum, np.inf, rel_tol=1e-6, abs_tol=1e-14,
+        math.pi * params.hbar / grid.spacing, np.inf, rel_tol=1e-6, abs_tol=1e-14,
     )
     rho = np.abs(psi.values[[0, -1]]) ** 2
     # rho ~ C |x|^(-2-2nu): integral past the edge is rho_edge * |x| / (1+2nu)
@@ -213,15 +216,18 @@ def packet_position_state(
     the state the observables (`observable_means`, `tail_mass_estimate`)
     take, and its estimated off-grid probability mass (`tail_mass_estimate`).
 
-    Raises DomainTooSmallError when that mass exceeds 1e-6 (`_TAIL_TOL`).
+    Raises ConfigurationError for a non-finite t, and DomainTooSmallError
+    when that mass exceeds 1e-6 (`_TAIL_TOL`) or is not a number.
     """
+    if not math.isfinite(t):
+        raise ConfigurationError(f"t must be finite, got {t}")
     if grid is None:
         grid = suggest_grid(packet, params, t)
     a_nu = normalization_constant(packet)
-    phi = a_nu * np.asarray(packet_momentum_state(grid.momenta, t, packet, params))
+    phi = a_nu * np.asarray(packet_momentum_state(grid_momenta(grid, params), t, packet, params))
     psi = to_position_space(ComplexField(phi, grid))
     tail = tail_mass_estimate(psi, packet, params)
-    if tail > _TAIL_TOL:
+    if not tail <= _TAIL_TOL:
         raise DomainTooSmallError(
             f"estimated off-grid probability mass {tail:.3e} exceeds {_TAIL_TOL:.1e}; "
             "enlarge the domain", tail,
@@ -261,8 +267,9 @@ def observable_means(
     """
     rho = np.abs(psi.values) ** 2
     mean_x = float(np.sum(psi.grid.positions * rho) / np.sum(rho))
-    w = momentum_density(psi.grid.momenta, packet, params)
-    mean_p = float(np.sum(psi.grid.momenta * w) / np.sum(w))
+    p = grid_momenta(psi.grid, params)
+    w = momentum_density(p, packet, params)
+    mean_p = float(np.sum(p * w) / np.sum(w))
     return mean_x, mean_p
 
 
@@ -330,13 +337,15 @@ def packet_spread_factor(
 ) -> float:
     """The dimensionless position-spread factor N(alpha, mu, nu; tau, eta0).
 
-    Evaluates g(sigma) on a fine sigma grid with one FFT of the
-    zero-padded eta window (at least 2^18 points; sigma reach 1024 past
-    the drift), then integrates |sigma|^mu |g|^2 by the midpoint rule with
-    the cusp subtraction of `_cusp_moment` (the grid-moment oracle in
-    tests/oracles.py uses the same rule).  The result is self-normalized by
-    the mu = 0 sum, which equals one exactly in the continuum.
+    Evaluates g(sigma) on a fine sigma grid with one FFT of the zero-padded
+    eta window (at least 2^18 points; sigma reach 1024 past the drift), then
+    integrates |sigma|^mu |g|^2 by the midpoint rule with the cusp subtraction
+    of `_cusp_moment` (the grid-moment oracle in tests/oracles.py uses the
+    same rule).  The result is self-normalized by the mu = 0 sum, which equals
+    one exactly in the continuum.  A non-finite tau raises ConfigurationError.
     """
+    if not math.isfinite(tau):
+        raise ConfigurationError(f"tau must be finite, got {tau}")
     if not (0.0 < mu < nu <= alpha <= 2.0):
         raise ContractError(
             f"need 0 < mu < nu <= alpha <= 2, got mu={mu}, nu={nu}, alpha={alpha}"

@@ -16,7 +16,6 @@ def inner_product(a, b):
     if a.grid is not b.grid and (
         a.grid.n_points != b.grid.n_points
         or a.grid.length != b.grid.length
-        or a.grid.hbar != b.grid.hbar
     ):
         raise GridMismatchError("inner product requires fields on the same grid")
     return complex(np.vdot(a.values, b.values) * a.grid.spacing)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from fracqm.numerics import ComplexField, PhysicalParams, make_grid
+from fracqm.numerics import ComplexField, PhysicalParams, grid_momenta, make_grid
 from fracqm.pimc import estimate_density_matrix, fractal_scaling_exponent
 from fracqm.propagator import chapman_kolmogorov_residual, free_kernel
 from fracqm.spectral import (
@@ -81,7 +81,7 @@ def test_criterion_02_dispersion_relation():
     for alpha in ALPHAS:
         params = params_for(alpha)
         grid = make_grid(256, 32.0)
-        p0 = grid.momenta[13]
+        p0 = grid_momenta(grid, params)[13]
         psi = ComplexField(
             np.exp(1j * p0 * grid.positions) / math.sqrt(grid.length), grid
         )

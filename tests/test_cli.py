@@ -15,7 +15,7 @@ from fracqm.cli import (
     write_report,
 )
 from fracqm.errors import ConfigurationError
-from fracqm.numerics import PhysicalParams, adaptive_quadrature, apply_symbol, make_grid
+from fracqm.numerics import PhysicalParams, adaptive_quadrature, apply_symbol, grid_momenta, make_grid
 from fracqm.spectral import Potential
 from fracqm.stable import StableParams, levy_density
 from fracqm.statmech import bloch_density_matrix, free_density_matrix
@@ -382,7 +382,7 @@ def test_pimc_harmonic_oracle_keeps_periodic_images_out():
     row = bloch_density_matrix(Potential.harmonic(p["mass"], p["omega"]), p["beta"],
                                params, wide, p["x0"])
     width = centers[1] - centers[0]
-    box = np.sinc(wide.momenta * width / (2.0 * math.pi * params.hbar))
+    box = np.sinc(grid_momenta(wide, params) * width / (2.0 * math.pi * params.hbar))
     nodes = np.rint((centers + wide.length / 2.0) / wide.spacing).astype(int)
     reference = apply_symbol(row, box).real[nodes]
     core = np.abs(centers) < 3.0

@@ -8,6 +8,7 @@ from fracqm.numerics import (
     ComplexField,
     PhysicalParams,
     adaptive_quadrature,
+    grid_momenta,
     make_grid,
     to_momentum_space,
     to_position_space,
@@ -23,32 +24,31 @@ from oracles import inner_product
     lambda v: PhysicalParams(hbar=v),
     lambda v: PhysicalParams(d_alpha=v),
     lambda v: make_grid(64, v),
-    lambda v: make_grid(64, 1.0, hbar=v),
     lambda v: StableParams(1.5, v),
     lambda v: thermal_law(v, PhysicalParams()),
     lambda v: PacketParams(l=v, p0=2.0, nu=1.5),
     lambda v: PacketParams(l=1.0, p0=v, nu=1.5),
     lambda v: EvolverConfig(dt=v, n_steps=1),
     lambda v: free_partition_function(1.0, v, PhysicalParams()),
-], ids=["hbar", "d_alpha", "length", "grid-hbar", "scale", "beta", "l", "p0", "dt", "omega"])
+], ids=["hbar", "d_alpha", "length", "scale", "beta", "l", "p0", "dt", "omega"])
 def test_positive_scales_reject_inf(build):
     with pytest.raises(ConfigurationError, match="must be positive"):
         build(math.inf)
 
 
 def test_make_grid_basic_spacings():
-    g = make_grid(8, 8.0, hbar=1.0)
+    g = make_grid(8, 8.0)
     assert g.spacing == 1.0
     # the first positive momentum is the momentum spacing 2 pi hbar / L
-    assert g.momenta[1] == pytest.approx(2.0 * math.pi / 8.0, abs=1e-15)
+    assert grid_momenta(g, PhysicalParams())[1] == pytest.approx(2.0 * math.pi / 8.0, abs=1e-15)
     assert g.spacing * g.n_points == g.length
 
 
 def test_make_grid_single_zero_momentum():
-    g = make_grid(16, 16.0, hbar=1.0)
-    assert np.count_nonzero(g.momenta == 0.0) == 1
+    p = grid_momenta(make_grid(16, 16.0), PhysicalParams())
+    assert np.count_nonzero(p == 0.0) == 1
     # symmetric about zero except the unpaired Nyquist entry
-    srt = np.sort(g.momenta)
+    srt = np.sort(p)
     assert np.allclose(srt[1:], -srt[1:][::-1])
 
 
@@ -71,14 +71,15 @@ def test_constant_field_transforms_to_zero_momentum_bin():
     g = make_grid(32, 10.0)
     phi = to_momentum_space(ComplexField(np.ones(32, dtype=complex), g))
     k0 = int(np.argmax(np.abs(phi.values)))
-    assert g.momenta[k0] == 0.0
+    assert grid_momenta(g, PhysicalParams())[k0] == 0.0
     others = np.delete(np.abs(phi.values), k0)
     assert np.max(others) < 1e-12 * np.abs(phi.values[k0])
 
 
 @pytest.mark.parametrize("n", [8, 64, 512, 4096])
 def test_round_trip_and_parseval(n):
-    g = make_grid(n, 17.0, hbar=0.7)
+    hbar = 0.7
+    g = make_grid(n, 17.0)
     rng = np.random.default_rng(n)
     f = ComplexField(rng.normal(size=n) + 1j * rng.normal(size=n), g)
     back = to_position_space(to_momentum_space(f))
@@ -86,24 +87,25 @@ def test_round_trip_and_parseval(n):
     assert np.max(np.abs(back.values - f.values)) < 1e-12 * scale
     phi = to_momentum_space(f)
     lhs = f.norm_sq()
-    dp = 2.0 * math.pi * g.hbar / g.length
-    rhs = float(np.sum(np.abs(phi.values) ** 2)) * dp / (2.0 * math.pi * g.hbar)
+    dp = 2.0 * math.pi * hbar / g.length
+    rhs = float(np.sum(np.abs(phi.values) ** 2)) * dp / (2.0 * math.pi * hbar)
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_plane_wave_against_direct_summation():
     # direct evaluation of phi(p_k) = sum_j e^{-i p_k x_j / hbar} psi_j dx
-    g = make_grid(8, 8.0, hbar=1.0)
-    p0 = g.momenta[3]
+    g = make_grid(8, 8.0)
+    p = grid_momenta(g, PhysicalParams())
+    p0 = p[3]
     psi = np.exp(1j * p0 * g.positions)
     direct = np.array(
-        [np.sum(np.exp(-1j * pk * g.positions) * psi) * g.spacing for pk in g.momenta]
+        [np.sum(np.exp(-1j * pk * g.positions) * psi) * g.spacing for pk in p]
     )
     phi = to_momentum_space(ComplexField(psi, g))
     assert np.max(np.abs(phi.values - direct)) < 1e-12
     mags = np.abs(phi.values)
     k0 = int(np.argmax(mags))
-    assert g.momenta[k0] == p0
+    assert p[k0] == p0
     assert np.max(np.delete(mags, k0)) < 1e-12 * mags[k0]
 
 

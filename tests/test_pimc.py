@@ -185,6 +185,16 @@ def test_unbounded_below_potential_rejected():
         estimate_density_matrix(sinkhole, 0.0, 5.0, P15, 16, 4, 4000, grid, 3)
 
 
+@pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("potential", [Potential.free(), Potential.harmonic(1.0, 1.0)])
+def test_non_finite_start_rejected_naming_x0(potential, x0):
+    # unchecked, V = 0 puts all mass in overflow with no error, and the
+    # harmonic weights overflow and blame the potential
+    grid = make_grid(32, 24.0)
+    with pytest.raises(ConfigurationError, match="^x0 must be finite"):
+        estimate_density_matrix(potential, x0, 1.0, P15, 8, 2, 10, grid, 1)
+
+
 def test_bin_grid_must_cover_wander_scale():
     grid = make_grid(8, 1.0)
     assert wander_scale(1.0, P15) == pytest.approx(1.0)

@@ -8,7 +8,7 @@ import pytest
 
 from fracqm import propagator
 from fracqm.errors import ConfigurationError, NumericalError
-from fracqm.numerics import ComplexField, PhysicalParams, make_grid, to_position_space
+from fracqm.numerics import ComplexField, PhysicalParams, grid_momenta, make_grid, to_position_space
 from fracqm.propagator import (
     _kernel_ray,
     chapman_kolmogorov_residual,
@@ -188,7 +188,7 @@ def test_kernel_row_matches_neville_over_separate_rows(alpha):
     params = PhysicalParams(1.0, 1.0, alpha)
     grid = composition_grid(1.0, params, t_alias=1.0)
     eps = np.array(propagator._EPS_LADDER) * params.d_alpha / params.hbar
-    r = np.abs(grid.momenta) ** alpha
+    r = np.abs(grid_momenta(grid, params)) ** alpha
     rows = [to_position_space(ComplexField(np.exp(-(e + 1j) * r), grid)).values for e in eps]
     ref, ref_spread = neville_to_zero(eps, rows)
     value, spread = kernel_row(1.0, params, grid)
@@ -216,7 +216,8 @@ def test_momentum_sums_match_position_space_composition(alpha, t_total, t_split)
     rows = {t: kernel_row(t, params, grid)[0] for t in (t_split, t_second, t_total)}
     # the periodic convolution at the middle node n // 2 (offset 0)
     composed = np.sum(rows[t_second][-np.arange(n) % n] * rows[t_split]) * dx
-    phi = {t: propagator._ladder_symbol(t, params, grid.momenta) for t in rows}
+    p = grid_momenta(grid, params)
+    phi = {t: propagator._ladder_symbol(t, params, p) for t in rows}
     assert abs(np.sum(phi[t_second] * phi[t_split]) / length - composed) < 1e-15
     assert abs(np.sum(phi[t_total]) / length - rows[t_total][n // 2]) < 1e-15
     residual = chapman_kolmogorov_residual(t_total, t_split, params)
@@ -268,7 +269,7 @@ def test_propagate_free_identity_at_zero_time():
 
 def test_propagate_free_plane_wave_phase():
     grid = make_grid(256, 32.0)
-    p0 = grid.momenta[9]
+    p0 = grid_momenta(grid, P15)[9]
     f = ComplexField(np.exp(1j * p0 * grid.positions), grid)
     out = evolve(f, Potential.free(), P15, EvolverConfig(0.7, 1))
     expected = f.values * np.exp(-1j * abs(p0) ** 1.5 * 0.7)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fracqm.errors import ConfigurationError, ContractError, NumericalError
-from fracqm.numerics import ComplexField, PhysicalParams, make_grid
+from fracqm.numerics import ComplexField, PhysicalParams, grid_momenta, make_grid
 from fracqm.spectral import (
     EvolverConfig,
     Potential,
@@ -17,18 +17,19 @@ from fracqm.statmech import bloch_density_matrix
 from oracles import hermiticity_residual, inner_product
 
 
-def plane_wave(grid, k_index, normalized=True):
-    p0 = grid.momenta[k_index]
-    psi = np.exp(1j * p0 * grid.positions / grid.hbar)
+def plane_wave(grid, k_index, params, normalized=True):
+    p0 = grid_momenta(grid, params)[k_index]
+    psi = np.exp(1j * p0 * grid.positions / params.hbar)
     if normalized:
         psi = psi / math.sqrt(grid.length)
     return ComplexField(psi, grid), p0
 
 
 def gaussian_state(grid, x0=0.0, sigma=1.0, p0=0.0):
+    # every PhysicalParams in this module has hbar = 1, so e^{i p0 x / hbar} = e^{i p0 x}
     psi = np.exp(
         -((grid.positions - x0) ** 2) / (4.0 * sigma**2)
-        + 1j * p0 * grid.positions / grid.hbar
+        + 1j * p0 * grid.positions
     ).astype(complex)
     psi /= math.sqrt(float(np.sum(np.abs(psi) ** 2) * grid.spacing))
     return ComplexField(psi, grid)
@@ -37,7 +38,7 @@ def gaussian_state(grid, x0=0.0, sigma=1.0, p0=0.0):
 def test_riesz_plane_wave_eigenfunction():
     grid = make_grid(256, 32.0)
     params = PhysicalParams(1.0, 1.0, 1.5)
-    field, p0 = plane_wave(grid, 9, normalized=False)
+    field, p0 = plane_wave(grid, 9, params, normalized=False)
     out = apply_riesz(field, params)
     expected = -abs(p0) ** 1.5 * field.values
     assert np.max(np.abs(out.values - expected)) < 1e-11 * abs(p0) ** 1.5
@@ -68,7 +69,8 @@ def test_riesz_alpha2_matches_finite_difference_second_order():
 def test_riesz_alpha2_spectrally_exact_for_band_limited_field():
     grid = make_grid(128, 16.0)
     params = PhysicalParams(1.0, 1.0, 2.0)
-    ks = [grid.momenta[2], grid.momenta[5], grid.momenta[-7]]
+    p = grid_momenta(grid, params)
+    ks = [p[2], p[5], p[-7]]
     psi = sum(np.exp(1j * k * grid.positions) for k in ks)
     exact = sum(-(k**2) * np.exp(1j * k * grid.positions) for k in ks)
     out = apply_riesz(ComplexField(psi, grid), params)
@@ -94,7 +96,7 @@ def test_free_evolution_equals_spectral_multiplier(alpha):
     t = 0.8
     stepped = evolve(field, Potential.free(), params, EvolverConfig(t / 40, 40))
     phi = np.fft.fft(field.values)
-    phase = np.exp(-1j * np.abs(grid.momenta) ** alpha * t)
+    phase = np.exp(-1j * np.abs(grid_momenta(grid, params)) ** alpha * t)
     direct = np.fft.ifft(phase * phi)
     assert np.max(np.abs(stepped.values - direct)) < 1e-12
 
@@ -161,7 +163,7 @@ def test_free_semigroup_property():
 def test_plane_wave_phase_law():
     grid = make_grid(256, 32.0)
     params = PhysicalParams(1.0, 1.0, 1.5)
-    field, p0 = plane_wave(grid, 7)
+    field, p0 = plane_wave(grid, 7, params)
     t = 0.6
     out = evolve(field, Potential.free(), params, EvolverConfig(t / 12, 12))
     expected = field.values * np.exp(-1j * abs(p0) ** 1.5 * t)
@@ -189,7 +191,7 @@ def test_imaginary_projection_matches_dense_diagonalization():
     grid = make_grid(256, 30.0)
     pot = Potential.harmonic(1.0, 1.0)
     v = pot.on_grid(grid)
-    kin = params.d_alpha * np.abs(grid.momenta) ** params.alpha
+    kin = params.d_alpha * np.abs(grid_momenta(grid, params)) ** params.alpha
     h = np.fft.ifft(kin[:, None] * np.fft.fft(np.eye(256), axis=0), axis=0)
     h += np.diag(v)
     e0_dense = float(np.linalg.eigvalsh((h + h.conj().T) / 2.0)[0])
@@ -215,7 +217,7 @@ def test_thermal_row_mass_nonincreasing_for_positive_potential():
 def test_dispersion_relation(alpha):
     grid = make_grid(256, 32.0)
     params = PhysicalParams(1.0, 0.9, alpha)
-    field, p0 = plane_wave(grid, 11)
+    field, p0 = plane_wave(grid, 11, params)
     e = energy_expectation(field, Potential.free(), params)
     assert e == pytest.approx(0.9 * abs(p0) ** alpha, rel=1e-12)
 
@@ -257,7 +259,7 @@ def test_hermiticity_residual_random_pairs(alpha):
     for _ in range(10):
         a = ComplexField(rng.normal(size=256) + 1j * rng.normal(size=256), grid)
         b = ComplexField(rng.normal(size=256) + 1j * rng.normal(size=256), grid)
-        scale = a.norm() * b.norm() * np.max(np.abs(grid.momenta)) ** alpha
+        scale = a.norm() * b.norm() * np.max(np.abs(grid_momenta(grid, params))) ** alpha
         assert hermiticity_residual(a, b, params) < 1e-12 * scale
 
 

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from fracqm import stable
 from fracqm.errors import ConfigurationError, NumericalError
-from fracqm.numerics import adaptive_quadrature
+from fracqm.numerics import adaptive_quadrature, gauss_legendre
 from fracqm.stable import (
     StableParams,
     chain_rngs,
@@ -80,6 +82,52 @@ def test_density_even_and_positive():
     xs = np.array([0.1, 0.5, 2.0, 9.0])
     assert np.all(levy_density(xs, p) > 0)
     assert np.array_equal(levy_density(xs, p), levy_density(-xs, p))
+
+
+# property tests: alpha in (1, 2] with 2.0 itself drawn, c log-uniform on
+# [e^-5, e^5], points within 20 c^(1/alpha) of 0; a fixed seed keeps them reproducible
+_PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+_LAWS = st.builds(
+    lambda alpha, log_c: StableParams(alpha, math.exp(log_c)),
+    st.one_of(st.just(2.0), st.floats(1.0, 2.0, exclude_min=True)),
+    st.floats(-5.0, 5.0),
+)
+_OFFSETS = st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=16)
+
+
+def _width(law):
+    return law.scale ** (1.0 / law.alpha)
+
+
+@_PROPERTY
+@given(_LAWS, _OFFSETS)
+def test_density_non_negative_property(law, offsets):
+    assert np.all(levy_density(np.array(offsets) * _width(law), law) >= 0.0)
+
+
+@_PROPERTY
+@given(_LAWS, _OFFSETS)
+@example(StableParams(1.2567595692068272, 1.0), [0.0, 8.678741823767524e-195])
+def test_cdf_bounded_and_non_decreasing_property(law, offsets):
+    cdf = levy_cdf(np.sort(offsets) * _width(law), law)
+    assert np.all((0.0 <= cdf) & (cdf <= 1.0))
+    # up to one unit of round-off at 1: the ray's F - 1/2 is a sum near
+    # -theta plus theta, so just above z = 0 it reads 0.49999999999999994
+    assert np.all(np.diff(cdf) >= -(2.0**-52))
+
+
+@_PROPERTY
+@given(_LAWS, st.floats(-20.0, 20.0), st.floats(-20.0, 20.0))
+def test_density_integrates_to_cdf_difference_property(law, u, v):
+    # 64-node Gauss-Legendre on each of 8 panels between the two points
+    a, b = sorted((u * _width(law), v * _width(law)))
+    nodes, weights = gauss_legendre(64)
+    half = (b - a) / 16.0
+    centres = a + half * (2.0 * np.arange(8) + 1.0)
+    x = (centres[:, None] + half * nodes).ravel()
+    integral = half * float(np.sum(np.tile(weights, 8) * levy_density(x, law)))
+    cdf = levy_cdf(np.array([a, b]), law)
+    assert abs(integral - (cdf[1] - cdf[0])) <= 1e-12
 
 
 def test_density_normalization_with_tail_bound():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fracqm.errors import ConfigurationError, NumericalError
-from fracqm.numerics import PhysicalParams, adaptive_quadrature, make_grid
+from fracqm.numerics import PhysicalParams, adaptive_quadrature, grid_momenta, make_grid
 from fracqm.spectral import Potential, kinetic_symbol
 from fracqm.statmech import (
     _grid_hamiltonian,
@@ -112,6 +112,16 @@ def test_bloch_free_matches_quadrature():
     assert np.max(np.abs(row[mask] - ref)) < 1e-5
 
 
+def test_bloch_free_row_takes_hbar_from_params():
+    # a grid carries no hbar: the row's momenta follow params.hbar = 0.7;
+    # momenta at hbar = 1 put the centre at 0.2874, 0.12 below the exact 0.4105
+    params = PhysicalParams(0.7, 1.0, 1.5)
+    grid = make_grid(2048, 120.0)
+    row = bloch_density_matrix(Potential.free(), 1.0, params, grid, 0.0)
+    centre = row[grid.n_points // 2]  # x = 0
+    assert abs(centre - free_density_matrix(0.0, 0.0, 1.0, params)) <= 1e-5
+
+
 def test_bloch_small_beta_concentrates_at_start():
     grid = make_grid(1024, 60.0)
     second_moments = []
@@ -216,7 +226,8 @@ def test_bloch_matrix_symmetric_and_composes():
 
 def test_free_trace_equals_grid_momentum_sum():
     grid = make_grid(512, 40.0)
-    closed = float(np.sum(np.exp(-1.0 * P15.d_alpha * np.abs(grid.momenta) ** P15.alpha)))
+    p = grid_momenta(grid, P15)
+    closed = float(np.sum(np.exp(-1.0 * P15.d_alpha * np.abs(p) ** P15.alpha)))
     tr = bloch_trace_ladder(Potential.free(), 1.0, 0, P15, grid)[0][1]
     assert tr == pytest.approx(closed, rel=1e-12)
 

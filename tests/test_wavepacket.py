@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from fracqm import wavepacket
 from fracqm.errors import ConfigurationError, ContractError, DomainTooSmallError
-from fracqm.numerics import PhysicalParams, adaptive_quadrature, make_grid, to_momentum_space
+from fracqm.numerics import (PhysicalParams, adaptive_quadrature, grid_momenta, make_grid,
+                             to_momentum_space)
+from fracqm.stable import StableParams, levy_density
 from fracqm.wavepacket import (
     PacketParams,
     drift_velocity,
@@ -22,7 +25,7 @@ from fracqm.wavepacket import (
     tail_mass_estimate,
     uncertainty_report,
 )
-from oracles import position_deviation
+from oracles import position_deviation, quadpack
 
 P2 = PhysicalParams.gaussian(mass=0.5)  # d_alpha = 1, alpha = 2
 P15 = PhysicalParams(1.0, 1.0, 1.5)
@@ -126,6 +129,23 @@ def test_tail_guard_rejects_small_domain():
         packet_position_state(0.0, PK15, P15, grid)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_non_finite_time_rejected_naming_t(t):
+    # a NaN t makes an all-NaN state whose NaN tail slips past a `tail > tol` guard
+    with pytest.raises(ConfigurationError, match="^t must be finite"):
+        suggest_grid(PK15, P15, t)
+    with pytest.raises(ConfigurationError, match="^t must be finite"):
+        packet_position_state(t, PK15, P15)
+    with pytest.raises(ConfigurationError, match="^t must be finite"):
+        packet_position_state(t, PK15, P15, suggest_grid(PK15, P15, 1.0))
+
+
+def test_nan_tail_fails_the_guard(monkeypatch):
+    monkeypatch.setattr(wavepacket, "tail_mass_estimate", lambda *a: math.nan)
+    with pytest.raises(DomainTooSmallError):
+        packet_position_state(1.0, PK15, P15)
+
+
 def test_nu_must_not_exceed_alpha():
     with pytest.raises(ContractError):
         packet_position_state(0.0, PacketParams(1.0, 2.0, 1.8), P15)
@@ -158,7 +178,7 @@ def test_mean_momentum_time_invariant_from_evolved_field():
     means = []
     for f in (a, b):
         phi2 = np.abs(to_momentum_space(f).values) ** 2
-        means.append(float(np.sum(grid.momenta * phi2) / np.sum(phi2)))
+        means.append(float(np.sum(grid_momenta(grid, P15) * phi2) / np.sum(phi2)))
     assert abs(means[0] - means[1]) < 1e-8
 
 
@@ -216,6 +236,15 @@ def test_spread_factor_validates_exponents():
         packet_spread_factor(1.5, 1.6, 1.5, 0.0, 1.0)
     with pytest.raises(ContractError):
         packet_spread_factor(1.5, 0.9, 1.8, 0.0, 1.0)  # nu > alpha
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+def test_non_finite_tau_rejected_naming_tau(tau):
+    # unchecked, NaN fails in int() sizing the FFT and inf divides by zero
+    with pytest.raises(ConfigurationError, match="^tau must be finite"):
+        packet_spread_factor(1.5, 0.9, 1.5, tau, 1.0)
+    with pytest.raises(ConfigurationError, match="^tau must be finite"):
+        uncertainty_report(0.9, tau, PK15, P15)
 
 
 def test_uncertainty_report_fields_and_bound():
@@ -286,6 +315,21 @@ def test_gaussian_uncertainty_product_closed_form(l, p0, hbar, mu, rel):
     assert rep.exceeds_bound == (mu < 1.847416)
 
 
+@pytest.mark.parametrize("alpha,rel", [(1.2, 1e-6), (1.5, 1e-8), (1.8, 1e-8), (2.0, 1e-8)])
+def test_spread_factor_at_tau0_matches_stable_law_route(alpha, rel):
+    # criterion 06's lattice (nu = alpha, mu = 0.6 alpha) at tau = 0, where
+    # g(sigma) = 2 pi f_nu(sigma), f_nu the unit-scale symmetric stable density:
+    # N = (2^(1/nu) nu / 4 pi Gamma(1/nu)) (2 pi)^2 int |sigma|^mu f_nu(sigma)^2 dsigma,
+    # a route that shares nothing with the FFT-and-cusp rule
+    mu, f = 0.6 * alpha, StableParams(alpha, 1.0)
+    integral = 2.0 * quadpack(lambda s: s**mu * levy_density(s, f) ** 2, 0.0, math.inf, 1e-11)
+    stable_route = (2.0 ** (1.0 / alpha) * alpha / (4.0 * math.pi * math.gamma(1.0 / alpha))
+                    * (2.0 * math.pi) ** 2 * integral)
+    rep = uncertainty_report(mu, 0.0, PacketParams(l=1.0, p0=2.0, nu=alpha),
+                             PhysicalParams(1.0, 1.0, alpha))
+    assert rep.n_factor == pytest.approx(stable_route, rel=rel)
+
+
 def test_position_uncertainty_grows_with_time():
     mu = 0.9
     taus = [0.0, 0.5, 1.0, 2.0, 5.0]
@@ -301,8 +345,9 @@ def test_suggest_grid_puts_carrier_on_momentum_grid():
              (PacketParams(l=0.3, p0=5.0, nu=2.0), P2, 2.5)]
     for packet, params, t in cases:
         grid = suggest_grid(packet, params, t)
-        k = np.argmin(np.abs(grid.momenta - packet.p0))
-        assert abs(grid.momenta[k] - packet.p0) < 1e-9
+        p = grid_momenta(grid, params)
+        k = np.argmin(np.abs(p - packet.p0))
+        assert abs(p[k] - packet.p0) < 1e-9
         if packet.nu == 2.0:
             # the Gaussian's image-mass bound sits far below the floor of
             # 40 l on each side of the drifted packet, so the floor decides
