@@ -1,20 +1,14 @@
-"""Exception types shared across the package."""
+"""Two kinds of failure: ConfigurationError for input outside its documented
+range, shape or contract, NumericalError for a computation that diverged or
+missed its accuracy (QuadraturePointError: one bad integrand point)."""
 
 
 class ConfigurationError(ValueError):
-    """Invalid construction parameters (grid sizes, physics constants, configs)."""
-
-
-class GridMismatchError(ValueError):
-    """A field's values and its grid, or two fields' grids, differ in shape."""
-
-
-class ContractError(ValueError):
-    """A documented precondition was violated (e.g. unnormalized state, mu >= nu)."""
+    """An argument lies outside its documented range, shape or contract."""
 
 
 class NumericalError(RuntimeError):
-    """A numerical routine failed to converge; carries the residual estimate."""
+    """A computation diverged or missed its accuracy; carries any measured residual."""
 
     def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)
@@ -27,11 +21,3 @@ class QuadraturePointError(NumericalError):
     def __init__(self, abscissa: float):
         super().__init__(f"integrand returned a non-finite value at x={abscissa!r}")
         self.abscissa = abscissa
-
-
-class DomainTooSmallError(ValueError):
-    """Too much probability mass lies beyond the configured domain."""
-
-    def __init__(self, message: str, tail_mass: float):
-        super().__init__(message)
-        self.tail_mass = tail_mass

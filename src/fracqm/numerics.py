@@ -23,12 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    GridMismatchError,
-    NumericalError,
-    QuadraturePointError,
-)
+from .errors import ConfigurationError, NumericalError, QuadraturePointError
 
 __all__ = [
     "GridSpec",
@@ -93,7 +88,7 @@ class ComplexField:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.complex128)
         if self.values.shape != (self.grid.n_points,):
-            raise GridMismatchError(
+            raise ConfigurationError(
                 f"field has shape {self.values.shape}, "
                 f"grid expects ({self.grid.n_points},)"
             )

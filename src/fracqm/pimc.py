@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractError
+from .errors import ConfigurationError, NumericalError
 from .numerics import GridSpec, PhysicalParams
 from .spectral import Potential
 from .stable import chain_rngs, sample_stable, thermal_law
@@ -82,8 +82,6 @@ class McEstimate:
 
     mean: np.ndarray | float
     std_error: np.ndarray | float
-    n_chains: int
-    n_samples_per_chain: int
     master_seed: int
     covered: np.ndarray | None = None
     effective_counts: np.ndarray | None = None
@@ -190,7 +188,7 @@ def _chain_histogram(
                 weights = np.exp(-eps * action)
             if not np.all(np.isfinite(weights)):
                 bad = int(np.sum(~np.isfinite(weights)))
-                raise ContractError(
+                raise NumericalError(
                     "potential appears unbounded below on the sampled support: "
                     f"{bad} of {m} path weights in a block overflowed "
                     f"(min sampled V = {float(np.min(v_vals)):.3e})"
@@ -266,8 +264,6 @@ def estimate_density_matrix(
     return McEstimate(
         mean=mean,
         std_error=std_error,
-        n_chains=n_chains,
-        n_samples_per_chain=n_samples_per_chain,
         master_seed=master_seed,
         covered=covered,
         effective_counts=ess,
@@ -292,7 +288,7 @@ def fractal_scaling_exponent(
     std_error comes from the unscaled covariance, those errors propagated.
     """
     if not (0.0 < mu < params.alpha):
-        raise ContractError(
+        raise ConfigurationError(
             f"need 0 < mu < alpha for finite moments, got mu={mu}, alpha={params.alpha}"
         )
     if len(slice_ladder) < 2 or not min(slice_ladder) > 0:
@@ -311,10 +307,5 @@ def fractal_scaling_exponent(
         y.append(math.log(m))
         y_err.append(se / m)
     (slope, _), cov = np.polyfit(log_s, y, 1, w=1.0 / np.array(y_err), cov="unscaled")
-    return McEstimate(
-        mean=float(slope),
-        std_error=math.sqrt(cov[0, 0]),
-        n_chains=_SCALING_CHAINS,
-        n_samples_per_chain=per_chain * len(slice_ladder),
-        master_seed=master_seed,
-    )
+    return McEstimate(mean=float(slope), std_error=math.sqrt(cov[0, 0]),
+                      master_seed=master_seed)

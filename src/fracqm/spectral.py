@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractError
+from .errors import ConfigurationError, NumericalError
 from .numerics import ComplexField, GridSpec, PhysicalParams, apply_symbol, grid_momenta
 
 __all__ = [
@@ -124,14 +124,15 @@ def energy_expectation(
     """<psi| -D (hbar nabla)^alpha + V |psi> for a unit-normalized state (erg)."""
     nrm = field.norm()
     if abs(nrm - 1.0) > 1e-6:
-        raise ContractError(f"state must be normalized to 1, got norm {nrm}")
+        raise ConfigurationError(f"state must be normalized to 1, got norm {nrm}")
     v = potential.on_grid(field.grid)
     h_psi = -params.d_alpha * apply_riesz(field, params).values + v * field.values
     energy = complex(np.vdot(field.values, h_psi) * field.grid.spacing)
     scale = max(1.0, abs(energy))
     if abs(energy.imag) > 1e-10 * scale:
-        raise ContractError(
-            f"energy has a non-negligible imaginary residual {energy.imag}"
+        raise NumericalError(
+            f"energy has a non-negligible imaginary residual {energy.imag}",
+            residual=abs(energy.imag),
         )
     return float(energy.real)
 
@@ -146,12 +147,13 @@ def refine_time_step(
     on `field` drops below 1e-8 (`_DEFECT_TOL`).
 
     The defect compares one full step against two half steps, in L2 norm
-    relative to the state norm.
+    relative to the state norm.  A zero field raises ConfigurationError, and
+    an unmet defect after the last halving raises NumericalError.
     """
     dt = dt0
     ref = field.norm()
     if ref == 0.0:
-        raise ContractError("cannot calibrate dt on a zero field")
+        raise ConfigurationError("cannot calibrate dt on a zero field")
     for _ in range(_MAX_HALVINGS):
         one = evolve(field, potential, params, EvolverConfig(dt, 1))
         two = evolve(field, potential, params, EvolverConfig(dt / 2.0, 2))
@@ -161,6 +163,7 @@ def refine_time_step(
         if defect < _DEFECT_TOL:
             return dt
         dt /= 2.0
-    raise ConfigurationError(
-        f"could not meet splitting defect {_DEFECT_TOL} within {_MAX_HALVINGS} halvings"
+    raise NumericalError(
+        f"could not meet splitting defect {_DEFECT_TOL} within {_MAX_HALVINGS} halvings",
+        residual=defect,
     )

@@ -179,7 +179,8 @@ def levy_cdf(x, params: StableParams):
         half = 0.5 * np.vectorize(math.erf, otypes=[float])(np.abs(z) / 2.0)
     else:
         half = _ray_sums("CDF", np.abs(z).ravel(), params.alpha).reshape(z.shape)
-    out = 0.5 + np.sign(z) * half
+    # the ray's F - 1/2 can round to just below zero next to z = 0
+    out = 0.5 + np.sign(z) * np.maximum(half, 0.0)
     return float(out) if out.ndim == 0 else out
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractError, DomainTooSmallError
+from .errors import ConfigurationError, NumericalError
 from .numerics import (
     ComplexField,
     GridSpec,
@@ -101,7 +101,7 @@ class UncertaintyReport:
 
 def _check_nu(packet: PacketParams, params: PhysicalParams) -> None:
     if packet.nu > params.alpha:
-        raise ContractError(
+        raise ConfigurationError(
             f"packet weight exponent nu={packet.nu} must not exceed alpha={params.alpha}"
         )
 
@@ -216,8 +216,8 @@ def packet_position_state(
     the state the observables (`observable_means`, `tail_mass_estimate`)
     take, and its estimated off-grid probability mass (`tail_mass_estimate`).
 
-    Raises ConfigurationError for a non-finite t, and DomainTooSmallError
-    when that mass exceeds 1e-6 (`_TAIL_TOL`) or is not a number.
+    Raises ConfigurationError for a non-finite t, and NumericalError (residual:
+    the mass) when that mass exceeds 1e-6 (`_TAIL_TOL`) or is not a number.
     """
     if not math.isfinite(t):
         raise ConfigurationError(f"t must be finite, got {t}")
@@ -228,9 +228,9 @@ def packet_position_state(
     psi = to_position_space(ComplexField(phi, grid))
     tail = tail_mass_estimate(psi, packet, params)
     if not tail <= _TAIL_TOL:
-        raise DomainTooSmallError(
+        raise NumericalError(
             f"estimated off-grid probability mass {tail:.3e} exceeds {_TAIL_TOL:.1e}; "
-            "enlarge the domain", tail,
+            "enlarge the domain", residual=tail,
         )
     return psi, tail
 
@@ -281,7 +281,7 @@ def momentum_deviation(mu: float, packet: PacketParams, params: PhysicalParams) 
     """
     _check_nu(packet, params)
     if not (0.0 < mu < packet.nu):
-        raise ContractError(f"need 0 < mu < nu, got mu={mu}, nu={packet.nu}")
+        raise ConfigurationError(f"need 0 < mu < nu, got mu={mu}, nu={packet.nu}")
     pref = packet.nu * packet.l / (2.0 * params.hbar * math.gamma(1.0 / packet.nu))
     scale = packet.l / params.hbar
     moment = adaptive_quadrature(
@@ -347,7 +347,7 @@ def packet_spread_factor(
     if not math.isfinite(tau):
         raise ConfigurationError(f"tau must be finite, got {tau}")
     if not (0.0 < mu < nu <= alpha <= 2.0):
-        raise ContractError(
+        raise ConfigurationError(
             f"need 0 < mu < nu <= alpha <= 2, got mu={mu}, nu={nu}, alpha={alpha}"
         )
     c0 = alpha * tau * eta0 ** (alpha - 1.0)

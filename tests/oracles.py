@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 from scipy import integrate
 
-from fracqm.errors import GridMismatchError
+from fracqm.errors import ConfigurationError
 from fracqm.spectral import apply_riesz
 from fracqm.wavepacket import _cusp_moment
 
@@ -17,7 +17,7 @@ def inner_product(a, b):
         a.grid.n_points != b.grid.n_points
         or a.grid.length != b.grid.length
     ):
-        raise GridMismatchError("inner product requires fields on the same grid")
+        raise ConfigurationError("inner product requires fields on the same grid")
     return complex(np.vdot(a.values, b.values) * a.grid.spacing)
 
 

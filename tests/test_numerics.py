@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fracqm.errors import ConfigurationError, GridMismatchError, NumericalError, QuadraturePointError
+from fracqm.errors import ConfigurationError, NumericalError, QuadraturePointError
 from fracqm.numerics import (
     ComplexField,
     PhysicalParams,
@@ -63,7 +63,7 @@ def test_make_grid_rejects_bad_inputs():
 
 def test_field_shape_mismatch():
     g = make_grid(8, 8.0)
-    with pytest.raises(GridMismatchError):
+    with pytest.raises(ConfigurationError):
         ComplexField(np.zeros(9, dtype=complex), g)
 
 
@@ -112,7 +112,7 @@ def test_plane_wave_against_direct_summation():
 def test_inner_product_requires_matching_grids():
     a = ComplexField(np.ones(8, dtype=complex), make_grid(8, 8.0))
     b = ComplexField(np.ones(16, dtype=complex), make_grid(16, 8.0))
-    with pytest.raises(GridMismatchError):
+    with pytest.raises(ConfigurationError):
         inner_product(a, b)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from fracqm.errors import ConfigurationError, ContractError
+from fracqm.errors import ConfigurationError, NumericalError
 from fracqm.numerics import PhysicalParams, make_grid
 from fracqm.pimc import (
     _chain_histogram,
@@ -17,7 +17,7 @@ from fracqm.pimc import (
     wander_scale,
 )
 from fracqm.spectral import Potential
-from fracqm.statmech import bloch_density_matrix
+from fracqm.statmech import bloch_density_matrix, bloch_trace_ladder
 from fracqm.stable import StableParams, chain_rngs, sample_stable, thermal_law
 from oracles import mehler_bin_averages
 
@@ -179,10 +179,15 @@ def test_slice_number_convergence():
 
 
 def test_unbounded_below_potential_rejected():
+    # the path sampler and both grid solvers report the same failure the same way
     grid = make_grid(32, 20.0)
     sinkhole = Potential(lambda x: -np.asarray(x, dtype=float) ** 4)
-    with pytest.raises(ContractError):
+    with pytest.raises(NumericalError):
         estimate_density_matrix(sinkhole, 0.0, 5.0, P15, 16, 4, 4000, grid, 3)
+    with pytest.raises(NumericalError):
+        bloch_density_matrix(sinkhole, 5.0, P15, grid, 0.0)
+    with pytest.raises(NumericalError):
+        bloch_trace_ladder(sinkhole, 5.0, 0, P15, grid)
 
 
 @pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf])
@@ -214,9 +219,9 @@ def test_fractal_scaling_exponent(alpha, mu, target):
 
 
 def test_fractal_scaling_rejects_divergent_moment():
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigurationError):
         fractal_scaling_exponent(P15, 1.5, [0.1, 0.2], 100, 1)
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigurationError):
         fractal_scaling_exponent(P15, 1.7, [0.1, 0.2], 100, 1)
 
 

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fracqm.errors import ConfigurationError, ContractError, NumericalError
+from fracqm import spectral
+from fracqm.errors import ConfigurationError, NumericalError
 from fracqm.numerics import ComplexField, PhysicalParams, grid_momenta, make_grid
 from fracqm.spectral import (
     EvolverConfig,
@@ -247,7 +248,7 @@ def test_energy_rejects_unnormalized_state():
     params = PhysicalParams(1.0, 1.0, 1.5)
     grid = make_grid(64, 8.0)
     field = ComplexField(np.ones(64, dtype=complex), grid)
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigurationError):
         energy_expectation(field, Potential.free(), params)
 
 
@@ -272,13 +273,18 @@ def test_self_inner_product_is_real():
     assert abs(val.imag) < 1e-12 * abs(val.real)
 
 
-def test_refine_time_step_halves_until_defect_met():
+def test_refine_time_step_halves_until_defect_met(monkeypatch):
     params = PhysicalParams.gaussian(mass=1.0)
     grid = make_grid(256, 30.0)
     field = gaussian_state(grid, x0=0.5)
     dt = refine_time_step(field, Potential.harmonic(1.0, 1.0), params, 0.2)
     assert dt < 0.2
     assert dt > 0.0
+    # a budget too small to reach that dt is a failed computation, not bad input
+    monkeypatch.setattr(spectral, "_MAX_HALVINGS", 1)
+    with pytest.raises(NumericalError, match="^could not meet splitting defect") as exc:
+        refine_time_step(field, Potential.harmonic(1.0, 1.0), params, 0.2)
+    assert exc.value.residual >= 1e-8
 
 
 def test_divergent_row_names_beta_and_non_finite_field_rejected():

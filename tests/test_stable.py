@@ -112,8 +112,16 @@ def test_cdf_bounded_and_non_decreasing_property(law, offsets):
     cdf = levy_cdf(np.sort(offsets) * _width(law), law)
     assert np.all((0.0 <= cdf) & (cdf <= 1.0))
     # up to one unit of round-off at 1: the ray's F - 1/2 is a sum near
-    # -theta plus theta, so just above z = 0 it reads 0.49999999999999994
+    # -theta plus theta
     assert np.all(np.diff(cdf) >= -(2.0**-52))
+
+
+def test_cdf_is_one_half_next_to_zero():
+    # F - 1/2 is clamped at zero, so F never dips below F(0) on either side
+    law = StableParams(1.2567595692068272, 1.0)
+    assert levy_cdf(1e-20, law) == 0.5
+    assert levy_cdf(-1e-20, law) == 0.5
+    assert levy_cdf(np.array([-1e-20, 0.0, 8.678741823767524e-195]), law).tolist() == [0.5] * 3
 
 
 @_PROPERTY

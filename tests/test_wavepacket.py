@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fracqm import wavepacket
-from fracqm.errors import ConfigurationError, ContractError, DomainTooSmallError
+from fracqm.errors import ConfigurationError, NumericalError
 from fracqm.numerics import (PhysicalParams, adaptive_quadrature, grid_momenta, make_grid,
                              to_momentum_space)
 from fracqm.stable import StableParams, levy_density
@@ -125,8 +125,9 @@ def test_position_state_returns_its_guard_tail():
 
 def test_tail_guard_rejects_small_domain():
     grid = make_grid(64, 8.0)
-    with pytest.raises(DomainTooSmallError):
+    with pytest.raises(NumericalError) as exc:
         packet_position_state(0.0, PK15, P15, grid)
+    assert exc.value.residual > 1e-6
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
@@ -142,12 +143,12 @@ def test_non_finite_time_rejected_naming_t(t):
 
 def test_nan_tail_fails_the_guard(monkeypatch):
     monkeypatch.setattr(wavepacket, "tail_mass_estimate", lambda *a: math.nan)
-    with pytest.raises(DomainTooSmallError):
+    with pytest.raises(NumericalError):
         packet_position_state(1.0, PK15, P15)
 
 
 def test_nu_must_not_exceed_alpha():
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigurationError):
         packet_position_state(0.0, PacketParams(1.0, 2.0, 1.8), P15)
 
 
@@ -199,7 +200,7 @@ def test_position_deviation_gaussian_initial_moment():
 
 
 def test_deviation_rejects_mu_at_or_above_nu():
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigurationError):
         momentum_deviation(1.5, PK15, P15)
 
 
@@ -232,9 +233,9 @@ def test_spread_route_matches_grid_moment(nu, tau):
 
 
 def test_spread_factor_validates_exponents():
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigurationError):
         packet_spread_factor(1.5, 1.6, 1.5, 0.0, 1.0)
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigurationError):
         packet_spread_factor(1.5, 0.9, 1.8, 0.0, 1.0)  # nu > alpha
 
 
