@@ -14,8 +14,8 @@ schema; a schema maps keys to a default and a converter that checks the
 key's range.  The physical constants ``hbar`` and ``d_alpha`` come from one
 shared fragment, ``_PHYSICAL``, which every experiment with dynamics
 includes; ``seed``, ``out`` and ``format`` come from ``_RUN``, which all read.
-At alpha = 2 `validate_config` is the one place the rule d_alpha = 1/(2 mass)
-is applied.
+At alpha = 2 `validate_config` is the CLI's one place the rule
+d_alpha = 1/(2 mass) is applied.
 
 Exit status is nonzero iff any comparison fails or a module raises.
 """
@@ -28,7 +28,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 import time
 from dataclasses import dataclass
 
@@ -72,7 +71,7 @@ def _ranged(cast, ok, must):
     def convert(s):
         x = cast(s)
         if not ok(x):
-            raise ValueError(f"must {must}")
+            raise ConfigurationError(f"must {must}")
         return x
     return convert
 
@@ -241,20 +240,11 @@ def _kernel_grid_errors(p, user_keys) -> list[str]:
 
 
 def _cmp(name, value, oracle, tol, kind, anchor):
-    value = float(value)
-    oracle = float(oracle)
+    value, oracle = float(value), float(oracle)
     abs_dev = abs(value - oracle)
     rel_dev = abs_dev / abs(oracle) if oracle != 0 else math.inf
-    if kind == "abs":
-        passed = abs_dev <= tol
-    elif kind == "rel":
-        passed = rel_dev <= tol
-    elif kind == "ge":
-        passed = value >= oracle - tol
-    elif kind == "gt":
-        passed = value > oracle
-    else:
-        raise ConfigurationError(f"unknown comparison kind {kind!r}")
+    passed = {"abs": abs_dev <= tol, "rel": rel_dev <= tol,
+              "ge": value >= oracle - tol, "gt": value > oracle}[kind]
     return {
         "name": name,
         "value": value,
@@ -460,7 +450,7 @@ def _run_pimc(p, seed):
         first = (_ORACLE_DOMAIN - 1) * n_per // 2
         oracle = apply_symbol(row, box).real[first:first + n_per:n_per // p["bin_points"]]
         anchor = "thermal_kernel_bin_average"
-    cov = est.covered & (est.std_error > 0)
+    cov = est.covered
     within = np.abs(est.mean[cov] - oracle[cov]) <= 3.0 * est.std_error[cov]
     frac = float(within.mean()) if cov.any() else 0.0
     results = {"histogram": _table(
@@ -530,12 +520,12 @@ def _run_statmech(p, seed):
 def _run_scaling(p, seed):
     params = _physical(p)
     ladder = [p["sigma0"] * 2.0**k for k in range(p["n_rungs"])]
-    est = fractal_scaling_exponent(params, p["mu"], ladder, p["n_samples"], seed)
+    slope, std_error = fractal_scaling_exponent(params, p["mu"], ladder, p["n_samples"], seed)
     target = p["mu"] / params.alpha
     results = {"scaling": _table("increment_scaling_slope", ["slope", "std_error", "target"],
-                                 [[est.mean, est.std_error, target]])}
+                                 [[slope, std_error, target]])}
     comparisons = [
-        _cmp("slope vs mu/alpha", est.mean, target, 3.0 * est.std_error, "abs",
+        _cmp("slope vs mu/alpha", slope, target, 3.0 * std_error, "abs",
              "increment_scaling_slope"),
     ]
     return results, comparisons
@@ -658,15 +648,12 @@ def _fmt(x) -> str:
 
 def _atomic_write(path: str, data: str) -> None:
     """Write a unique temp file beside path, then rename it over path; the
-    file gets the mode open(path, "w") would give, not mkstemp's 0600."""
-    directory, name = os.path.split(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(prefix=f"{name}.", suffix=".tmp", dir=directory)
+    file is created 0o666 less the umask, the mode open(path, "w") gives."""
+    tmp = f"{os.path.abspath(path)}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(data)
-            umask = os.umask(0)  # the umask is read by setting it; restore at once
-            os.umask(umask)
-            os.fchmod(fh.fileno(), 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

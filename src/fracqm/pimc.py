@@ -71,22 +71,22 @@ _BLOCK_PATHS = 256
 
 @dataclass
 class McEstimate:
-    """Monte Carlo estimate; std_error is across chain means.
+    """A PIMC density-matrix row per bin; std_error is across chain means.
 
-    `covered` marks bins with enough raw hits for the chain-based error to
-    be meaningful; rare-event bins (a handful of hits across all chains)
-    carry deceptively small chain-spread errors and are flagged out.
-    `effective_counts` is (sum w)^2 / sum w^2 per bin over every binned
-    path, so every member of a path family counts.
+    `covered` is the one usable-bin rule: two or more chains hit the bin, its
+    effective sample size is 16 or more and not every chain reads alike, so
+    rare-event bins and bins with no error bar are flagged out.
+    `effective_counts` is (sum w)^2 / sum w^2 per bin over every binned path,
+    so every member of a path family counts.
     """
 
-    mean: np.ndarray | float
-    std_error: np.ndarray | float
+    mean: np.ndarray
+    std_error: np.ndarray
     master_seed: int
-    covered: np.ndarray | None = None
-    effective_counts: np.ndarray | None = None
-    overflow_low: float = 0.0
-    overflow_high: float = 0.0
+    covered: np.ndarray
+    effective_counts: np.ndarray
+    overflow_low: float
+    overflow_high: float
 
 
 def wander_scale(beta: float, params: PhysicalParams) -> float:
@@ -187,6 +187,8 @@ def _chain_histogram(
             with np.errstate(over="ignore"):
                 weights = np.exp(-eps * action)
             if not np.all(np.isfinite(weights)):
+                if math.isnan(v0) or np.isnan(v_vals).any():
+                    raise ConfigurationError("potential is not finite on the sampled paths")
                 bad = int(np.sum(~np.isfinite(weights)))
                 raise NumericalError(
                     "potential appears unbounded below on the sampled support: "
@@ -213,10 +215,10 @@ def estimate_density_matrix(
     """Monte Carlo estimate of the density-matrix row rho(., beta | x0).
 
     Endpoint binning on bin_grid cells; mass landing outside the grid is
-    accumulated in the overflow fields, never silently dropped.  Bins that
-    fewer than two chains ever hit are marked uncovered (their std_error is
-    meaningless), not zero-filled silently.  The error bar is the spread of
-    the chain means, so n_chains must be at least 2, and x0 must be finite.
+    accumulated in the overflow fields, never silently dropped.  Bins without
+    a usable error bar are marked uncovered (`McEstimate.covered`), not
+    zero-filled silently.  The error bar is the spread of the chain means, so
+    n_chains must be at least 2, and x0 must be finite.
     """
     if not math.isfinite(x0):
         raise ConfigurationError(f"x0 must be finite, got {x0}")
@@ -260,7 +262,7 @@ def estimate_density_matrix(
     # excursions dominating a far bin) collapse it toward one
     with np.errstate(invalid="ignore", divide="ignore"):
         ess = np.where(w_sq_sum > 0.0, w_sum * w_sum / w_sq_sum, 0.0)
-    covered = ((rows > 0).sum(axis=0) >= 2) & (ess >= _MIN_EFFECTIVE)
+    covered = ((rows > 0).sum(axis=0) >= 2) & (ess >= _MIN_EFFECTIVE) & (np.ptp(rows, axis=0) > 0)
     return McEstimate(
         mean=mean,
         std_error=std_error,
@@ -278,8 +280,8 @@ def fractal_scaling_exponent(
     slice_ladder: list[float],
     n_samples: int,
     master_seed: int,
-) -> McEstimate:
-    """Slope of log E|dx|^mu against log sigma over a ladder of slice times.
+) -> tuple[float, float]:
+    """(slope, std_error) of log E|dx|^mu against log sigma over slice times.
 
     The free-measure increments scale as sigma^(1/alpha), so the fitted
     slope estimates mu / alpha.  Requires mu < alpha (higher moments of the
@@ -307,5 +309,4 @@ def fractal_scaling_exponent(
         y.append(math.log(m))
         y_err.append(se / m)
     (slope, _), cov = np.polyfit(log_s, y, 1, w=1.0 / np.array(y_err), cov="unscaled")
-    return McEstimate(mean=float(slope), std_error=math.sqrt(cov[0, 0]),
-                      master_seed=master_seed)
+    return float(slope), math.sqrt(cov[0, 0])

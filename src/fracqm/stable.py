@@ -96,8 +96,9 @@ def _ray_rule(panels: int):
 
 def _ray_sums(what: str, z: np.ndarray, alpha: float) -> np.ndarray:
     """Unit-scale density ("density") or F - 1/2 ("CDF") at every z >= 0 of
-    a 1-D array, block by block; raises NumericalError naming the first z
-    whose sum is not finite or misses max(1e-8 |value|, 1e-12).
+    a 1-D array, block by block, and their limits 0 and 1/2 at z = inf;
+    raises NumericalError naming the first z whose sum is not finite or
+    misses max(1e-8 |value|, 1e-12).
 
     On k = r e^{i theta}, theta = pi / (4 alpha), e^{ikz - k^alpha} has
     modulus e^{-r z sin(theta) - r^alpha cos(alpha theta)}: both factors decay,
@@ -109,6 +110,11 @@ def _ray_sums(what: str, z: np.ndarray, alpha: float) -> np.ndarray:
     factor alone reaches e^-40, the nearer of the two reaches; its error is
     the change from the sum on half the panels.
     """
+    far = np.isinf(z)
+    if far.any():
+        out = np.full(len(z), 0.0 if what == "density" else 0.5)
+        out[~far] = _ray_sums(what, z[~far], alpha)
+        return out
     theta = math.pi / (4.0 * alpha)
     sin_t, cos_t = math.sin(theta), math.cos(theta)
     cos_a, sin_a = math.cos(alpha * theta), math.sin(alpha * theta)
@@ -143,17 +149,27 @@ def _ray_sums(what: str, z: np.ndarray, alpha: float) -> np.ndarray:
     return out
 
 
+def _unit_offsets(x, params: StableParams) -> np.ndarray:
+    """x / c^(1/alpha) as a float array; a NaN x raises ConfigurationError."""
+    z = np.asarray(x, dtype=float)
+    if np.isnan(z).any():
+        raise ConfigurationError("x must not be NaN")
+    return z / params.scale ** (1.0 / params.alpha)
+
+
 def levy_density(x, params: StableParams):
     """Probability density of the symmetric stable law at displacement x.
 
     Even in x by construction (evaluated on |x|); accepts scalars or arrays.
+    It is 0 at +-inf, clamped at 0 where the far-tail ray sum is round-off,
+    and a NaN x raises ConfigurationError.
     """
     s = params.scale ** (1.0 / params.alpha)
-    z = np.abs(np.asarray(x, dtype=float)) / s
+    z = np.abs(_unit_offsets(x, params))
     if params.alpha == 2.0:
         out = np.exp(-z * z / 4.0) / (2.0 * math.sqrt(math.pi))
     else:
-        out = _ray_sums("density", z.ravel(), params.alpha).reshape(z.shape)
+        out = np.maximum(_ray_sums("density", z.ravel(), params.alpha), 0.0).reshape(z.shape)
     out = out / s
     return float(out) if out.ndim == 0 else out
 
@@ -173,14 +189,15 @@ def peak_density(params: StableParams) -> float:
 
 
 def levy_cdf(x, params: StableParams):
-    """Distribution function of the symmetric stable law; scalars or arrays."""
-    z = np.asarray(x, dtype=float) / params.scale ** (1.0 / params.alpha)
+    """Distribution function of the symmetric stable law, in [0, 1] and exact
+    at +-inf; scalars or arrays.  A NaN x raises ConfigurationError."""
+    z = _unit_offsets(x, params)
     if params.alpha == 2.0:
         half = 0.5 * np.vectorize(math.erf, otypes=[float])(np.abs(z) / 2.0)
     else:
         half = _ray_sums("CDF", np.abs(z).ravel(), params.alpha).reshape(z.shape)
-    # the ray's F - 1/2 can round to just below zero next to z = 0
-    out = 0.5 + np.sign(z) * np.maximum(half, 0.0)
+    # the ray's F - 1/2 can round past 0 next to z = 0 and past 1/2 far out
+    out = 0.5 + np.sign(z) * np.clip(half, 0.0, 0.5)
     return float(out) if out.ndim == 0 else out
 
 

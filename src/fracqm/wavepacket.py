@@ -88,13 +88,11 @@ class PacketParams:
 
 @dataclass(frozen=True)
 class UncertaintyReport:
-    mu: float
     dx_mu: float
     dp_mu: float
     product: float
     bound: float
     n_factor: float
-    tau: float
     eta0: float
     exceeds_bound: bool
 
@@ -165,7 +163,7 @@ def suggest_grid(
     For nu < 2 the position density has |x|^(-2-2nu) power tails, so the
     domain length comes from the image-mass bound; the momentum reach covers
     the stretched-exponential weight.  At nu = 2 that bound is below the
-    floor of 40 l on each side of the packet, which then decides the length.
+    floor of 40 l (1 + |tau|) on each side of the drift, which then decides.
     The domain is snapped so that p0 falls exactly on the momentum grid,
     which makes grid momentum averages of the (p0-even) densities cancel
     symmetrically.  A non-finite t raises ConfigurationError.
@@ -178,7 +176,7 @@ def suggest_grid(
     length_norm = s * (2.0 * c_nu / _NORM_TOL) ** (1.0 / (1.0 + nu))
     drift = abs(drift_velocity(packet, params) * t)
     tau = abs(reduced_time(t, packet, params))
-    length = max(length_norm, 2.0 * (drift + 40.0 * l * (1.0 + tau)), 40.0 * l)
+    length = max(length_norm, 2.0 * (drift + 40.0 * l * (1.0 + tau)))
     # snap so p0 is a momentum-grid point
     dp_unit = 2.0 * math.pi * hbar / packet.p0
     length = max(1, round(length / dp_unit)) * dp_unit
@@ -338,11 +336,13 @@ def packet_spread_factor(
     """The dimensionless position-spread factor N(alpha, mu, nu; tau, eta0).
 
     Evaluates g(sigma) on a fine sigma grid with one FFT of the zero-padded
-    eta window (at least 2^18 points; sigma reach 1024 past the drift), then
+    eta window (2^18 to 2^23 points; sigma reach 1024 past the drift), then
     integrates |sigma|^mu |g|^2 by the midpoint rule with the cusp subtraction
     of `_cusp_moment` (the grid-moment oracle in tests/oracles.py uses the
     same rule).  The result is self-normalized by the mu = 0 sum, which equals
-    one exactly in the continuum.  A non-finite tau raises ConfigurationError.
+    one exactly in the continuum.  A non-finite tau raises ConfigurationError,
+    and one whose FFT would pass 2^23 points (|tau| > 3.0e5 at alpha = nu = 1.8,
+    eta0 = 1.36) raises NumericalError before any array is allocated.
     """
     if not math.isfinite(tau):
         raise ConfigurationError(f"tau must be finite, got {tau}")
@@ -353,6 +353,9 @@ def packet_spread_factor(
     c0 = alpha * tau * eta0 ** (alpha - 1.0)
     half_width = math.log(1e16) ** (1.0 / nu) + 2.0
     d_eta = math.pi / (1024.0 + abs(c0))
+    if not 2.0 * half_width <= d_eta * (1 << 22):  # 2^23 padded points, as in `_kernel_ray`
+        need = 4.0 * half_width * (1024.0 + abs(c0)) / math.pi
+        raise NumericalError(f"spread factor at tau={tau} needs {need:.3g} FFT points, past 2^23")
     n_phys = int(math.ceil(2.0 * half_width / d_eta))
     n_fft = max(1 << 18, 1 << (2 * n_phys - 1).bit_length())
     eta = eta0 - half_width + d_eta * np.arange(n_phys)
@@ -386,13 +389,11 @@ def uncertainty_report(
     product = dx_mu * dp_mu
     bound = hbar / (2.0 * alpha) ** (1.0 / mu)
     return UncertaintyReport(
-        mu=mu,
         dx_mu=dx_mu,
         dp_mu=dp_mu,
         product=product,
         bound=bound,
         n_factor=n_factor,
-        tau=tau,
         eta0=eta0,
         exceeds_bound=product > bound,
     )

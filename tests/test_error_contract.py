@@ -3,9 +3,7 @@
 `errors.py` defines ConfigurationError (bad input, a ValueError),
 NumericalError (a failed computation, a RuntimeError) and its
 QuadraturePointError, and nothing else.  Every `raise` of a new exception in
-`src/fracqm` names one of them, with two exceptions: the config schema's
-`_ranged` converter raises a plain ValueError, which `validate_config`
-catches and reports inside one ConfigurationError, and the `__main__` block
+`src/fracqm` names one of them, with one exception: the `__main__` block
 raises SystemExit with the CLI's exit status.
 """
 
@@ -14,10 +12,7 @@ import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "fracqm"
 KEPT = {"ConfigurationError", "NumericalError", "QuadraturePointError"}
-ALLOWED = {
-    ("cli", "_ranged.convert", "ValueError"),
-    ("cli", "<module>", "SystemExit"),
-}
+ALLOWED = {("cli", "<module>", "SystemExit")}
 
 
 def _raises(tree, scope="<module>"):

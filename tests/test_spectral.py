@@ -250,6 +250,10 @@ def test_energy_rejects_unnormalized_state():
     field = ComplexField(np.ones(64, dtype=complex), grid)
     with pytest.raises(ConfigurationError):
         energy_expectation(field, Potential.free(), params)
+    # a NaN norm is not within 1e-6 of one either
+    field = ComplexField(np.full(64, np.nan, dtype=complex), grid)
+    with pytest.raises(ConfigurationError, match="got norm nan"):
+        energy_expectation(field, Potential.free(), params)
 
 
 @pytest.mark.parametrize("alpha", [1.5, 2.0])

@@ -101,6 +101,11 @@ def _width(law):
 
 @_PROPERTY
 @given(_LAWS, _OFFSETS)
+# far-tail points where the ray sum read below zero, and the two infinities
+@example(StableParams(1.2, 1.0), [138690702868073.25])
+@example(StableParams(1.05, 1.0), [1.20418597442658e16])
+@example(StableParams(1.95, 1.0), [1.2023382832652475e26])
+@example(StableParams(1.5, 1.0), [-math.inf, math.inf])
 def test_density_non_negative_property(law, offsets):
     assert np.all(levy_density(np.array(offsets) * _width(law), law) >= 0.0)
 
@@ -108,12 +113,56 @@ def test_density_non_negative_property(law, offsets):
 @_PROPERTY
 @given(_LAWS, _OFFSETS)
 @example(StableParams(1.2567595692068272, 1.0), [0.0, 8.678741823767524e-195])
+# F read 1 + 4 ulp at 1e308, and the sum did not converge at the infinities
+@example(StableParams(1.2, 1.0), [1e308])
+@example(StableParams(1.5, 1.0), [-math.inf, 0.0, math.inf])
 def test_cdf_bounded_and_non_decreasing_property(law, offsets):
     cdf = levy_cdf(np.sort(offsets) * _width(law), law)
     assert np.all((0.0 <= cdf) & (cdf <= 1.0))
     # up to one unit of round-off at 1: the ray's F - 1/2 is a sum near
     # -theta plus theta
     assert np.all(np.diff(cdf) >= -(2.0**-52))
+
+
+@_PROPERTY
+@given(_LAWS, _OFFSETS)
+def test_density_even_bitwise_property(law, offsets):
+    x = np.array(offsets) * _width(law)
+    assert np.array_equal(levy_density(x, law), levy_density(-x, law))
+
+
+@_PROPERTY
+@given(_LAWS, _OFFSETS)
+def test_cdf_reflection_property(law, offsets):
+    x = np.array(offsets) * _width(law)
+    assert np.all(np.abs(levy_cdf(x, law) + levy_cdf(-x, law) - 1.0) <= 2.0**-52)
+
+
+@settings(_PROPERTY, max_examples=16)
+@given(_LAWS, st.floats(0.0, 1.0), st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=3))
+def test_semigroup_property(law, share, offsets):
+    # rho_0(beta1) * rho_0(beta2) = rho_0(beta1 + beta2): the scales c add
+    first = StableParams(law.alpha, law.scale * (0.1 + 0.8 * share))
+    second = StableParams(law.alpha, law.scale - first.scale)
+    for x in np.array(offsets) * _width(law):
+        conv = adaptive_quadrature(
+            lambda y: levy_density(y, first) * levy_density(x - y, second),
+            -np.inf, np.inf, rel_tol=1e-10, points=sorted({0.0, x}),
+        )
+        assert conv == pytest.approx(levy_density(x, law), rel=1e-8)
+
+
+@pytest.mark.parametrize("alpha", [1.2, 1.5, 2.0])
+def test_limits_at_infinity_and_nan_rejected(alpha):
+    law = StableParams(alpha, 0.7)
+    assert levy_density(np.array([-math.inf, math.inf]), law).tolist() == [0.0, 0.0]
+    assert levy_cdf(np.array([-math.inf, math.inf]), law).tolist() == [0.0, 1.0]
+    assert levy_cdf(math.inf, law) == 1.0
+    for fn in (levy_density, levy_cdf):
+        with pytest.raises(ConfigurationError, match="^x must not be NaN"):
+            fn(np.array([0.0, math.nan]), law)
+        with pytest.raises(ConfigurationError, match="^x must not be NaN"):
+            fn(math.nan, law)
 
 
 def test_cdf_is_one_half_next_to_zero():

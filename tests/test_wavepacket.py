@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -248,12 +249,26 @@ def test_non_finite_tau_rejected_naming_tau(tau):
         uncertainty_report(0.9, tau, PK15, P15)
 
 
+def test_spread_factor_refuses_fft_past_cap_before_allocating():
+    # at the uncertainty defaults tau = 1e6 would size the FFT at 2^25 points,
+    # 512 MiB per complex array; the cap is 2^23, checked before any array
+    params = PhysicalParams(1.0, 1.0, 1.8)
+    eta0 = reduced_carrier(PacketParams(l=1.0, p0=2.0, nu=1.8), params)
+    tracemalloc.start()
+    try:
+        with pytest.raises(NumericalError, match=r"at tau=1000000\.0 needs 2\.76e\+07 FFT"):
+            packet_spread_factor(1.8, 1.08, 1.8, 1e6, eta0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_uncertainty_report_fields_and_bound():
     mu = 1.0
     rep = uncertainty_report(mu, 1.0, PK15, P15)
     assert rep.product == pytest.approx(rep.dx_mu * rep.dp_mu, rel=1e-15)
     assert rep.bound == pytest.approx(1.0 / (2.0 * 1.5) ** (1.0 / mu), rel=1e-15)
-    assert rep.tau == pytest.approx(1.0, rel=1e-12)
     assert rep.eta0 == pytest.approx(2.0 / 2.0 ** (1.0 / 1.5), rel=1e-12)
 
 
@@ -288,7 +303,6 @@ TIME_ROUTE_REPORTS = [
 def test_uncertainty_report_in_tau_matches_time_route(alpha, tau, dx_mu, product):
     params = P2 if alpha == 2.0 else PhysicalParams(1.0, 1.0, alpha)
     rep = uncertainty_report(0.6 * alpha, tau, PacketParams(l=1.0, p0=2.0, nu=alpha), params)
-    assert rep.tau == tau
     assert rep.dx_mu == pytest.approx(dx_mu, rel=1e-14)
     assert rep.product == pytest.approx(product, rel=1e-14)
 
