@@ -178,15 +178,15 @@ def adaptive_quadrature(
     piece maps t in [-5, 5]: tanh-sinh if finite (nodes placed by their
     distance to the nearer end, so an end at 0 is never evaluated), exp-sinh
     on a half line, sinh-sinh on the whole line.  The step halves from 1 at
-    most 8 times, reusing the earlier nodes.  Raises NumericalError, naming
-    the interval and the error (its `residual`), unless the error
-    max(|S_h - S_2h|, largest |f dx/dt| at t = +-5) <= max(rel_tol |value|,
-    abs_tol).  A non-finite value, overflow included, raises
+    most 8 times, reusing the earlier nodes.  A point named twice is one
+    break.  Raises NumericalError, naming the interval and the error (its
+    `residual`), unless the error max(|S_h - S_2h|, largest |f dx/dt| at
+    t = +-5) <= max(rel_tol |value|, abs_tol).  A non-finite value, overflow included, raises
     QuadraturePointError naming the first such abscissa.
     """
     if not (1e-14 < rel_tol < 1e-2):
         raise ConfigurationError(f"rel_tol must lie in (1e-14, 1e-2), got {rel_tol}")
-    edges = [lower, *sorted(p for p in points or () if lower < p < upper), upper]
+    edges = [lower, *sorted({p for p in points or () if lower < p < upper}), upper]
     pieces = list(zip(edges[:-1], edges[1:]))
 
     def terms(t):

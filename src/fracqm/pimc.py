@@ -13,8 +13,9 @@ density-matrix row rho(x, beta | x0) is the weighted endpoint histogram.
 With V = 0 every weight is one and only the endpoint is binned; a sum of N
 free increments is one draw of the same law at the full beta, so a free
 chain draws each endpoint directly, x0 + one `thermal_law(beta)` variate.
-Otherwise paths are sampled, weighted and binned `_BLOCK_PATHS` at a time,
-so memory per worker does not grow as paths x slices.  Paths come in
+Otherwise paths are sampled `_BLOCK_PATHS` at a time, so memory per worker
+does not grow as paths x slices, and a chain weights and bins the endpoints
+of all its paths at once.  Paths come in
 families of four that share one set of increments (antithetic variates;
 Hammersley & Morton, Proc. Camb. Phil. Soc. 52, 449 (1956)).  A reflection
 at slice k copies a path up to x_k and reflects the rest about it,
@@ -31,6 +32,13 @@ independent and their spread is still a valid error bar.  Segment A is never
 negated: reflecting whole paths about x0 makes the row of a potential even
 about x0 exactly mirror-symmetric, so half its bins would repeat the other
 half.
+
+Under V = q2 x^2 (`Potential.harmonic`, which carries q2) no partner path is
+written out: on each segment a member is sign * x + shift, so its action
+follows from three moments of the drawn path, its weighted sum of squares
+and its weighted sums over segments B and C (`_quadratic_family`).  Any other
+V writes each block's families out and evaluates V on them
+(`_materialised_family`).
 
 Chains are independent: chain i uses SeedSequence(master_seed).spawn child i,
 and the reduction over chains is done in chain-index order, so results are
@@ -64,8 +72,8 @@ __all__ = [
 _MIN_EFFECTIVE = 16.0
 # independent chains behind each rung of fractal_scaling_exponent
 _SCALING_CHAINS = 16
-# paths sampled, weighted and binned together; fixed, so a chain's random
-# stream never depends on the worker count
+# paths sampled together; fixed, so a chain's random stream never depends on
+# the worker count
 _BLOCK_PATHS = 256
 
 
@@ -143,6 +151,87 @@ def _binned(endpoints: np.ndarray, weights: np.ndarray | None, edges: np.ndarray
             np.bincount(slot, weights * weights, minlength=len(edges) + 1))
 
 
+def _materialised_family(positions, drawn, x0, pivots, potential, v0):
+    """Endpoints and trapezoid actions of one block's m family rows, each
+    member written out in full in the (m, n_slices) array `positions`, whose
+    first `drawn` rows hold the drawn paths, and V evaluated on it."""
+    m, rows = len(positions), drawn
+    for k in pivots:
+        # rows [rows, rows + c) follow rows [0, c) to slice k, then reflect
+        # about the position there; the last families of a block whose size
+        # is not a multiple of 2 ** len(pivots) are cut short
+        c = min(rows, m - rows)
+        source, partner = positions[:c], positions[rows:rows + c]
+        pivot = source[:, k - 1:k] if k else x0
+        partner[:, :k] = source[:, :k]
+        np.subtract(2.0 * pivot, source[:, k:], out=partner[:, k:])
+        rows += c
+    v_vals = potential.func(positions)
+    action = v0 + np.sum(v_vals[:, :-1], axis=1) + 0.5 * v_vals[:, -1]
+    if np.isnan(action).any():
+        raise ConfigurationError("potential is not finite on the sampled paths")
+    return positions[:, -1].copy(), action  # the next block reuses the buffer
+
+
+def _quadratic_family(blocks, sizes, drawn, x0, pivots, n_slices, q2, v0):
+    """Endpoints and trapezoid actions of a chain's family rows under
+    V = q2 x^2, from moments of its drawn paths; `blocks` yields each block's
+    drawn paths, `sizes` its path count m and `drawn` its drawn path count.
+
+    With slice weights w_j (1, and 1/2 at the last slice), a member equals
+    sign x + shift on each increment segment, so its action is
+    v0 + q2 (S2 + sum over segments of [2 sign shift S1_seg + shift^2 W_seg]):
+    S2 = sum w_j x_j^2, S1_seg = sum over the segment of w_j x_j, W_seg = sum
+    of its w_j.  With a = x at the quarter slice and b at the middle one
+    (x0 for a middle slice of 0), segment C (after the middle) is
+    (x, 2b - x, 2a - x, x + 2a - 2b) across the family, and segment B
+    (quarter to middle) is x for the first two members and 2a - x for the
+    last two.  Endpoints are reflected as in `_materialised_family`, so each
+    lands in the same bin, and each block's last families are cut short the
+    same way.
+    """
+    levels = len(pivots)
+    mid, quarter = pivots[0], pivots[-1]
+    total = sum(drawn)
+    # per drawn row: x at the last, middle and quarter slices, S2 less the
+    # last slice's term, S1_B and 2 S1_C
+    end, b, a, s2, s1_b, s1_c2 = moments = np.empty((6, total))
+    keep = np.empty((2 ** levels, total), dtype=bool)
+    c_weights = np.full(n_slices - mid, 2.0)
+    c_weights[-1] = 1.0
+    start = 0
+    for x, m, d in zip(blocks, sizes, drawn):
+        rows = moments[:, start:start + d]
+        rows[0] = x[:, -1]
+        rows[1] = x[:, mid - 1] if mid else x0
+        if levels == 2:
+            rows[2] = x[:, quarter - 1]
+            np.sum(x[:, quarter:mid], axis=1, out=rows[4])
+        np.einsum("ij,ij->i", x[:, :-1], x[:, :-1], out=rows[3])
+        np.einsum("ij,j->i", x[:, mid:], c_weights, out=rows[5])
+        # member k of drawn row r is binned when k d + r < m
+        keep[:, start:start + d] = np.arange(0, 2 ** levels * d, d)[:, None] + np.arange(d) < m
+        start += d
+    s2 += 0.5 * end * end
+    b2, w_c = 2.0 * b, n_slices - mid - 0.5
+    # member-major rows; quads holds each member's correction to S2
+    ends, quads = np.empty((2, 2 ** levels, total))
+    ends[0] = end
+    np.subtract(b2, end, out=ends[1])
+    quads[0] = 0.0
+    quads[1] = b2 * (b2 * w_c - s1_c2)
+    if levels == 2:
+        a2 = 2.0 * a
+        np.subtract(a2, end, out=ends[2])
+        np.subtract(a2, ends[1], out=ends[3])
+        shift = a2 - b2  # member 4's on segment C
+        g_b = a2 * (a2 * (mid - quarter) - 2.0 * s1_b)
+        quads[2] = g_b + a2 * (a2 * w_c - s1_c2)
+        quads[3] = g_b + shift * (shift * w_c + s1_c2)
+    quads += s2
+    return ends[keep], v0 + q2 * quads[keep]
+
+
 def _chain_histogram(
     rng: np.random.Generator,
     potential: Potential,
@@ -157,48 +246,36 @@ def _chain_histogram(
     overflow included; with V = 0 every w is one and the slots sum to n_samples."""
     if potential.kind == "free":
         endpoints = x0 + sample_stable(thermal_law(beta, params), rng, n_samples)
-        w_sum, w_sq = _binned(endpoints, None, edges)
+        return _binned(endpoints, None, edges)
+    v0 = 0.5 * float(potential.func(np.array(x0)))
+    # reflection pivots: the middle slice, then the quarter slice once it
+    # lies strictly between x0 and the middle
+    pivots = (n_slices // 2, n_slices // 4) if n_slices >= 4 else (n_slices // 2,)
+    sizes = [min(_BLOCK_PATHS, n_samples - start) for start in range(0, n_samples, _BLOCK_PATHS)]
+    drawn = [-(-m // 2 ** len(pivots)) for m in sizes]
+    if potential.q2 is None:
+        # one buffer per chain, each draw copied in and freed before V is
+        # evaluated: fresh rows per block would fault their pages in anew
+        buffer = np.empty((sizes[0], n_slices))
+        families = []
+        for m, d in zip(sizes, drawn):
+            buffer[:d] = sample_free_paths(params, beta, n_slices, x0, rng, d)
+            families.append(_materialised_family(buffer[:m], d, x0, pivots, potential, v0))
+        endpoints, action = (np.concatenate(part) for part in zip(*families))
     else:
-        eps = beta / n_slices
-        v0 = 0.5 * float(potential.func(np.array(x0)))
-        w_sum, w_sq = np.zeros(len(edges) + 1), np.zeros(len(edges) + 1)
-        block = np.empty((min(_BLOCK_PATHS, n_samples), n_slices))
-        # reflection pivots: the middle slice, then the quarter slice once
-        # it lies strictly between x0 and the middle
-        pivots = (n_slices // 2, n_slices // 4) if n_slices >= 4 else (n_slices // 2,)
-        for start in range(0, n_samples, _BLOCK_PATHS):
-            m = min(_BLOCK_PATHS, n_samples - start)
-            rows = -(-m // 2 ** len(pivots))
-            positions = block[:m]
-            positions[:rows] = sample_free_paths(params, beta, n_slices, x0, rng, rows)
-            for k in pivots:
-                # rows [rows, rows + c) follow rows [0, c) to slice k, then
-                # reflect about the position there; the last families of a
-                # block whose size is not a multiple of 2 ** len(pivots) are
-                # cut short
-                c = min(rows, m - rows)
-                source, partner = positions[:c], positions[rows:rows + c]
-                pivot = source[:, k - 1:k] if k else x0
-                partner[:, :k] = source[:, :k]
-                np.subtract(2.0 * pivot, source[:, k:], out=partner[:, k:])
-                rows += c
-            v_vals = potential.func(positions)
-            action = v0 + np.sum(v_vals[:, :-1], axis=1) + 0.5 * v_vals[:, -1]
-            with np.errstate(over="ignore"):
-                weights = np.exp(-eps * action)
-            if not np.all(np.isfinite(weights)):
-                if math.isnan(v0) or np.isnan(v_vals).any():
-                    raise ConfigurationError("potential is not finite on the sampled paths")
-                bad = int(np.sum(~np.isfinite(weights)))
-                raise NumericalError(
-                    "potential appears unbounded below on the sampled support: "
-                    f"{bad} of {m} path weights in a block overflowed "
-                    f"(min sampled V = {float(np.min(v_vals)):.3e})"
-                )
-            block_sum, block_sq = _binned(positions[:, -1], weights, edges)
-            w_sum += block_sum
-            w_sq += block_sq
-    return w_sum, w_sq
+        # each block is drawn only when the moments loop reaches it
+        blocks = (sample_free_paths(params, beta, n_slices, x0, rng, d) for d in drawn)
+        endpoints, action = _quadratic_family(blocks, sizes, drawn, x0, pivots, n_slices,
+                                              potential.q2, v0)
+    with np.errstate(over="ignore"):
+        weights = np.exp(-(beta / n_slices) * action)
+    if not np.all(np.isfinite(weights)):
+        raise NumericalError(
+            "potential appears unbounded below on the sampled support: "
+            f"{int(np.sum(~np.isfinite(weights)))} of {n_samples} path weights overflowed "
+            f"(least action {float(np.min(action)):.3e})"
+        )
+    return _binned(endpoints, weights, edges)
 
 
 def estimate_density_matrix(

@@ -41,10 +41,15 @@ _MAX_HALVINGS = 30
 
 @dataclass(frozen=True)
 class Potential:
-    """External potential V(x) with a short metadata tag."""
+    """External potential V(x) with a short metadata tag.
+
+    `q2`, when set, is V's quadratic coefficient, V(x) = q2 x^2; only
+    `harmonic` sets it, and builds `func` from it, so the two agree.
+    """
 
     func: Callable[[np.ndarray], np.ndarray]
     kind: str = "custom"
+    q2: float | None = None
 
     @staticmethod
     def free() -> "Potential":
@@ -52,12 +57,25 @@ class Potential:
 
     @staticmethod
     def harmonic(mass: float, omega: float) -> "Potential":
+        """V = (m omega^2 / 2) x^2; a mass or omega that is not finite, or a
+        coefficient that overflows, raises ConfigurationError."""
+        for name, value in (("mass", mass), ("omega", omega)):
+            if not np.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
+        try:
+            q2 = 0.5 * mass * omega**2
+        except OverflowError:  # a float's square past the largest double
+            q2 = np.inf
+        if not np.isfinite(q2):
+            raise ConfigurationError(
+                f"mass {mass} and omega {omega} give a coefficient m omega^2 / 2 that overflows")
+
         def v(x):
             sq = np.square(np.asarray(x, dtype=float))  # one temporary, scaled in place
-            sq *= 0.5 * mass * omega**2
+            sq *= q2
             return sq
 
-        return Potential(v, "harmonic")
+        return Potential(v, "harmonic", q2)
 
     def on_grid(self, grid: GridSpec) -> np.ndarray:
         v = np.asarray(self.func(grid.positions), dtype=float)

@@ -176,8 +176,9 @@ def test_quadrature_gamma_function(s):
     (lambda x: x ** -0.5, 0.0, 1.0, None, 2.0),  # tanh-sinh, singular end
     (lambda x: x ** -0.5 * np.sqrt(1.0 - x), 0.0, 1.0, None, math.pi / 2.0),  # Beta(1/2, 3/2)
     (lambda x: np.sqrt(np.abs(x)), -1.0, 1.0, [0.0], 4.0 / 3.0),  # cusp at a break point
+    (lambda x: np.abs(x - 0.5), -1.0, 1.0, [0.5, 0.5], 1.25),  # one kink named twice
     (lambda x: np.exp(x), -np.inf, 0.0, None, 1.0),  # mirrored exp-sinh
-], ids=["gauss", "rsqrt", "beta", "cusp", "left-half-line"])
+], ids=["gauss", "rsqrt", "beta", "cusp", "repeated-point", "left-half-line"])
 def test_quadrature_closed_form_lattice(f, lower, upper, points, exact):
     res = adaptive_quadrature(f, lower, upper, rel_tol=1e-12, points=points)
     assert res == pytest.approx(exact, rel=1e-12)

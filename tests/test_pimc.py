@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,10 @@ P15 = PhysicalParams(1.0, 1.0, 1.5)
 P2 = PhysicalParams.gaussian(mass=1.0)
 # V = 0 but not kind "free", so chains take the sampled-path branch
 ZERO = Potential(lambda x: np.zeros_like(np.asarray(x, dtype=float)))
+HARMONIC = Potential.harmonic(1.0, 1.0)
+# the same V without its coefficient, so chains write every family member
+# out in full and evaluate V on it
+HARMONIC_CUSTOM = Potential(HARMONIC.func)
 # cell edges exactly symmetric about 0
 SYMMETRIC_EDGES = np.concatenate([-0.5 * np.arange(16, 0, -1), [0.0], 0.5 * np.arange(1, 17)])
 
@@ -185,6 +190,8 @@ def test_unbounded_below_potential_rejected():
     sinkhole = Potential(lambda x: -np.asarray(x, dtype=float) ** 4)
     with pytest.raises(NumericalError):
         estimate_density_matrix(sinkhole, 0.0, 5.0, P15, 16, 4, 4000, grid, 3)
+    with pytest.raises(NumericalError, match="unbounded below"):  # the quadratic branch
+        estimate_density_matrix(Potential.harmonic(-1.0, 1.0), 0.0, 5.0, P15, 16, 4, 4000, grid, 3)
     with pytest.raises(NumericalError):
         bloch_density_matrix(sinkhole, 5.0, P15, grid, 0.0)
     with pytest.raises(NumericalError):
@@ -383,6 +390,37 @@ def test_family_of_four_sign_patterns(n_slices):
         v = 0.25 * path
         weight = math.exp(-(v[1:-1].sum() + 0.5 * (v[0] + v[-1])) / n_slices)
         assert hist[np.searchsorted(edges, path[-1]) - 1] == pytest.approx(weight, rel=1e-12)
+
+
+@pytest.mark.parametrize("n_slices", [1, 2, 3, 4, 5, 8, 256])
+@pytest.mark.parametrize("params", [P2, P15], ids=["alpha2", "alpha1.5"])
+def test_quadratic_family_matches_written_out_family(params, n_slices):
+    # a harmonic chain sums its family's actions from moments of the drawn
+    # path (below four slices with the quarter level empty); the same V
+    # without its coefficient writes every member out: the same draws, the
+    # same bins, sums equal to round-off, cut-short families included
+    edges = np.linspace(-4.0, 4.0, 33)
+    for n_paths, x0 in itertools.product((1, 7, 258, 601), (0.0, 0.3)):
+        rng, ref_rng = chain_rngs(66, 1)[0], chain_rngs(66, 1)[0]
+        sums = _chain_histogram(rng, HARMONIC, x0, 1.0, params, n_slices, n_paths, edges)
+        ref = _chain_histogram(ref_rng, HARMONIC_CUSTOM, x0, 1.0, params, n_slices, n_paths,
+                               edges)
+        for got, want in zip(sums, ref):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_harmonic_chain_keeps_no_family_rows():
+    # one block of 256 paths at 256 slices draws 64 paths, a 128 KiB buffer;
+    # writing the family out takes four such buffers, and V on them four more
+    edges = np.linspace(-10.0, 10.0, 65)
+    tracemalloc.start()
+    try:
+        _chain_histogram(chain_rngs(67, 1)[0], HARMONIC, 0.0, 1.0, P2, 256, 1500, edges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 64 * 256 * 8
 
 
 def _independent_path_std_error(potential, x0, params, n_slices, n_chains, n_paths,

@@ -317,3 +317,14 @@ def test_potential_must_be_finite_on_grid():
     bad = Potential(lambda x: np.where(x > 0, np.inf, 0.0))
     with pytest.raises(ConfigurationError):
         bad.on_grid(grid)
+
+
+@pytest.mark.parametrize("mass,omega,match", [
+    (math.inf, 1.0, "^mass must be finite"), (math.nan, 1.0, "^mass must be finite"),
+    (1.0, -math.inf, "^omega must be finite"), (1.0, math.nan, "^omega must be finite"),
+    (1.0, 1e200, "overflows"), (1e308, 10.0, "overflows"),
+])
+def test_harmonic_rejects_coefficient_that_is_not_finite(mass, omega, match):
+    # a chain reads the coefficient, not V on its paths, so it must be finite
+    with pytest.raises(ConfigurationError, match=match):
+        Potential.harmonic(mass, omega)
