@@ -37,12 +37,7 @@ from . import __version__
 from .errors import ConfigurationError, NumericalError
 from .numerics import (ComplexField, PhysicalParams, apply_symbol, gauss_legendre, grid_momenta,
                        make_grid)
-from .propagator import (
-    _composition_size,
-    _kernel_ray,
-    chapman_kolmogorov_residual,
-    free_kernel,
-)
+from .propagator import _composition_legs, _kernel_ray, chapman_kolmogorov_residual, free_kernel
 from .pimc import estimate_density_matrix, fractal_scaling_exponent
 from .spectral import EvolverConfig, Potential, energy_expectation, evolve
 from .stable import StableParams, levy_cdf, levy_density, peak_density, thermal_law
@@ -210,10 +205,11 @@ def _t_split(p) -> float:
 
 
 def _kernel_grid_errors(p, user_keys) -> list[str]:
-    """kernel-check times whose kernel quadratures would pass 2^23 nodes or
-    points, or whose scales leave the floats: a time short against an offset,
-    a short composition leg, or an extreme hbar or d_alpha.  Each failure names
-    the keys it reads that the config sets (its time key if none)."""
+    """kernel-check times whose kernel rays would pass 2^23 nodes or whose
+    scales leave the floats (a time short against an offset, an extreme hbar
+    or d_alpha), and composition legs that `_composition_legs` refuses.  Each
+    failure names the keys it reads that the config sets (its time key if
+    none)."""
     physical = _physical(p)
     errors = []
 
@@ -232,10 +228,10 @@ def _kernel_grid_errors(p, user_keys) -> list[str]:
     t_total, t_split = p["t_values"][0], _t_split(p)
     if 0.0 < t_split < t_total:
         try:
-            _composition_size(min(t_split, t_total - t_split), t_total, physical)
+            _composition_legs(t_total, t_split, physical)
         except NumericalError as exc:
             failed(("hbar", "d_alpha", "alpha", "t_values", "t_split"),
-                   "composition grid within 2^23 points", f"{exc} at t_split={t_split}")
+                   "composition legs resolvable", f"{exc} at t_split={t_split}")
     return errors
 
 
@@ -312,12 +308,13 @@ def _run_kernel_check(p, seed):
             rows.append([dx, t, est.value.real, est.value.imag, est.error])
             if alpha == 2.0:
                 m = 1.0 / (2.0 * params.d_alpha)
-                ref = (m / (2.0 * math.pi * 1j * params.hbar * t)) ** 0.5 * cmath.exp(
-                    1j * m * dx * dx / (2.0 * params.hbar * t)
-                )
+                phase = m * dx * dx / (2.0 * params.hbar * t)
+                ref = (m / (2.0 * math.pi * 1j * params.hbar * t)) ** 0.5 * cmath.exp(1j * phase)
+                # a double carries the phase to about eps * phase: four of its ulps
+                rel_tol = max(1e-12, 4.0 * np.finfo(float).eps * phase)
                 comparisons.append(
                     _cmp(f"gaussian closed form at dx={dx}, t={t}",
-                         abs(est.value - ref), 0.0, 1e-8 * abs(ref), "abs",
+                         abs(est.value - ref), 0.0, rel_tol * abs(ref), "abs",
                          "gaussian_kernel_closed_form")
                 )
     if center is None:
@@ -327,11 +324,12 @@ def _run_kernel_check(p, seed):
             * cmath.exp(-1j * math.pi / (2.0 * alpha)))
     comparisons.append(
         _cmp("on-axis value vs rotated gamma integral", abs(center.value - ref0),
-             0.0, 1e-7 * abs(ref0), "abs", "kernel_on_axis_closed_form")
+             0.0, 1e-12 * abs(ref0), "abs", "kernel_on_axis_closed_form")
     )
+    # the quadrature's own rel_tol of the peak; it reads at most 4e-15 of it over alpha 1.1-2
     res = chapman_kolmogorov_residual(t0, _t_split(p), params)
     comparisons.append(
-        _cmp("composition-rule residual", res, 0.0, 1e-6, "abs",
+        _cmp("composition-rule residual", res, 0.0, 1e-12 * abs(ref0), "abs",
              "kernel_composition_rule")
     )
     return {"kernel": _table("free_kernel_fourier_integral",

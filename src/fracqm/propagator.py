@@ -6,14 +6,18 @@ The kernel is the conditionally convergent Fourier integral
                exp{i p dx / hbar - i D_alpha |p|^alpha t / hbar}
 
 A point (`free_kernel`) is a Gauss-Legendre sum on a momentum ray rotated
-into the lower half plane, where the integral converges absolutely.  Rows
-(`kernel_row`) and the composition check use one grid multiplier per time:
-the integrand damped by exp(-eps |p|^alpha) on a fixed ladder of eps and
-Richardson-extrapolated to eps -> 0 by one constant weight vector.  A row is
-that multiplier's inverse transform, and the composition residual is a sum
-of multipliers over the grid momenta.  State propagation never goes through
-the position-space kernel: it is `spectral.evolve`, whose V = 0 step is the
-exact spectral multiplier exp(-i D |p|^alpha t / hbar).
+into the lower half plane, where the integral converges absolutely.  K is
+also the stable density at the complex scale i c, c = `thermal_law(t /
+hbar).scale`: the paper's continuation beta = i t / hbar of the free density
+matrix.  On the line dx = s e^{i pi / (2 alpha)} it is e^{-i pi / (2 alpha)}
+f_c(s), f_c the real density, so the composition check is the thermal
+semigroup at zero offset, one quadrature of `levy_density` with no grid.
+Rows (`kernel_row`) use one grid multiplier per time: the integrand damped
+by exp(-eps |p|^alpha) on a fixed ladder of eps and Richardson-extrapolated
+to eps -> 0 by one constant weight vector; a row is that multiplier's
+inverse transform.  State propagation never goes through the position-space
+kernel: it is `spectral.evolve`, whose V = 0 step is the exact spectral
+multiplier exp(-i D |p|^alpha t / hbar).
 """
 
 from __future__ import annotations
@@ -29,23 +33,22 @@ from .numerics import (
     ComplexField,
     GridSpec,
     PhysicalParams,
+    adaptive_quadrature,
     gauss_legendre,
     grid_momenta,
-    make_grid,
     to_position_space,
 )
+from .stable import levy_density, peak_density, thermal_law
 
 __all__ = [
     "KernelEstimate",
     "free_kernel",
     "kernel_row",
-    "composition_grid",
     "chapman_kolmogorov_residual",
 ]
 
 # relative (to D t / hbar) regularization strengths, strongest first
 _EPS_LADDER = (0.04, 0.02, 0.01, 0.005, 0.0025)
-_TRUNC_LOG = 30.0  # keep exp(-eps p^alpha) above e^-30 on the p grid
 # free_kernel's nodes per panel, fewest panels, panels per block, ray cut e^-40
 _GL_NODES = 40
 _MIN_PANELS = 48
@@ -159,14 +162,15 @@ def _ladder_symbol(t: float, params: PhysicalParams, momenta: np.ndarray,
 
 
 def kernel_row(t: float, params: PhysicalParams, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Kernel K(dx, t) for every grid offset dx = grid.positions.
+    """Kernel K(dx, t) for every grid offset dx = grid.positions: the inverse
+    transform of the `_ladder_symbol` multiplier.
 
     Returns (values, spreads).  A spread is the change from dropping the
     strongest eps rung; it does not bound the periodic-image offset, which
-    near the centre of `composition_grid(1.0, params, t_alias=1.0)` is about
-    2.5e-7 at alpha 1.5 and 2.1e-8 at alpha 1.8.
-    The grid's momentum range must cover the damped integrand: callers
-    should build the grid with `composition_grid`.
+    near the centre of a grid 400 kernel lengths long is about 2.5e-7 at
+    alpha 1.5 and 2.1e-8 at alpha 1.8 (t = 1).  The grid's momentum reach
+    must damp the weakest rung below 1e-10, or `_ladder_symbol` raises
+    NumericalError.
     """
     momenta = grid_momenta(grid, params)
     rows = [to_position_space(ComplexField(_ladder_symbol(t, params, momenta, w), grid)).values
@@ -174,49 +178,41 @@ def kernel_row(t: float, params: PhysicalParams, grid: GridSpec) -> tuple[np.nda
     return rows[0], np.abs(rows[1])
 
 
-def composition_grid(t_min: float, params: PhysicalParams, *, t_alias: float) -> GridSpec:
-    """Grid for kernel rows: momentum reach sized by the shortest leg time
-    t_min (weakest damping), domain length 400 kernel length scales of the
-    longest, t_alias (widest kernel)."""
-    n, length = _composition_size(t_min, t_alias, params)
-    return make_grid(n, length)
-
-
-def _composition_size(t_min: float, t_alias: float, params: PhysicalParams):
-    """composition_grid's point count and length, without building the grid:
-    the power of two at momentum spacing 2 pi hbar / length whose reach holds
-    exp(-eps |p|^alpha) of the weakest rung at t_min down to e^-30; raises
-    NumericalError past 2^23 points or when the count is not finite."""
-    a_min, _ = _char_scales(t_min, params)
-    _, x_c = _char_scales(t_alias, params)
-    length = 400.0 * x_c
-    eps_min = _EPS_LADDER[-1] * a_min
-    p_max = (_TRUNC_LOG / eps_min) ** (1.0 / params.alpha) if eps_min > 0.0 else math.inf
-    dp = 2.0 * math.pi * params.hbar / length
-    count = 2.0 * p_max / dp if dp > 0.0 else math.inf
-    if not count <= (1 << 23):
-        raise NumericalError(f"kernel momentum grid would need {count:.3g} points")
-    return 1 << max(8, int(math.ceil(count)) - 1).bit_length(), length
+def _composition_legs(t_total: float, t_split: float, params: PhysicalParams):
+    """The legs (t_split, t_total - t_split) of a composition at t_total;
+    raises NumericalError when a leg is shorter than 2^-52 t_total, below
+    which t_total - t_split rounds to t_total, or when the kernel ray at
+    dx = 0 does not exist at a leg's time or at t_total."""
+    legs = (t_split, t_total - t_split)
+    if not min(legs) >= 2.0**-52 * t_total:
+        raise NumericalError(f"composition leg {min(legs):.3g} is below 2^-52 of "
+                             f"t_total={t_total}")
+    for t in (*legs, t_total):
+        _kernel_ray(0.0, t, params)
+    return legs
 
 
 def chapman_kolmogorov_residual(t_total: float, t_split: float, params: PhysicalParams) -> float:
-    """|K(0, t_total) - int dx' K(-x', t_total - t_split) K(x', t_split)|.
+    """|K(0, t_total) - int dx' K(-x', t_total - t_split) K(x', t_split)|, in
+    kernel units.
 
-    Both sides are the `kernel_row` values at the middle of a shared
-    `composition_grid` of length L, taken in momentum space: by Parseval on
-    the grid a row's middle value is (1/L) sum_k phi_t(p_k), and the periodic
-    convolution at the middle is (1/L) sum_k phi_{t_a}(p_k) phi_{t_b}(p_k),
-    with phi_t the `_ladder_symbol`.  No row is formed, and one multiplier is
-    built per distinct time.  Each eps rung composes exactly on the grid, and
-    the periodic images cancel between the two sides, so the residual
-    measures the Richardson cross terms only.
+    The integral runs on the line x' = s e^{i pi / (2 alpha)}, where
+    K(x', t) = e^{-i pi / (2 alpha)} f_{c(t)}(s), f_c the real stable density
+    and c(t) = `thermal_law(t / hbar).scale`.  Both sides carry the same unit
+    phase, so the residual is
+
+        |peak_density(c(t_total)) - 2 int_0^inf f_{c_a}(s) f_{c_b}(s) ds|,
+
+    the thermal semigroup at zero offset, by one `adaptive_quadrature` at
+    rel_tol 1e-12.  (On the real axis the integral does not converge
+    absolutely below alpha 2.)  An error in the density's values shows; the
+    scale D does not, since any D composes, so the closed-form rows hold it.
+    Raises NumericalError where `_composition_legs` does.
     """
     if not (0.0 < t_split < t_total):
         raise ConfigurationError("need 0 < t_split < t_total")
-    t_second = t_total - t_split
-    grid = composition_grid(min(t_split, t_second), params, t_alias=t_total)
-    momenta = grid_momenta(grid, params)
-    phi = {t: _ladder_symbol(t, params, momenta)
-           for t in dict.fromkeys((t_split, t_second, t_total))}
-    composed = np.sum(phi[t_second] * phi[t_split])
-    return float(abs(np.sum(phi[t_total]) - composed)) / grid.length
+    law_a, law_b = (thermal_law(t / params.hbar, params)
+                    for t in _composition_legs(t_total, t_split, params))
+    composed = 2.0 * adaptive_quadrature(
+        lambda s: levy_density(s, law_a) * levy_density(s, law_b), 0.0, math.inf, 1e-12)
+    return abs(peak_density(thermal_law(t_total / params.hbar, params)) - composed)

@@ -1,4 +1,4 @@
-"""Closed-form oracles shared by several test modules."""
+"""Closed-form oracles, and the kernel-row grid sizer, shared by several test modules."""
 
 import math
 
@@ -6,9 +6,13 @@ import mpmath
 import numpy as np
 from scipy import integrate
 
-from fracqm.errors import ConfigurationError
+from fracqm.errors import ConfigurationError, NumericalError
+from fracqm.numerics import make_grid
+from fracqm.propagator import _EPS_LADDER, _char_scales
 from fracqm.spectral import apply_riesz
 from fracqm.wavepacket import _cusp_moment
+
+_TRUNC_LOG = 30.0  # keep exp(-eps p^alpha) above e^-30 on the p grid
 
 
 def inner_product(a, b):
@@ -107,3 +111,28 @@ def quadpack(integrand, lower, upper, rel_tol):
                                     epsrel=rel_tol, limit=400, full_output=True)
     assert err <= max(rel_tol * abs(value), 1.49e-13), f"QUADPACK error {err:.2e}"
     return value
+
+
+def composition_grid(t_min, params, *, t_alias):
+    """Grid for kernel rows: momentum reach sized by the shortest leg time
+    t_min (weakest damping), domain length 400 kernel length scales of the
+    longest, t_alias (widest kernel)."""
+    n, length = _composition_size(t_min, t_alias, params)
+    return make_grid(n, length)
+
+
+def _composition_size(t_min, t_alias, params):
+    """composition_grid's point count and length, without building the grid:
+    the power of two at momentum spacing 2 pi hbar / length whose reach holds
+    exp(-eps |p|^alpha) of the weakest rung at t_min down to e^-30; raises
+    NumericalError past 2^23 points or when the count is not finite."""
+    a_min, _ = _char_scales(t_min, params)
+    _, x_c = _char_scales(t_alias, params)
+    length = 400.0 * x_c
+    eps_min = _EPS_LADDER[-1] * a_min
+    p_max = (_TRUNC_LOG / eps_min) ** (1.0 / params.alpha) if eps_min > 0.0 else math.inf
+    dp = 2.0 * math.pi * params.hbar / length
+    count = 2.0 * p_max / dp if dp > 0.0 else math.inf
+    if not count <= (1 << 23):
+        raise NumericalError(f"kernel momentum grid would need {count:.3g} points")
+    return 1 << max(8, int(math.ceil(count)) - 1).bit_length(), length

@@ -115,7 +115,6 @@ def test_pimc_single_chain_rejected():
         ("kernel-check", "t_split", "2.0"),  # beyond the first t_values entry, 0.5
         ("kernel-check", "t_values", "0.0, 1.0"),
         ("kernel-check", "t_values", "1e-9"),  # ~1.25e9 ray nodes against dx = 0.5
-        ("kernel-check", "t_split", "1e-7"),  # a composition grid of ~2^25 points
         # kernel scales that leave the floats: subnormal and smallest normal inputs
         *(("kernel-check", key, value)
           for key in ("hbar", "d_alpha", "t_values", "t_split")
@@ -137,6 +136,23 @@ def test_kernel_check_accepts_long_offset_at_alpha_15():
     config = validate_config({"experiment": "kernel-check", "alpha": "1.5",
                               "t_values": "0.5", "dx_values": "0, 6"})
     assert config.parameters["dx_values"] == [0.0, 6.0]
+
+
+def test_kernel_check_accepts_short_composition_leg():
+    # a leg 2e-7 of t_total: the eps-ladder grid needed ~2^25 points, the
+    # rotated line needs none
+    config = validate_config({"experiment": "kernel-check", "t_split": "1e-7"})
+    row = next(c for c in run_experiment(config).comparisons
+               if c["name"] == "composition-rule residual")
+    assert row["passed"]
+
+
+@pytest.mark.parametrize("alpha", ["1.1", "1.2", "1.5", "1.8"])
+def test_shipped_kernel_check_passes_across_alpha(alpha):
+    raw = parse_flat((CONFIGS / "kernel-check.cfg").read_text())
+    report = run_experiment(validate_config({**raw, "alpha": alpha}))
+    failed = [c["name"] for c in report.comparisons if not c["passed"]]
+    assert not failed, f"failing comparisons: {failed}"
 
 
 @pytest.mark.parametrize("value", ["0", "2.5"])
