@@ -14,10 +14,9 @@ With V = 0 every weight is one and only the endpoint is binned; a sum of N
 free increments is one draw of the same law at the full beta, so a free
 chain draws each endpoint directly, x0 + one `thermal_law(beta)` variate.
 Otherwise paths are sampled `_BLOCK_PATHS` at a time, so memory per worker
-does not grow as paths x slices, and a chain weights and bins the endpoints
-of all its paths at once.  Paths come in
-families of four that share one set of increments (antithetic variates;
-Hammersley & Morton, Proc. Camb. Phil. Soc. 52, 449 (1956)).  A reflection
+does not grow as paths x slices.  Paths come in families of four that share
+one set of increments (antithetic variates; Hammersley & Morton,
+Proc. Camb. Phil. Soc. 52, 449 (1956)).  A reflection
 at slice k copies a path up to x_k and reflects the rest about it,
 x'_j = 2 x_k - x_j for j > k, which negates every later increment.  The
 symmetric stable increments have the same law as their negatives, so the
@@ -40,6 +39,17 @@ and its weighted sums over segments B and C (`_quadratic_family`).  Any other
 V writes each block's families out and evaluates V on them
 (`_materialised_family`).
 
+The work is split by what needs a chain's generator.  Worker threads only
+draw: `_chain_histogram` returns one chain's endpoints (V = 0), its drawn
+paths' moments (V = q2 x^2) or its family members' endpoints and actions.
+The calling thread takes the chains in index order, `_GROUP_CHAINS` at a
+time, and forms the family actions, the weights exp(-(beta/N) action) and
+the histogram (`_group_sums`), its bins found by arithmetic on the evenly
+spaced edges (`_slots`).  That tail is many small numpy calls that hold the
+interpreter lock; run in the workers, it serialised them.  At most two
+groups of chains are queued ahead of the one being binned (`_in_order`), so
+finished draws do not wait in memory.
+
 Chains are independent: chain i uses SeedSequence(master_seed).spawn child i,
 and the reduction over chains is done in chain-index order, so results are
 bit-reproducible at any parallelism degree.  Chains run on every available
@@ -48,6 +58,8 @@ core by default; FRACQM_THREADS caps the worker count.
 
 from __future__ import annotations
 
+import collections
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -75,6 +87,9 @@ _SCALING_CHAINS = 16
 # paths sampled together; fixed, so a chain's random stream never depends on
 # the worker count
 _BLOCK_PATHS = 256
+# chains weighted and binned together in the calling thread; fixed and small,
+# so only a few chains' rows are held at once
+_GROUP_CHAINS = 4
 
 
 @dataclass
@@ -140,15 +155,46 @@ def _max_workers() -> int:
     return workers
 
 
+def _slots(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """np.searchsorted(edges, x, side="right") for evenly spaced edges.  The
+    arithmetic guess is off by at most one next to an edge, and one comparison
+    each way settles it, as on np.histogram's equal-bin path; a binary search
+    over random x is several times slower."""
+    n = len(edges)
+    guess = np.floor((x - edges[0]) * ((n - 1) / (edges[-1] - edges[0])))
+    np.clip(guess, -1.0, n - 2.0, out=guess)
+    slot = guess.astype(np.intp) + 1  # in [0, n - 1]; the last step may add one
+    bounds = np.concatenate([[-np.inf], edges])  # bounds[i] = edges[i - 1]
+    slot -= x < bounds[slot]
+    slot += x >= bounds[slot + 1]
+    return slot
+
+
 def _binned(endpoints: np.ndarray, weights: np.ndarray | None, edges: np.ndarray):
-    """Sums of w and of w^2 in slot i for cell [edges[i-1], edges[i]); slot 0
-    holds the mass below edges[0], the last slot the mass at or above edges[-1]."""
-    slot = np.searchsorted(edges, endpoints, side="right")
+    """Sums of w and of w^2, one row per row of `endpoints`, in slot i for cell
+    [edges[i-1], edges[i]) of the evenly spaced `edges`; slot 0 holds the mass
+    below edges[0], the last slot the mass at or above edges[-1].  One
+    bincount spans every row, each row's slots offset past the last row's."""
+    rows, n_slots = len(endpoints), len(edges) + 1
+    slot = _slots(endpoints, edges)
+    slot += n_slots * np.arange(rows)[:, None]
+    slot = slot.ravel()
     if weights is None:
-        counts = np.bincount(slot, minlength=len(edges) + 1).astype(float)
+        counts = np.bincount(slot, minlength=rows * n_slots).astype(float).reshape(rows, n_slots)
         return counts, counts
-    return (np.bincount(slot, weights, minlength=len(edges) + 1),
-            np.bincount(slot, weights * weights, minlength=len(edges) + 1))
+    weights = weights.ravel()
+    return (np.bincount(slot, weights, minlength=rows * n_slots).reshape(rows, n_slots),
+            np.bincount(slot, weights * weights, minlength=rows * n_slots).reshape(rows, n_slots))
+
+
+def _family_layout(n_slices: int, n_samples: int):
+    """Reflection pivots, and per path block its path count m and drawn path count."""
+    # the middle slice, then the quarter slice once it lies strictly between
+    # x0 and the middle
+    pivots = (n_slices // 2, n_slices // 4) if n_slices >= 4 else (n_slices // 2,)
+    sizes = [min(_BLOCK_PATHS, n_samples - start) for start in range(0, n_samples, _BLOCK_PATHS)]
+    drawn = [-(-m // 2 ** len(pivots)) for m in sizes]
+    return pivots, sizes, drawn
 
 
 def _materialised_family(positions, drawn, x0, pivots, potential, v0):
@@ -170,13 +216,31 @@ def _materialised_family(positions, drawn, x0, pivots, potential, v0):
     action = v0 + np.sum(v_vals[:, :-1], axis=1) + 0.5 * v_vals[:, -1]
     if np.isnan(action).any():
         raise ConfigurationError("potential is not finite on the sampled paths")
-    return positions[:, -1].copy(), action  # the next block reuses the buffer
+    return positions[:, -1], action
 
 
-def _quadratic_family(blocks, sizes, drawn, x0, pivots, n_slices, q2, v0):
-    """Endpoints and trapezoid actions of a chain's family rows under
-    V = q2 x^2, from moments of its drawn paths; `blocks` yields each block's
-    drawn paths, `sizes` its path count m and `drawn` its drawn path count.
+def _moment_weights(n_slices: int, pivots) -> np.ndarray:
+    """(5, n_slices) slice weights whose product with a drawn path gives its x
+    at the last, middle and quarter slices, S1_B and 2 S1_C (`_quadratic_family`);
+    a row that does not apply (a middle slice at x0, no quarter level) is zero."""
+    mid, quarter = pivots[0], pivots[-1]
+    weights = np.zeros((5, n_slices))
+    weights[0, -1] = 1.0
+    if mid:
+        weights[1, mid - 1] = 1.0
+    if len(pivots) == 2:
+        weights[2, quarter - 1] = 1.0
+        weights[3, quarter:mid] = 1.0
+    weights[4, mid:] = 2.0
+    weights[4, -1] = 1.0
+    return weights
+
+
+def _quadratic_family(moments, n_samples, x0, n_slices, q2, v0):
+    """Endpoints and trapezoid actions, (chains, n_samples) each, of the family
+    rows of consecutive chains under V = q2 x^2, from the (6, chains, drawn)
+    moments of their drawn paths: x at the last, middle and quarter slices,
+    S1_B, 2 S1_C and S2 less the last slice's term.
 
     With slice weights w_j (1, and 1/2 at the last slice), a member equals
     sign x + shift on each increment segment, so its action is
@@ -190,46 +254,32 @@ def _quadratic_family(blocks, sizes, drawn, x0, pivots, n_slices, q2, v0):
     lands in the same bin, and each block's last families are cut short the
     same way.
     """
+    pivots, sizes, drawn = _family_layout(n_slices, n_samples)
     levels = len(pivots)
     mid, quarter = pivots[0], pivots[-1]
-    total = sum(drawn)
-    # per drawn row: x at the last, middle and quarter slices, S2 less the
-    # last slice's term, S1_B and 2 S1_C
-    end, b, a, s2, s1_b, s1_c2 = moments = np.empty((6, total))
-    keep = np.empty((2 ** levels, total), dtype=bool)
-    c_weights = np.full(n_slices - mid, 2.0)
-    c_weights[-1] = 1.0
-    start = 0
-    for x, m, d in zip(blocks, sizes, drawn):
-        rows = moments[:, start:start + d]
-        rows[0] = x[:, -1]
-        rows[1] = x[:, mid - 1] if mid else x0
-        if levels == 2:
-            rows[2] = x[:, quarter - 1]
-            np.sum(x[:, quarter:mid], axis=1, out=rows[4])
-        np.einsum("ij,ij->i", x[:, :-1], x[:, :-1], out=rows[3])
-        np.einsum("ij,j->i", x[:, mid:], c_weights, out=rows[5])
-        # member k of drawn row r is binned when k d + r < m
-        keep[:, start:start + d] = np.arange(0, 2 ** levels * d, d)[:, None] + np.arange(d) < m
-        start += d
+    end, b, a, s1_b, s1_c2, s2 = moments
+    # member k of a block's drawn row r is binned when k d + r < m
+    keep = np.concatenate([np.arange(0, 2 ** levels * d, d)[:, None] + np.arange(d) < m
+                           for m, d in zip(sizes, drawn)], axis=1)
     s2 += 0.5 * end * end
-    b2, w_c = 2.0 * b, n_slices - mid - 0.5
-    # member-major rows; quads holds each member's correction to S2
-    ends, quads = np.empty((2, 2 ** levels, total))
-    ends[0] = end
-    np.subtract(b2, end, out=ends[1])
-    quads[0] = 0.0
-    quads[1] = b2 * (b2 * w_c - s1_c2)
+    b2, w_c = 2.0 * (b if mid else x0), n_slices - mid - 0.5
+    # chain-major, then member-major rows; quads holds each member's
+    # correction to S2
+    ends, quads = np.empty((2, len(end), 2 ** levels, end.shape[1]))
+    ends[:, 0] = end
+    np.subtract(b2, end, out=ends[:, 1])
+    quads[:, 0] = 0.0
+    quads[:, 1] = b2 * (b2 * w_c - s1_c2)
     if levels == 2:
         a2 = 2.0 * a
-        np.subtract(a2, end, out=ends[2])
-        np.subtract(a2, ends[1], out=ends[3])
+        np.subtract(a2, end, out=ends[:, 2])
+        np.subtract(a2, ends[:, 1], out=ends[:, 3])
         shift = a2 - b2  # member 4's on segment C
         g_b = a2 * (a2 * (mid - quarter) - 2.0 * s1_b)
-        quads[2] = g_b + a2 * (a2 * w_c - s1_c2)
-        quads[3] = g_b + shift * (shift * w_c + s1_c2)
-    quads += s2
-    return ends[keep], v0 + q2 * quads[keep]
+        quads[:, 2] = g_b + a2 * (a2 * w_c - s1_c2)
+        quads[:, 3] = g_b + shift * (shift * w_c + s1_c2)
+    quads += s2[:, None]
+    return ends[:, keep], v0 + q2 * quads[:, keep]
 
 
 def _chain_histogram(
@@ -241,41 +291,80 @@ def _chain_histogram(
     n_slices: int,
     n_samples: int,
     edges: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One chain's raw (sum w, sum w^2) in `_binned`'s slots, under- and
-    overflow included; with V = 0 every w is one and the slots sum to n_samples."""
+) -> np.ndarray:
+    """One chain's draws, reduced only as far as a worker must: with V = 0
+    its n_samples endpoints; under V = q2 x^2 the (6, drawn paths) moments
+    `_quadratic_family` reads, one matmul and one vecdot per block; otherwise
+    the (2, n_samples) endpoints and trapezoid actions of every family member.
+    `_group_sums` weights and bins them in the calling thread.
+
+    The name and the signature, `edges` included though it is not read, are
+    kept from when a chain binned its own paths: `perfbench/layers.py` times
+    each worker's share of a pass under this function (`pimc.chain`).
+    """
     if potential.kind == "free":
-        endpoints = x0 + sample_stable(thermal_law(beta, params), rng, n_samples)
-        return _binned(endpoints, None, edges)
+        return x0 + sample_stable(thermal_law(beta, params), rng, n_samples)
+    pivots, sizes, drawn = _family_layout(n_slices, n_samples)
+    if potential.q2 is not None:
+        slice_weights = _moment_weights(n_slices, pivots)
+        moments = np.empty((6, sum(drawn)))
+        start = 0
+        for d in drawn:
+            x = sample_free_paths(params, beta, n_slices, x0, rng, d)
+            np.matmul(slice_weights, x.T, out=moments[:5, start:start + d])
+            np.vecdot(x[:, :-1], x[:, :-1], out=moments[5, start:start + d])
+            start += d
+        return moments
     v0 = 0.5 * float(potential.func(np.array(x0)))
-    # reflection pivots: the middle slice, then the quarter slice once it
-    # lies strictly between x0 and the middle
-    pivots = (n_slices // 2, n_slices // 4) if n_slices >= 4 else (n_slices // 2,)
-    sizes = [min(_BLOCK_PATHS, n_samples - start) for start in range(0, n_samples, _BLOCK_PATHS)]
-    drawn = [-(-m // 2 ** len(pivots)) for m in sizes]
+    # one buffer per chain, each draw copied in and freed before V is
+    # evaluated: fresh rows per block would fault their pages in anew
+    buffer = np.empty((sizes[0], n_slices))
+    out = np.empty((2, n_samples))
+    start = 0
+    for m, d in zip(sizes, drawn):
+        buffer[:d] = sample_free_paths(params, beta, n_slices, x0, rng, d)
+        out[:, start:start + m] = _materialised_family(buffer[:m], d, x0, pivots, potential, v0)
+        start += m
+    return out
+
+
+def _group_sums(draws, potential, x0, beta, n_slices, n_samples, edges):
+    """Raw (sum w, sum w^2) in `_binned`'s slots, under- and overflow
+    included, one row per chain, of consecutive chains' `_chain_histogram`
+    draws; with V = 0 every w is one and each row sums to n_samples."""
+    if potential.kind == "free":
+        return _binned(np.stack(draws), None, edges)
     if potential.q2 is None:
-        # one buffer per chain, each draw copied in and freed before V is
-        # evaluated: fresh rows per block would fault their pages in anew
-        buffer = np.empty((sizes[0], n_slices))
-        families = []
-        for m, d in zip(sizes, drawn):
-            buffer[:d] = sample_free_paths(params, beta, n_slices, x0, rng, d)
-            families.append(_materialised_family(buffer[:m], d, x0, pivots, potential, v0))
-        endpoints, action = (np.concatenate(part) for part in zip(*families))
+        endpoints, action = np.stack(draws, axis=1)
     else:
-        # each block is drawn only when the moments loop reaches it
-        blocks = (sample_free_paths(params, beta, n_slices, x0, rng, d) for d in drawn)
-        endpoints, action = _quadratic_family(blocks, sizes, drawn, x0, pivots, n_slices,
+        v0 = 0.5 * float(potential.func(np.array(x0)))
+        endpoints, action = _quadratic_family(np.stack(draws, axis=1), n_samples, x0, n_slices,
                                               potential.q2, v0)
     with np.errstate(over="ignore"):
         weights = np.exp(-(beta / n_slices) * action)
-    if not np.all(np.isfinite(weights)):
+    finite = np.isfinite(weights)
+    if not finite.all():
+        chain = int(np.argmin(finite.all(axis=1)))  # the first chain that overflowed
         raise NumericalError(
             "potential appears unbounded below on the sampled support: "
-            f"{int(np.sum(~np.isfinite(weights)))} of {n_samples} path weights overflowed "
-            f"(least action {float(np.min(action)):.3e})"
+            f"{int(np.sum(~finite[chain]))} of {n_samples} path weights overflowed "
+            f"(least action {float(np.min(action[chain])):.3e})"
         )
     return _binned(endpoints, weights, edges)
+
+
+def _in_order(pool: ThreadPoolExecutor, fn, n: int):
+    """fn(0), ..., fn(n - 1) from the pool, in order.  At most two groups of
+    chains are submitted past the one being read: with all submitted at once,
+    workers ran up to 20 free chains ahead of the calling thread, whose draws
+    waited in memory."""
+    pending = collections.deque()
+    for i in range(n):
+        pending.append(pool.submit(fn, i))
+        if len(pending) > 2 * _GROUP_CHAINS:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
 
 
 def estimate_density_matrix(
@@ -324,9 +413,14 @@ def estimate_density_matrix(
         )
 
     with ThreadPoolExecutor(max_workers=min(_max_workers(), n_chains)) as pool:
-        results = list(pool.map(run, range(n_chains)))
+        draws = _in_order(pool, run, n_chains)
+        groups = [
+            _group_sums(list(itertools.islice(draws, _GROUP_CHAINS)), potential, x0, beta,
+                        n_slices, n_samples_per_chain, edges)
+            for _ in range(0, n_chains, _GROUP_CHAINS)
+        ]
 
-    sums, sq_sums = (np.stack(chain_sums) for chain_sums in zip(*results))
+    sums, sq_sums = (np.concatenate(part) for part in zip(*groups))
     rows = sums[:, 1:-1] / (n_samples_per_chain * (edges[1] - edges[0]))
     overflow = sums[:, [0, -1]] / n_samples_per_chain
     w_sum, w_sq_sum = sums[:, 1:-1].sum(axis=0), sq_sums[:, 1:-1].sum(axis=0)

@@ -7,9 +7,10 @@ import numpy as np
 from scipy import integrate
 
 from fracqm.errors import ConfigurationError, NumericalError
-from fracqm.numerics import make_grid
+from fracqm.numerics import apply_symbol, grid_momenta, make_grid
 from fracqm.propagator import _EPS_LADDER, _char_scales
 from fracqm.spectral import apply_riesz
+from fracqm.statmech import bloch_density_matrix
 from fracqm.wavepacket import _cusp_moment
 
 _TRUNC_LOG = 30.0  # keep exp(-eps p^alpha) above e^-30 on the p grid
@@ -44,6 +45,24 @@ def mehler_bin_averages(centers, width, beta):
     cdf = [math.erf((x + s * width / 2.0) / (math.sqrt(2.0) * sd))
            for x in centers for s in (-1.0, 1.0)]
     return amp * math.sqrt(math.pi / 2.0) * sd * np.diff(cdf)[::2] / width
+
+
+def thermal_row_bin_averages(potential, beta, params, bin_grid, x0, domain=8):
+    """Cell means of the grid thermal kernel row rho(., beta | x0) on bin_grid's cells.
+
+    The row is `bloch_density_matrix` on a grid `domain` bin-grid lengths
+    long, with at least 1024 nodes per bin-grid length, so the power tails'
+    periodic images stay small at alpha < 2.  Averaging over a cell of width
+    w multiplies the row's spectrum by sin(p w / 2 hbar) / (p w / 2 hbar);
+    the bin grid is the fine grid's middle length, and every r-th node from
+    the first bin's centre is a bin centre.
+    """
+    n_per = max(1024, bin_grid.n_points)
+    fine = make_grid(domain * n_per, domain * bin_grid.length)
+    row = bloch_density_matrix(potential, beta, params, fine, x0)
+    box = np.sinc(grid_momenta(fine, params) * bin_grid.spacing / (2.0 * math.pi * params.hbar))
+    first = (domain - 1) * n_per // 2
+    return apply_symbol(row, box).real[first:first + n_per:n_per // bin_grid.n_points]
 
 
 def position_deviation(psi, mu, center):

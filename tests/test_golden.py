@@ -5,13 +5,17 @@ Each ``configs/<experiment>.cfg`` runs through ``validate_config`` /
 ``tests/golden/<experiment>.json``: strings, ints and bools exactly, floats
 within 1e-10 relative or 1e-14 absolute.  A refactor that leaves every
 output alone passes unchanged.  A change to an estimator or an oracle moves
-these numbers on purpose: regenerate the files with
-``PYTHONPATH=src python tests/test_golden.py`` and say so in CHANGES.md.
+these numbers on purpose: regenerate the files it moves with
+``PYTHONPATH=src python tests/test_golden.py <experiment> ...`` (every file
+when no experiment is named) and say so in CHANGES.md.  Regenerating a file
+whose outputs did not change can still move its bytes at round-off on
+another host, so name only the experiments the change means to move.
 """
 
 import json
 import math
 import pathlib
+import sys
 
 import pytest
 
@@ -59,8 +63,12 @@ def test_shipped_config_matches_golden(experiment):
 
 
 if __name__ == "__main__":
+    shipped = sorted(p.stem for p in CONFIGS.glob("*.cfg"))
+    unknown = sorted(set(sys.argv[1:]) - set(shipped))
+    if unknown:
+        sys.exit(f"no shipped config for {', '.join(unknown)}; choose from {', '.join(shipped)}")
     GOLDEN.mkdir(exist_ok=True)
-    for cfg in sorted(CONFIGS.glob("*.cfg")):
-        path = GOLDEN / f"{cfg.stem}.json"
-        path.write_text(json.dumps(_outputs(cfg.stem), indent=1, sort_keys=True) + "\n")
+    for experiment in sys.argv[1:] or shipped:
+        path = GOLDEN / f"{experiment}.json"
+        path.write_text(json.dumps(_outputs(experiment), indent=1, sort_keys=True) + "\n")
         print(f"wrote {path}")

@@ -11,7 +11,9 @@ from fracqm.errors import ConfigurationError, NumericalError
 from fracqm.numerics import PhysicalParams, make_grid
 from fracqm.pimc import (
     _chain_histogram,
+    _group_sums,
     _max_workers,
+    _slots,
     estimate_density_matrix,
     fractal_scaling_exponent,
     sample_free_paths,
@@ -20,7 +22,7 @@ from fracqm.pimc import (
 from fracqm.spectral import Potential
 from fracqm.statmech import bloch_density_matrix, bloch_trace_ladder
 from fracqm.stable import StableParams, chain_rngs, sample_stable, thermal_law
-from oracles import mehler_bin_averages
+from oracles import mehler_bin_averages, thermal_row_bin_averages
 
 P15 = PhysicalParams(1.0, 1.0, 1.5)
 P2 = PhysicalParams.gaussian(mass=1.0)
@@ -30,8 +32,17 @@ HARMONIC = Potential.harmonic(1.0, 1.0)
 # the same V without its coefficient, so chains write every family member
 # out in full and evaluate V on it
 HARMONIC_CUSTOM = Potential(HARMONIC.func)
+QUARTIC = Potential(lambda x: 0.25 * np.asarray(x, dtype=float) ** 4)
 # cell edges exactly symmetric about 0
 SYMMETRIC_EDGES = np.concatenate([-0.5 * np.arange(16, 0, -1), [0.0], 0.5 * np.arange(1, 17)])
+
+
+def chain_sums(rng, potential, x0, beta, params, n_slices, n_samples, edges):
+    """One chain's raw (sum w, sum w^2) in the pass's slots, under- and
+    overflow included: its draws, weighted and binned as a pass bins them."""
+    draws = _chain_histogram(rng, potential, x0, beta, params, n_slices, n_samples, edges)
+    w_sum, w_sq = _group_sums([draws], potential, x0, beta, n_slices, n_samples, edges)
+    return w_sum[0], w_sq[0]
 
 
 def test_path_starts_at_origin_and_cumsums():
@@ -153,6 +164,22 @@ def test_trapezoid_rule_harmonic_16_slices():
     assert frac >= 0.95
 
 
+@pytest.mark.parametrize("potential,seed", [(HARMONIC, 1801), (QUARTIC, 1802)],
+                         ids=["harmonic", "quartic"])
+def test_row_with_potential_matches_thermal_kernel_alpha15(potential, seed):
+    # the Levy path integral with a potential at alpha < 2: the harmonic row
+    # takes the moments branch, the quartic V = x^4 / 4 writes its families
+    # out; the oracle is the grid thermal kernel's cell means
+    params = PhysicalParams(1.0, 0.5, 1.5)
+    grid = make_grid(64, 20.0)
+    est = estimate_density_matrix(potential, 0.0, 1.0, params, 64, 64, 1500, grid, seed)
+    oracle = thermal_row_bin_averages(potential, 1.0, params, grid, 0.0)
+    cov = est.covered
+    frac = np.mean(np.abs(est.mean[cov] - oracle[cov]) <= 3.0 * est.std_error[cov])
+    assert cov.sum() >= 16
+    assert frac >= 0.95
+
+
 def test_weights_in_unit_interval_for_positive_potential():
     grid = make_grid(64, 20.0)
     pot = Potential.harmonic(1.0, 1.0)
@@ -210,9 +237,7 @@ def test_bin_without_chain_spread_is_not_covered(monkeypatch):
     # sample size is 16, but every chain reads alike, so it has no error bar;
     # the chain spread is round-off (5.7e-17 here), not zero
     def one_hit(rng, potential, x0, beta, params, n_slices, n_samples, edges):
-        sums = np.zeros(len(edges) + 1)
-        sums[17] = 1.0  # bin 16; slot 0 is the underflow
-        return sums, sums
+        return np.array([0.5 * (edges[16] + edges[17])])  # the one free endpoint, in bin 16
 
     monkeypatch.setattr("fracqm.pimc._chain_histogram", one_hit)
     est = estimate_density_matrix(Potential.free(), 0.0, 1.0, P15, 4, 16, 1,
@@ -319,7 +344,7 @@ def test_partner_reflects_about_middle_slice(n_slices):
     k = n_slices // 2
     y = np.concatenate([x[:k + 1], 2.0 * x[k] - x[k + 1:]])
     edges = np.linspace(-40.0, 40.0, 800_001)
-    w_sum, _ = _chain_histogram(rng, tilt, x0, 1.0, P15, n_slices, 2, edges)
+    w_sum, _ = chain_sums(rng, tilt, x0, 1.0, P15, n_slices, 2, edges)
     hist = w_sum[1:-1]
     assert w_sum[0] == w_sum[-1] == 0.0 and np.count_nonzero(hist) == 2
     for path in (x, y):
@@ -333,7 +358,7 @@ def test_even_potential_row_not_mirror_symmetric():
     # each bin repeating its mirror bin; at 2 and 3 slices a second pivot at
     # n_slices // 4 = 0 would mirror whole paths
     for n_slices in (2, 3, 16):
-        hist = _chain_histogram(
+        hist = chain_sums(
             chain_rngs(61, 1)[0], ZERO, 0.0, 1.0, P15, n_slices, 600, SYMMETRIC_EDGES)[0][1:-1]
         assert hist.sum() > 0 and not np.array_equal(hist, hist[::-1])
 
@@ -342,7 +367,7 @@ def test_even_potential_row_not_mirror_symmetric():
 def test_unpaired_path_counts_once(n_paths):
     # blocks whose size is not a multiple of four end on cut-short families;
     # every binned path counts once, under- and overflow slots included
-    w_sum, _ = _chain_histogram(
+    w_sum, _ = chain_sums(
         chain_rngs(62, 1)[0], ZERO, 0.3, 1.0, P15, 16, n_paths, SYMMETRIC_EDGES)
     assert abs(w_sum.sum() / n_paths - 1.0) <= 1e-15
 
@@ -352,17 +377,46 @@ def test_chain_returns_raw_slot_sums(potential):
     # V = 0: every weight is one, so both sums are hit counts and the slots,
     # the under- and overflow included, hold every path once
     edges = np.linspace(-2.0, 2.0, 9)
-    w_sum, w_sq = _chain_histogram(chain_rngs(65, 1)[0], potential, 0.3, 1.0, P15, 8, 601, edges)
+    w_sum, w_sq = chain_sums(chain_rngs(65, 1)[0], potential, 0.3, 1.0, P15, 8, 601, edges)
     assert w_sum.shape == w_sq.shape == (len(edges) + 1,)
     assert np.array_equal(w_sum, w_sq) and np.array_equal(w_sum, np.round(w_sum))
     assert w_sum.sum() == 601 and w_sum[0] > 0 and w_sum[-1] > 0
+
+
+@pytest.mark.parametrize("edges", [
+    np.append(make_grid(64, 30.0).positions, 15.0) - 30.0 / 128,
+    SYMMETRIC_EDGES,
+    np.linspace(-40.0, 40.0, 800_001),
+], ids=["bin-grid", "symmetric", "fine"])
+def test_slots_match_binary_search(edges):
+    # the arithmetic guess is exact on every edge, one ulp to either side of
+    # it, far past the ends and at +-inf; its random points cover every cell
+    on_edges = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+    span = edges[-1] - edges[0]
+    x = np.concatenate([on_edges, [-np.inf, -1e300, edges[0] - span, edges[-1] + span, 1e300, np.inf],
+                        np.random.default_rng(5).uniform(edges[0] - 1.0, edges[-1] + 1.0, 5000)])
+    assert np.array_equal(_slots(x, edges), np.searchsorted(edges, x, side="right"))
+
+
+@pytest.mark.parametrize("potential", [Potential.free(), HARMONIC, HARMONIC_CUSTOM],
+                         ids=["free", "moments", "written-out"])
+def test_pass_rows_are_each_chains_own_sums(potential):
+    # six chains are a group of four and a group of two, binned together in
+    # offset slots: each chain's row must be what its draws give alone
+    grid = make_grid(32, 24.0)
+    edges = np.append(grid.positions - grid.spacing / 2.0, grid.positions[-1] + grid.spacing / 2.0)
+    est = estimate_density_matrix(potential, 0.3, 1.0, P15, 8, 6, 601, grid, 69)
+    rows = [chain_sums(rng, potential, 0.3, 1.0, P15, 8, 601, edges)[0][1:-1] / (601 * grid.spacing)
+            for rng in chain_rngs(69, 6)]
+    assert np.array_equal(est.mean, np.mean(rows, axis=0))
+    assert np.array_equal(est.std_error, np.std(rows, axis=0, ddof=1) / math.sqrt(6))
 
 
 def test_chain_draws_a_quarter_of_the_increments():
     # 601 paths are blocks of 256, 256 and 89 paths, of which 64, 64 and 23
     # are drawn and the rest reflected
     rng, fresh = chain_rngs(63, 1)[0], chain_rngs(63, 1)[0]
-    _chain_histogram(rng, ZERO, 0.0, 1.0, P15, 16, 601, SYMMETRIC_EDGES)
+    chain_sums(rng, ZERO, 0.0, 1.0, P15, 16, 601, SYMMETRIC_EDGES)
     for drawn in (64, 64, 23):
         sample_stable(thermal_law(1.0 / 16, P15), fresh, size=(drawn, 16))
     assert rng.bit_generator.state == fresh.bit_generator.state
@@ -382,7 +436,7 @@ def test_family_of_four_sign_patterns(n_slices):
     segment = np.searchsorted([n_slices // 4, n_slices // 2], np.arange(n_slices),
                               side="right")
     edges = np.linspace(-40.0, 40.0, 800_001)
-    w_sum, _ = _chain_histogram(rng, tilt, x0, 1.0, P15, n_slices, 4, edges)
+    w_sum, _ = chain_sums(rng, tilt, x0, 1.0, P15, n_slices, 4, edges)
     hist = w_sum[1:-1]
     assert w_sum[0] == w_sum[-1] == 0.0 and np.count_nonzero(hist) == 4
     for signs in ((1, 1, 1), (1, 1, -1), (1, -1, -1), (1, -1, 1)):
@@ -402,9 +456,8 @@ def test_quadratic_family_matches_written_out_family(params, n_slices):
     edges = np.linspace(-4.0, 4.0, 33)
     for n_paths, x0 in itertools.product((1, 7, 258, 601), (0.0, 0.3)):
         rng, ref_rng = chain_rngs(66, 1)[0], chain_rngs(66, 1)[0]
-        sums = _chain_histogram(rng, HARMONIC, x0, 1.0, params, n_slices, n_paths, edges)
-        ref = _chain_histogram(ref_rng, HARMONIC_CUSTOM, x0, 1.0, params, n_slices, n_paths,
-                               edges)
+        sums = chain_sums(rng, HARMONIC, x0, 1.0, params, n_slices, n_paths, edges)
+        ref = chain_sums(ref_rng, HARMONIC_CUSTOM, x0, 1.0, params, n_slices, n_paths, edges)
         for got, want in zip(sums, ref):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -421,6 +474,24 @@ def test_harmonic_chain_keeps_no_family_rows():
     finally:
         tracemalloc.stop()
     assert peak < 3 * 64 * 256 * 8
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_harmonic_pass_peak_memory(monkeypatch, threads):
+    # the benchmark's harmonic shape: workers hold one path block each and the
+    # calling thread a few chains' family rows; weighting and binning all 64
+    # chains at once peaked near 8 MiB.  A small first pass takes numpy's
+    # lazy imports out of the measurement
+    monkeypatch.setenv("FRACQM_THREADS", threads)
+    grid = make_grid(64, 20.0)
+    estimate_density_matrix(HARMONIC, 0.0, 1.0, P2, 8, 2, 8, grid, 68)
+    tracemalloc.start()
+    try:
+        estimate_density_matrix(HARMONIC, 0.0, 1.0, P2, 256, 64, 1500, grid, 68)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def _independent_path_std_error(potential, x0, params, n_slices, n_chains, n_paths,
