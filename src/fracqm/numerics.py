@@ -142,8 +142,11 @@ def apply_symbol(values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
 
     The transform pair's grid factors, dx (-1)^k forward and (-1)^k / dx
     inverse, cancel around a diagonal multiplier, so the bare FFTs suffice.
+    The product and the inverse transform reuse the one spectrum array.
     """
-    return np.fft.ifft(symbol * np.fft.fft(values))
+    spec = np.fft.fft(values)
+    np.multiply(symbol, spec, out=spec)
+    return np.fft.ifft(spec, out=spec)
 
 
 def _de_nodes(t: np.ndarray, pieces) -> np.ndarray:

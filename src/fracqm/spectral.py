@@ -130,9 +130,9 @@ def evolve(
         raise ConfigurationError("phase factors or initial field not finite")
     psi = field.values.copy()
     for _ in range(config.n_steps):
-        psi = half_v * psi
+        np.multiply(half_v, psi, out=psi)
         psi = apply_symbol(psi, kin_fac)
-        psi = half_v * psi
+        np.multiply(half_v, psi, out=psi)
     return ComplexField(psi, grid)
 
 

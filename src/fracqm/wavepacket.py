@@ -67,6 +67,10 @@ _NORM_TOL = 1e-9
 _N_MAX = 1 << 20
 # packet_position_state's largest allowed off-grid probability mass
 _TAIL_TOL = 1e-6
+# packet_spread_factor's sigma residues per batched inverse FFT, and the
+# reach of its cusp Gaussian in widths
+_RESIDUES = 4
+_GAUSS_REACH = 39
 
 
 @dataclass(frozen=True)
@@ -296,36 +300,6 @@ def gamma_ratio_deviation(mu: float, packet: PacketParams, params: PhysicalParam
     ) ** (1.0 / mu)
 
 
-def _cusp_moment(u: np.ndarray, h: np.ndarray, du: float, mu: float) -> float:
-    """Normalised moment sum |u|^mu h(u) du / sum h(u) du, each sum with the
-    |u|^mu cusp removed by subtraction.
-
-    Plain midpoint converges only as du^(1+mu) because of the cusp at u=0.
-    Subtracting h(0) * gaussian(u), built once for both sums, cancels the
-    cusp coefficient; the subtracted piece integrates in closed form against
-    |u|^mu.
-    """
-    au = np.abs(u)
-    j = int(np.argmin(au))
-    lo = max(0, min(j - 1, len(u) - 4))
-    # cubic Lagrange interpolation of h at u = 0 from the four nearest cells
-    h0 = 0.0
-    for i in range(lo, lo + 4):
-        weight = 1.0
-        for k in range(lo, lo + 4):
-            if k != i:
-                weight *= (0.0 - u[k]) / (u[i] - u[k])
-        h0 += weight * h[i]
-    w = 16.0 * du
-    smooth = h - h0 * np.exp(-(u * u) / (2.0 * w * w))
-
-    def moment(m, weighted):
-        closed = h0 * (math.sqrt(2.0) * w) ** (m + 1.0) * math.gamma((m + 1.0) / 2.0)
-        return float(np.sum(weighted)) * du + closed
-
-    return moment(mu, au**mu * smooth) / moment(0.0, smooth)
-
-
 def packet_spread_factor(
     alpha: float,
     mu: float,
@@ -335,13 +309,19 @@ def packet_spread_factor(
 ) -> float:
     """The dimensionless position-spread factor N(alpha, mu, nu; tau, eta0).
 
-    Evaluates g(sigma) on a fine sigma grid with one FFT of the zero-padded
-    eta window (2^18 to 2^23 points; sigma reach 1024 past the drift), then
-    integrates |sigma|^mu |g|^2 by the midpoint rule with the cusp subtraction
-    of `_cusp_moment` (the grid-moment oracle in tests/oracles.py uses the
-    same rule).  The result is self-normalized by the mu = 0 sum, which equals
-    one exactly in the continuum.  A non-finite tau raises ConfigurationError,
-    and one whose FFT would pass 2^23 points (|tau| > 3.0e5 at alpha = nu = 1.8,
+    Evaluates g(sigma) on the sigma grid of a zero-padded n_fft-point inverse
+    FFT of the eta window (n_fft from 2^18 to 2^23; sigma reach 1024 past the
+    drift), without forming it: with m = 2^ceil(log2 n_phys) >= n_phys window
+    points and p = n_fft / m >= 2, node k = r + p q is node q of an m-point
+    inverse FFT of the window tilted by e^{2 pi i j r / n_fft}, so residues
+    are transformed `_RESIDUES` at a time (a pruned FFT, Markel 1971) and
+    |sigma|^mu |g|^2 is summed as they come.  The midpoint sums take the cusp
+    at sigma = 0 out by subtracting h(0) times a Gaussian whose |sigma|^mu
+    integral is closed form, h = |g|^2 and h(0) the sigma = 0 node's own value;
+    the grid-moment oracle in tests/oracles.py uses the same subtraction.
+    The result is self-normalized by the mu = 0 sum, which equals one exactly
+    in the continuum.  A non-finite tau raises ConfigurationError, and one
+    whose FFT would pass 2^23 points (|tau| > 3.0e5 at alpha = nu = 1.8,
     eta0 = 1.36) raises NumericalError before any array is allocated.
     """
     if not math.isfinite(tau):
@@ -364,11 +344,36 @@ def packet_spread_factor(
         - 1j * tau * np.abs(eta) ** alpha
         - np.abs(eta - eta0) ** nu
     )
-    g_mag2 = np.abs(d_eta * n_fft * np.fft.ifft(f, n_fft)) ** 2
-    sigma = 2.0 * math.pi * np.fft.fftfreq(n_fft, d=d_eta)
     d_sigma = 2.0 * math.pi / (n_fft * d_eta)
+    m = 1 << (n_phys - 1).bit_length()
+    p = n_fft // m
+    rows = min(_RESIDUES, p)
+    phase = (2.0 * math.pi / n_fft) * np.arange(n_phys)
+    tilted = (d_eta * m) * f * np.exp(1j * np.outer(np.arange(rows), phase))
+    step = np.exp(1j * rows * phase)
+    sigma_q = (p * d_sigma) * np.fft.fftfreq(m, 1.0 / m)  # sigma at r = 0
+    h0 = total = weighted = 0.0
+    for r in range(0, p, rows):
+        h = np.abs(np.fft.ifft(tilted, m)) ** 2
+        if r == 0:
+            h0 = float(h[0, 0])
+        sigma = d_sigma * np.arange(r, r + rows)[:, None] + sigma_q
+        total += float(np.sum(h))
+        weighted += float(np.vdot(np.abs(sigma) ** mu, h))
+        tilted *= step
 
-    return _cusp_moment(sigma, g_mag2, d_sigma, mu)
+    # the cusp Gaussian exp(-sigma^2 / 2 w^2) is exactly 0 past |sigma| = 38.6 w
+    w = 16.0 * d_sigma
+    u = d_sigma * np.arange(-16 * _GAUSS_REACH, 16 * _GAUSS_REACH + 1)
+    gauss = np.exp(-(u * u) / (2.0 * w * w))
+
+    def moment(k, plain, subtracted):
+        closed = h0 * (math.sqrt(2.0) * w) ** (k + 1.0) * math.gamma((k + 1.0) / 2.0)
+        return (plain - h0 * subtracted) * d_sigma + closed
+
+    return moment(mu, weighted, float(np.vdot(np.abs(u) ** mu, gauss))) / moment(
+        0.0, total, float(np.sum(gauss))
+    )
 
 
 def uncertainty_report(

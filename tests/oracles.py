@@ -11,7 +11,6 @@ from fracqm.numerics import apply_symbol, grid_momenta, make_grid
 from fracqm.propagator import _EPS_LADDER, _char_scales
 from fracqm.spectral import apply_riesz
 from fracqm.statmech import bloch_density_matrix
-from fracqm.wavepacket import _cusp_moment
 
 _TRUNC_LOG = 30.0  # keep exp(-eps p^alpha) above e^-30 on the p grid
 
@@ -65,6 +64,36 @@ def thermal_row_bin_averages(potential, beta, params, bin_grid, x0, domain=8):
     return apply_symbol(row, box).real[first:first + n_per:n_per // bin_grid.n_points]
 
 
+def _cusp_moment(u, h, du, mu):
+    """Normalised moment sum |u|^mu h(u) du / sum h(u) du, each sum with the
+    |u|^mu cusp removed by subtraction.
+
+    Plain midpoint converges only as du^(1+mu) because of the cusp at u=0.
+    Subtracting h(0) * gaussian(u), built once for both sums, cancels the
+    cusp coefficient; the subtracted piece integrates in closed form against
+    |u|^mu.
+    """
+    au = np.abs(u)
+    j = int(np.argmin(au))
+    lo = max(0, min(j - 1, len(u) - 4))
+    # cubic Lagrange interpolation of h at u = 0 from the four nearest cells
+    h0 = 0.0
+    for i in range(lo, lo + 4):
+        weight = 1.0
+        for k in range(lo, lo + 4):
+            if k != i:
+                weight *= (0.0 - u[k]) / (u[i] - u[k])
+        h0 += weight * h[i]
+    w = 16.0 * du
+    smooth = h - h0 * np.exp(-(u * u) / (2.0 * w * w))
+
+    def moment(m, weighted):
+        closed = h0 * (math.sqrt(2.0) * w) ** (m + 1.0) * math.gamma((m + 1.0) / 2.0)
+        return float(np.sum(weighted)) * du + closed
+
+    return moment(mu, au**mu * smooth) / moment(0.0, smooth)
+
+
 def position_deviation(psi, mu, center):
     """mu-root of the grid moment <|x - center|^mu> of the density |psi|^2.
 
@@ -74,6 +103,23 @@ def position_deviation(psi, mu, center):
     """
     rho = np.abs(psi.values) ** 2
     return _cusp_moment(psi.grid.positions - center, rho, psi.grid.spacing, mu) ** (1.0 / mu)
+
+
+def padded_fft_spread_factor(alpha, mu, nu, tau, eta0):
+    """The spread factor N on `packet_spread_factor`'s sigma grid, the direct
+    way: one zero-padded n_fft-point inverse FFT of the eta window, then the
+    cusp-subtracted midpoint moment of |g|^2 by `_cusp_moment` (arguments
+    unchecked)."""
+    c0 = alpha * tau * eta0 ** (alpha - 1.0)
+    half_width = math.log(1e16) ** (1.0 / nu) + 2.0
+    d_eta = math.pi / (1024.0 + abs(c0))
+    n_phys = int(math.ceil(2.0 * half_width / d_eta))
+    n_fft = max(1 << 18, 1 << (2 * n_phys - 1).bit_length())
+    eta = eta0 - half_width + d_eta * np.arange(n_phys)
+    f = np.exp(1j * eta * c0 - 1j * tau * np.abs(eta) ** alpha - np.abs(eta - eta0) ** nu)
+    g_mag2 = np.abs(d_eta * n_fft * np.fft.ifft(f, n_fft)) ** 2
+    sigma = 2.0 * math.pi * np.fft.fftfreq(n_fft, d=d_eta)
+    return _cusp_moment(sigma, g_mag2, 2.0 * math.pi / (n_fft * d_eta), mu)
 
 
 def bergstrom_tail(z, alpha, terms=30):

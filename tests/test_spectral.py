@@ -111,6 +111,27 @@ def test_zero_steps_returns_input_bit_identical():
     assert out is not field and not np.shares_memory(out.values, field.values)
 
 
+def test_in_place_steps_match_written_out_steps_bitwise():
+    # evolve reuses its buffers; each step must still equal, bit for bit, the
+    # step written with a new array per product and transform
+    grid = make_grid(256, 24.0)
+    params = PhysicalParams(1.0, 1.0, 1.5)
+    pot = Potential.harmonic(1.0, 1.0)
+    field = gaussian_state(grid, x0=0.5, p0=1.0)
+    before = field.values.copy()
+    dt = 0.01
+    out = evolve(field, pot, params, EvolverConfig(dt, 200))
+    half_v = np.exp(-0.5j * pot.on_grid(grid) * dt)
+    kin_fac = np.exp(-1j * spectral.kinetic_symbol(grid, params) * dt)
+    psi = field.values.copy()
+    for _ in range(200):
+        psi = half_v * psi
+        psi = np.fft.ifft(kin_fac * np.fft.fft(psi))
+        psi = half_v * psi
+    assert np.array_equal(out.values, psi)
+    assert np.array_equal(field.values, before)
+
+
 def test_zero_steps_still_validate_the_potential():
     grid = make_grid(64, 8.0)
     params = PhysicalParams(1.0, 1.0, 1.5)

@@ -26,7 +26,7 @@ from fracqm.wavepacket import (
     tail_mass_estimate,
     uncertainty_report,
 )
-from oracles import position_deviation, quadpack
+from oracles import padded_fft_spread_factor, position_deviation, quadpack
 
 P2 = PhysicalParams.gaussian(mass=0.5)  # d_alpha = 1, alpha = 2
 P15 = PhysicalParams(1.0, 1.0, 1.5)
@@ -206,15 +206,49 @@ def test_deviation_rejects_mu_at_or_above_nu():
 
 
 @pytest.mark.parametrize("mu,tau,rel", [
-    pytest.param(1.2, 0.0, 5e-6, id="0.0"),
-    pytest.param(1.2, 1.0, 5e-6, id="1.0"),
-    pytest.param(1.2, 5.0, 5e-6, id="5.0"),
-    # the cusp weighs most at small mu, where the sum leans on its cusp subtraction
+    # the sums read 3.1e-10, 1.4e-10 and 8.9e-12 off the closed form
+    pytest.param(1.2, 0.0, 5e-9, id="0.0"),
+    pytest.param(1.2, 1.0, 5e-9, id="1.0"),
+    pytest.param(1.2, 5.0, 5e-9, id="5.0"),
+    # the cusp weighs most at small mu, where the sum leans on its cusp
+    # subtraction: 1.1e-8 at mu = 0.5 and 2.5e-8 at mu = 0.2, tau = 0
     pytest.param(0.5, 0.0, 1e-7, id="mu0.5-0.0"),
+    pytest.param(0.2, 0.0, 2.5e-7, id="mu0.2-0.0"),
 ])
 def test_spread_factor_gaussian_closed_form(mu, tau, rel):
     n = packet_spread_factor(2.0, mu, 2.0, tau, reduced_carrier(PK2, P2))
     assert n == pytest.approx(gaussian_spread_factor(mu, tau), rel=rel)
+
+
+SPREAD_CASES = (
+    [(alpha, 0.6 * alpha, tau) for alpha in (1.2, 1.5, 1.8, 2.0) for tau in (0.0, 0.5, 1.0, 5.0)]
+    + [(2.0, mu, 2.0) for mu in (0.2, 0.6, 1.2)]
+    # n_fft = 2^19, so the sigma grid is two residues of 2^18 points
+    + [(1.8, 1.08, 1e4)]
+)
+
+
+@pytest.mark.parametrize("alpha,mu,tau", SPREAD_CASES,
+                         ids=[f"{a}-{m:g}-{t:g}" for a, m, t in SPREAD_CASES])
+def test_spread_factor_matches_padded_fft(alpha, mu, tau):
+    # the residue-by-residue sums against one zero-padded FFT of the same grid
+    eta0 = reduced_carrier(PacketParams(l=1.0, p0=2.0, nu=alpha), PhysicalParams(1.0, 1.0, alpha))
+    n = packet_spread_factor(alpha, mu, alpha, tau, eta0)
+    assert n == pytest.approx(padded_fft_spread_factor(alpha, mu, alpha, tau, eta0), rel=1e-14)
+
+
+def test_spread_factor_peak_memory():
+    # at the shipped alpha = 1.8, tau = 5 one zero-padded 2^18-point FFT peaks
+    # at 10.1 MiB; residue batches of 4 x 8192 points peak near 2 MiB
+    eta0 = reduced_carrier(PacketParams(l=1.0, p0=2.0, nu=1.8), PhysicalParams(1.0, 1.0, 1.8))
+    packet_spread_factor(1.8, 1.08, 1.8, 0.0, eta0)
+    tracemalloc.start()
+    try:
+        packet_spread_factor(1.8, 1.08, 1.8, 5.0, eta0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 @pytest.mark.parametrize("nu", [1.2, 1.5, 1.8, 2.0])
