@@ -35,19 +35,13 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigurationError, NumericalError
-from .numerics import (ComplexField, PhysicalParams, apply_symbol, gauss_legendre, grid_momenta,
-                       make_grid)
+from .numerics import ComplexField, PhysicalParams, gauss_legendre, make_grid
 from .propagator import _composition_legs, _kernel_ray, chapman_kolmogorov_residual, free_kernel
 from .pimc import estimate_density_matrix, fractal_scaling_exponent
 from .spectral import EvolverConfig, Potential, energy_expectation, evolve
-from .stable import StableParams, levy_cdf, levy_density, peak_density, thermal_law
-from .statmech import (
-    bloch_density_matrix,
-    bloch_trace_ladder,
-    classical_partition_function,
-    free_density_matrix,
-    free_partition_function,
-)
+from .stable import StableParams, levy_density, peak_density, thermal_law
+from .statmech import (bin_averaged_row, bloch_density_matrix, bloch_trace_ladder,
+                       classical_partition_function, free_density_matrix, free_partition_function)
 from .wavepacket import (
     PacketParams,
     drift_velocity,
@@ -131,10 +125,8 @@ def parse_flat(text: str) -> dict[str, str]:
     return raw
 
 
-def validate_config(raw: str | dict) -> ExperimentConfig:
-    """Build a fully-defaulted config; aggregate every violation, not just the first."""
-    if isinstance(raw, str):
-        raw = parse_flat(raw)
+def validate_config(raw: dict) -> ExperimentConfig:
+    """Build a fully-defaulted config from `parse_flat`'s dict; report every violation."""
     raw = dict(raw)
     errors: list[str] = []
 
@@ -415,12 +407,6 @@ def _run_uncertainty(p, seed):
          "spread_factor", "eta0"], rows)}, comparisons
 
 
-# the harmonic oracle row's periodic domain, in bin-grid lengths (a power
-# of two, as make_grid needs): for configs/pimc.cfg at alpha 1.5 it is within
-# 1e-4 relative of a 240-long domain for |x| < 3, 0.4% at x = 10
-_ORACLE_DOMAIN = 4
-
-
 def _run_pimc(p, seed):
     params = _physical(p)
     bin_grid = make_grid(p["bin_points"], p["bin_length"])
@@ -429,25 +415,10 @@ def _run_pimc(p, seed):
         pot, p["x0"], p["beta"], params, p["n_slices"], p["n_chains"],
         p["n_paths"], bin_grid, seed,
     )
-    # the histogram holds bin averages, so the oracles are bin averages too
-    if p["potential"] == "free":
-        edges = np.append(bin_grid.positions, bin_grid.length / 2.0) - bin_grid.spacing / 2.0
-        cdf = levy_cdf(edges - p["x0"], thermal_law(p["beta"], params))
-        oracle = np.diff(cdf) / bin_grid.spacing
-        anchor = "free_thermal_kernel_bin_average"
-    else:
-        # averaging over a cell of width w multiplies the row's spectrum by
-        # sin(p w / 2 hbar) / (p w / 2 hbar).  At alpha < 2 the row has power
-        # tails, so the fine grid spans _ORACLE_DOMAIN bin-grid lengths to keep
-        # its periodic images small; the bin grid is its middle, and every
-        # r-th node from the first bin's centre is a bin centre
-        n_per = max(1024, p["bin_points"])
-        fine = make_grid(_ORACLE_DOMAIN * n_per, _ORACLE_DOMAIN * p["bin_length"])
-        row = bloch_density_matrix(pot, p["beta"], params, fine, p["x0"])
-        box = np.sinc(grid_momenta(fine, params) * bin_grid.spacing / (2.0 * math.pi * params.hbar))
-        first = (_ORACLE_DOMAIN - 1) * n_per // 2
-        oracle = apply_symbol(row, box).real[first:first + n_per:n_per // p["bin_points"]]
-        anchor = "thermal_kernel_bin_average"
+    # the histogram holds bin averages, so the oracle is a bin average too
+    oracle = bin_averaged_row(pot, p["beta"], params, bin_grid, p["x0"])
+    anchor = ("free_thermal_kernel_bin_average" if p["potential"] == "free"
+              else "thermal_kernel_bin_average")
     cov = est.covered
     within = np.abs(est.mean[cov] - oracle[cov]) <= 3.0 * est.std_error[cov]
     frac = float(within.mean()) if cov.any() else 0.0

@@ -113,6 +113,11 @@ def make_grid(n_points: int, length: float) -> GridSpec:
     return GridSpec(n_points, length, spacing, -length / 2.0 + spacing * np.arange(n_points))
 
 
+def _cell_edges(grid: GridSpec) -> np.ndarray:
+    """The n + 1 edges of the grid's cells, each node a cell's centre."""
+    return np.append(grid.positions, grid.length / 2.0) - grid.spacing / 2.0
+
+
 def grid_momenta(grid: GridSpec, params: PhysicalParams) -> np.ndarray:
     """p_k = 2 pi hbar k / length, k in FFT layout {0,..,n/2-1,-n/2,..,-1}."""
     return 2.0 * np.pi * params.hbar * np.fft.fftfreq(grid.n_points, d=grid.spacing)

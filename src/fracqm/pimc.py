@@ -68,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError
-from .numerics import GridSpec, PhysicalParams
+from .numerics import GridSpec, PhysicalParams, _cell_edges
 from .spectral import Potential
 from .stable import chain_rngs, sample_stable, thermal_law
 
@@ -290,17 +290,12 @@ def _chain_histogram(
     params: PhysicalParams,
     n_slices: int,
     n_samples: int,
-    edges: np.ndarray,
 ) -> np.ndarray:
     """One chain's draws, reduced only as far as a worker must: with V = 0
     its n_samples endpoints; under V = q2 x^2 the (6, drawn paths) moments
     `_quadratic_family` reads, one matmul and one vecdot per block; otherwise
     the (2, n_samples) endpoints and trapezoid actions of every family member.
     `_group_sums` weights and bins them in the calling thread.
-
-    The name and the signature, `edges` included though it is not read, are
-    kept from when a chain binned its own paths: `perfbench/layers.py` times
-    each worker's share of a pass under this function (`pimc.chain`).
     """
     if potential.kind == "free":
         return x0 + sample_stable(thermal_law(beta, params), rng, n_samples)
@@ -400,17 +395,11 @@ def estimate_density_matrix(
         raise ConfigurationError(
             f"bin grid must cover the free-path spread (need half-length >= {spread:.3g})"
         )
-    edges = np.concatenate(
-        [bin_grid.positions - bin_grid.spacing / 2.0,
-         [bin_grid.positions[-1] + bin_grid.spacing / 2.0]]
-    )
+    edges = _cell_edges(bin_grid)
     rngs = chain_rngs(master_seed, n_chains)
 
     def run(i: int):
-        return _chain_histogram(
-            rngs[i], potential, x0, beta, params,
-            n_slices, n_samples_per_chain, edges,
-        )
+        return _chain_histogram(rngs[i], potential, x0, beta, params, n_slices, n_samples_per_chain)
 
     with ThreadPoolExecutor(max_workers=min(_max_workers(), n_chains)) as pool:
         draws = _in_order(pool, run, n_chains)

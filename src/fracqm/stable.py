@@ -74,10 +74,18 @@ class StableParams:
 
 
 def thermal_law(beta: float, params: PhysicalParams) -> StableParams:
-    """Law of x - x0 under the free thermal kernel: scale beta D_alpha hbar^alpha."""
+    """Law of x - x0 under the free thermal kernel: scale beta D_alpha hbar^alpha;
+    a scale that overflows or underflows the floats raises NumericalError."""
     if not (0 < beta < math.inf):
         raise ConfigurationError(f"beta must be positive, got {beta}")
-    return StableParams(params.alpha, beta * params.d_alpha * params.hbar**params.alpha)
+    try:
+        scale = beta * params.d_alpha * params.hbar**params.alpha
+    except OverflowError:  # hbar^alpha past the largest double
+        scale = math.inf
+    if not (0.0 < scale < math.inf):
+        raise NumericalError(f"thermal scale leaves the floats at beta={beta}, "
+                             f"hbar={params.hbar}, d_alpha={params.d_alpha}")
+    return StableParams(params.alpha, scale)
 
 
 @functools.cache

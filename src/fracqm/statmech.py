@@ -13,7 +13,8 @@ the Fourier-grid Hamiltonian H = U diag(E) U^T once (Marston & Balint-Kurti,
 J. Chem. Phys. 91, 3571 (1989)): rho(beta) = U e^{-beta E} U^T / dx and
 Z(beta) = sum e^{-beta E}, exact on the grid for every beta.  Single rows,
 wanted at n = 2048-4096 where a dense eigh needs O(n^2) memory and O(n^3)
-time, apply a Chebyshev series of e^{-beta H} to a delta spike.
+time, apply a Chebyshev series of e^{-beta H} to a delta spike; a row's
+cell means (`bin_averaged_row`) are what a PIMC endpoint histogram estimates.
 """
 
 from __future__ import annotations
@@ -23,15 +24,17 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError
-from .numerics import GridSpec, PhysicalParams, adaptive_quadrature
+from .numerics import (GridSpec, PhysicalParams, _cell_edges, adaptive_quadrature, apply_symbol,
+                       grid_momenta, make_grid)
 from .spectral import Potential, kinetic_symbol
-from .stable import levy_density, peak_density, thermal_law
+from .stable import levy_cdf, levy_density, peak_density, thermal_law
 
 __all__ = [
     "free_density_matrix",
     "free_partition_function",
     "classical_partition_function",
     "bloch_density_matrix",
+    "bin_averaged_row",
     "bloch_matrix",
     "bloch_trace_ladder",
 ]
@@ -135,6 +138,28 @@ def bloch_density_matrix(
         prev, cur = cur, (2.0 if k else 1.0) * y_cur - prev
         row += c * cur
     return math.exp(-beta * lo) * row
+
+
+def bin_averaged_row(potential: Potential, beta: float, params: PhysicalParams,
+                     bin_grid: GridSpec, x0: float) -> np.ndarray:
+    """rho(., beta | x0) averaged over each cell of bin_grid.
+
+    V = 0 (kind "free") gives the exact `levy_cdf` differences of
+    `thermal_law(beta)` at the cell edges.  Otherwise the row is
+    `bloch_density_matrix` on a grid 8 bin-grid lengths long, at least 1024
+    nodes per length, so the power tails' periodic images stay small at
+    alpha < 2; a cell of width w multiplies its spectrum by
+    sin(p w / 2 hbar) / (p w / 2 hbar), read at the bin centres.
+    """
+    if potential.kind == "free":
+        cdf = levy_cdf(_cell_edges(bin_grid) - x0, thermal_law(beta, params))
+        return np.diff(cdf) / bin_grid.spacing
+    n_per = max(1024, bin_grid.n_points)
+    fine = make_grid(8 * n_per, 8 * bin_grid.length)
+    row = bloch_density_matrix(potential, beta, params, fine, x0)
+    box = np.sinc(grid_momenta(fine, params) * bin_grid.spacing / (2.0 * math.pi * params.hbar))
+    first = 7 * n_per // 2
+    return apply_symbol(row, box).real[first:first + n_per:n_per // bin_grid.n_points]
 
 
 def _grid_hamiltonian(

@@ -98,7 +98,6 @@ class UncertaintyReport:
     bound: float
     n_factor: float
     eta0: float
-    exceeds_bound: bool
 
 
 def _check_nu(packet: PacketParams, params: PhysicalParams) -> None:
@@ -400,5 +399,4 @@ def uncertainty_report(
         bound=bound,
         n_factor=n_factor,
         eta0=eta0,
-        exceeds_bound=product > bound,
     )

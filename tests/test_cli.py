@@ -18,7 +18,7 @@ from fracqm.errors import ConfigurationError
 from fracqm.numerics import PhysicalParams, adaptive_quadrature, apply_symbol, grid_momenta, make_grid
 from fracqm.spectral import Potential
 from fracqm.stable import StableParams, levy_density
-from fracqm.statmech import bloch_density_matrix, free_density_matrix
+from fracqm.statmech import bin_averaged_row, bloch_density_matrix, free_density_matrix
 from oracles import mehler_bin_averages
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -62,7 +62,7 @@ def test_scaling_mu_must_lie_below_alpha(mu):
 
 
 def test_minimal_packet_config_gets_documented_defaults():
-    cfg = validate_config("experiment = packet\nalpha = 1.5\n")
+    cfg = validate_config(parse_flat("experiment = packet\nalpha = 1.5\n"))
     p = cfg.parameters
     assert (p["hbar"], p["d_alpha"], p["l"], p["p0"]) == (1.0, 1.0, 1.0, 2.0)
     assert p["nu"] == 1.5  # nu defaults to alpha
@@ -259,7 +259,7 @@ def test_packet_run_builds_the_state_once(monkeypatch):
         return transform(phi)
 
     monkeypatch.setattr(wavepacket, "to_position_space", counted)
-    run_experiment(validate_config((CONFIGS / "packet.cfg").read_text()))
+    run_experiment(validate_config(parse_flat((CONFIGS / "packet.cfg").read_text())))
     assert len(calls) == 1
 
 
@@ -272,7 +272,7 @@ def test_kernel_check_reuses_the_on_axis_table_value(monkeypatch):
         return kernel(dx, t, params)
 
     monkeypatch.setattr(cli, "free_kernel", counted)
-    config = validate_config((CONFIGS / "kernel-check.cfg").read_text())
+    config = validate_config(parse_flat((CONFIGS / "kernel-check.cfg").read_text()))
     run_experiment(config)
     p = config.parameters
     assert 0.0 in p["dx_values"]
@@ -363,18 +363,27 @@ def _pimc_oracle(overrides):
         {"experiment": "pimc", "n_chains": "2", "n_paths": "100", **overrides}
     )
     rows = np.array(run_experiment(config).results["histogram"]["rows"])
-    return config.parameters, rows[:, 0], rows[:, 3]
+    return config.parameters, rows[:, 3]
+
+
+@pytest.mark.parametrize("overrides", [{"x0": "0.3"}, {"potential": "harmonic", "x0": "0.3"}],
+                         ids=["free", "harmonic"])
+def test_pimc_oracle_column_is_bin_averaged_row(overrides):
+    p, oracle = _pimc_oracle(overrides)
+    row = bin_averaged_row(cli._potential(p), p["beta"], cli._physical(p),
+                           make_grid(p["bin_points"], p["bin_length"]), p["x0"])
+    assert np.array_equal(oracle, row)
 
 
 def test_pimc_free_oracle_is_bin_average():
     # the histogram estimates bin averages, so its oracle must be one too:
     # (1 / width) * integral of rho_0 over each bin
-    p, centers, oracle = _pimc_oracle({"x0": "0.3"})
-    params = PhysicalParams(p["hbar"], p["d_alpha"], p["alpha"])
-    width = centers[1] - centers[0]
-    for x, o in zip(centers, oracle):
+    params, bins, x0 = PhysicalParams(1.0, 1.0, 1.5), make_grid(64, 30.0), 0.3
+    oracle = bin_averaged_row(Potential.free(), 1.0, params, bins, x0)
+    width = bins.spacing
+    for x, o in zip(bins.positions, oracle):
         cell = adaptive_quadrature(
-            lambda y: free_density_matrix(y, p["x0"], p["beta"], params),
+            lambda y: free_density_matrix(y, x0, 1.0, params),
             x - width / 2.0, x + width / 2.0, rel_tol=1e-11, abs_tol=1e-14,
         )
         assert abs(o - cell / width) <= 1e-8
@@ -382,27 +391,36 @@ def test_pimc_free_oracle_is_bin_average():
 
 def test_pimc_harmonic_oracle_is_bin_average():
     # alpha = 2 harmonic row is Mehler's kernel; its bin averages are erf differences
-    p, centers, oracle = _pimc_oracle(
-        {"potential": "harmonic", "alpha": "2.0", "bin_length": "20.0"}
-    )
-    exact = mehler_bin_averages(centers, centers[1] - centers[0], p["beta"])
+    bins = make_grid(64, 20.0)
+    oracle = bin_averaged_row(Potential.harmonic(1.0, 1.0), 1.0, PhysicalParams.gaussian(1.0),
+                              bins, 0.0)
+    exact = mehler_bin_averages(bins.positions, bins.spacing, 1.0)
     assert np.max(np.abs(oracle - exact)) <= 1e-6 * np.max(exact)
 
 
 def test_pimc_harmonic_oracle_keeps_periodic_images_out():
     # at alpha < 2 the row has power tails: on a periodic domain of only
-    # bin_length the images summed to 3.5e-3 relative at the centre, 23% at x = 10
-    p, centers, oracle = _pimc_oracle({"potential": "harmonic"})
-    params = PhysicalParams(p["hbar"], p["d_alpha"], p["alpha"])
-    wide = make_grid(8192, 240.0)
-    row = bloch_density_matrix(Potential.harmonic(p["mass"], p["omega"]), p["beta"],
-                               params, wide, p["x0"])
-    width = centers[1] - centers[0]
-    box = np.sinc(grid_momenta(wide, params) * width / (2.0 * math.pi * params.hbar))
-    nodes = np.rint((centers + wide.length / 2.0) / wide.spacing).astype(int)
+    # bin_length the images summed to 3.5e-3 relative at the centre, 23% at x = 10.
+    # The oracle's domain is 8 bin lengths; against 16 its core reads 1.6e-5
+    # (a domain of 4 read 1.0e-4)
+    params, bins = PhysicalParams(1.0, 1.0, 1.5), make_grid(64, 30.0)
+    pot = Potential.harmonic(1.0, 1.0)
+    oracle = bin_averaged_row(pot, 1.0, params, bins, 0.0)
+    wide = make_grid(16384, 480.0)
+    row = bloch_density_matrix(pot, 1.0, params, wide, 0.0)
+    box = np.sinc(grid_momenta(wide, params) * bins.spacing / (2.0 * math.pi * params.hbar))
+    nodes = np.rint((bins.positions + wide.length / 2.0) / wide.spacing).astype(int)
     reference = apply_symbol(row, box).real[nodes]
-    core = np.abs(centers) < 3.0
-    assert np.max(np.abs(oracle[core] / reference[core] - 1.0)) <= 1e-3
+    core = np.abs(bins.positions) < 3.0
+    assert np.max(np.abs(oracle[core] / reference[core] - 1.0)) <= 2e-5
+
+
+@pytest.mark.parametrize("alpha", ["1.1", "1.2", "1.8", "2"])
+def test_shipped_pimc_passes_across_alpha(alpha):
+    # the shipped free config with only alpha changed: every comparison passes
+    raw = {**parse_flat((CONFIGS / "pimc.cfg").read_text()), "alpha": alpha}
+    report = run_experiment(validate_config(raw))
+    assert report.passed, report.comparisons
 
 
 def test_pimc_harmonic_alpha15_matches_oracle():

@@ -19,7 +19,7 @@ import sys
 
 import pytest
 
-from fracqm.cli import run_experiment, validate_config
+from fracqm.cli import parse_flat, run_experiment, validate_config
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -27,7 +27,7 @@ REL_TOL, ABS_TOL = 1e-10, 1e-14
 
 
 def _outputs(experiment):
-    config = validate_config((CONFIGS / f"{experiment}.cfg").read_text())
+    config = validate_config(parse_flat((CONFIGS / f"{experiment}.cfg").read_text()))
     report = run_experiment(config)
     # a JSON round trip gives the types write_report's output has
     return json.loads(json.dumps({"results": report.results,

@@ -30,7 +30,7 @@ def loaded():
 seen = {{"import": loaded()}}
 for name in {experiments!r}:
     text = (pathlib.Path({configs!r}) / (name + ".cfg")).read_text()
-    fracqm.cli.run_experiment(fracqm.cli.validate_config(text))
+    fracqm.cli.run_experiment(fracqm.cli.validate_config(fracqm.cli.parse_flat(text)))
     seen[name] = loaded()
 print(json.dumps(seen))
 """

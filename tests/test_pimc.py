@@ -8,7 +8,7 @@ import pytest
 from scipy import stats
 
 from fracqm.errors import ConfigurationError, NumericalError
-from fracqm.numerics import PhysicalParams, make_grid
+from fracqm.numerics import PhysicalParams, _cell_edges, make_grid
 from fracqm.pimc import (
     _chain_histogram,
     _group_sums,
@@ -20,9 +20,9 @@ from fracqm.pimc import (
     wander_scale,
 )
 from fracqm.spectral import Potential
-from fracqm.statmech import bloch_density_matrix, bloch_trace_ladder
+from fracqm.statmech import bin_averaged_row, bloch_density_matrix, bloch_trace_ladder
 from fracqm.stable import StableParams, chain_rngs, sample_stable, thermal_law
-from oracles import mehler_bin_averages, thermal_row_bin_averages
+from oracles import mehler_bin_averages
 
 P15 = PhysicalParams(1.0, 1.0, 1.5)
 P2 = PhysicalParams.gaussian(mass=1.0)
@@ -40,7 +40,7 @@ SYMMETRIC_EDGES = np.concatenate([-0.5 * np.arange(16, 0, -1), [0.0], 0.5 * np.a
 def chain_sums(rng, potential, x0, beta, params, n_slices, n_samples, edges):
     """One chain's raw (sum w, sum w^2) in the pass's slots, under- and
     overflow included: its draws, weighted and binned as a pass bins them."""
-    draws = _chain_histogram(rng, potential, x0, beta, params, n_slices, n_samples, edges)
+    draws = _chain_histogram(rng, potential, x0, beta, params, n_slices, n_samples)
     w_sum, w_sq = _group_sums([draws], potential, x0, beta, n_slices, n_samples, edges)
     return w_sum[0], w_sq[0]
 
@@ -103,24 +103,12 @@ def test_bad_input_rejected_naming_argument(beta, n_slices, name):
                                 n_samples, grid, 1)
 
 
-def bin_averaged_free_oracle(grid, beta, params, x0=0.0):
-    edges = np.concatenate(
-        [grid.positions - grid.spacing / 2.0,
-         [grid.positions[-1] + grid.spacing / 2.0]]
-    )
-    from fracqm.stable import StableParams, levy_cdf
-
-    scale = beta * params.d_alpha * params.hbar**params.alpha
-    cdf = levy_cdf(edges - x0, StableParams(params.alpha, scale))
-    return np.diff(cdf) / grid.spacing
-
-
 def test_free_density_matrix_row_alpha15():
     grid = make_grid(64, 30.0)
     est = estimate_density_matrix(
         Potential.free(), 0.0, 1.0, P15, 32, 32, 4000, grid, 991
     )
-    oracle = bin_averaged_free_oracle(grid, 1.0, P15)
+    oracle = bin_averaged_row(Potential.free(), 1.0, P15, grid, 0.0)
     cov = est.covered
     frac = np.mean(np.abs(est.mean[cov] - oracle[cov]) <= 3.0 * est.std_error[cov])
     assert frac >= 0.95
@@ -134,7 +122,7 @@ def test_free_density_matrix_row_alpha2_gaussian():
     est = estimate_density_matrix(
         Potential.free(), 0.3, 1.0, P2, 32, 32, 4000, grid, 17
     )
-    oracle = bin_averaged_free_oracle(grid, 1.0, P2, x0=0.3)
+    oracle = bin_averaged_row(Potential.free(), 1.0, P2, grid, 0.3)
     cov = est.covered
     frac = np.mean(np.abs(est.mean[cov] - oracle[cov]) <= 3.0 * est.std_error[cov])
     assert frac >= 0.95
@@ -173,7 +161,7 @@ def test_row_with_potential_matches_thermal_kernel_alpha15(potential, seed):
     params = PhysicalParams(1.0, 0.5, 1.5)
     grid = make_grid(64, 20.0)
     est = estimate_density_matrix(potential, 0.0, 1.0, params, 64, 64, 1500, grid, seed)
-    oracle = thermal_row_bin_averages(potential, 1.0, params, grid, 0.0)
+    oracle = bin_averaged_row(potential, 1.0, params, grid, 0.0)
     cov = est.covered
     frac = np.mean(np.abs(est.mean[cov] - oracle[cov]) <= 3.0 * est.std_error[cov])
     assert cov.sum() >= 16
@@ -236,12 +224,13 @@ def test_bin_without_chain_spread_is_not_covered(monkeypatch):
     # 16 chains each put one unit-weight hit in the same bin: its effective
     # sample size is 16, but every chain reads alike, so it has no error bar;
     # the chain spread is round-off (5.7e-17 here), not zero
-    def one_hit(rng, potential, x0, beta, params, n_slices, n_samples, edges):
-        return np.array([0.5 * (edges[16] + edges[17])])  # the one free endpoint, in bin 16
+    grid = make_grid(32, 24.0)
+
+    def one_hit(rng, potential, x0, beta, params, n_slices, n_samples):
+        return grid.positions[16:17]  # the one free endpoint, at bin 16's centre
 
     monkeypatch.setattr("fracqm.pimc._chain_histogram", one_hit)
-    est = estimate_density_matrix(Potential.free(), 0.0, 1.0, P15, 4, 16, 1,
-                                  make_grid(32, 24.0), 1)
+    est = estimate_density_matrix(Potential.free(), 0.0, 1.0, P15, 4, 16, 1, grid, 1)
     assert est.effective_counts[16] == 16.0
     assert est.std_error[16] < 1e-15
     assert not est.covered.any()
@@ -384,7 +373,7 @@ def test_chain_returns_raw_slot_sums(potential):
 
 
 @pytest.mark.parametrize("edges", [
-    np.append(make_grid(64, 30.0).positions, 15.0) - 30.0 / 128,
+    _cell_edges(make_grid(64, 30.0)),
     SYMMETRIC_EDGES,
     np.linspace(-40.0, 40.0, 800_001),
 ], ids=["bin-grid", "symmetric", "fine"])
@@ -404,7 +393,7 @@ def test_pass_rows_are_each_chains_own_sums(potential):
     # six chains are a group of four and a group of two, binned together in
     # offset slots: each chain's row must be what its draws give alone
     grid = make_grid(32, 24.0)
-    edges = np.append(grid.positions - grid.spacing / 2.0, grid.positions[-1] + grid.spacing / 2.0)
+    edges = _cell_edges(grid)
     est = estimate_density_matrix(potential, 0.3, 1.0, P15, 8, 6, 601, grid, 69)
     rows = [chain_sums(rng, potential, 0.3, 1.0, P15, 8, 601, edges)[0][1:-1] / (601 * grid.spacing)
             for rng in chain_rngs(69, 6)]
@@ -466,10 +455,9 @@ def test_quadratic_family_matches_written_out_family(params, n_slices):
 def test_harmonic_chain_keeps_no_family_rows():
     # one block of 256 paths at 256 slices draws 64 paths, a 128 KiB buffer;
     # writing the family out takes four such buffers, and V on them four more
-    edges = np.linspace(-10.0, 10.0, 65)
     tracemalloc.start()
     try:
-        _chain_histogram(chain_rngs(67, 1)[0], HARMONIC, 0.0, 1.0, P2, 256, 1500, edges)
+        _chain_histogram(chain_rngs(67, 1)[0], HARMONIC, 0.0, 1.0, P2, 256, 1500)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -497,8 +485,7 @@ def test_harmonic_pass_peak_memory(monkeypatch, threads):
 def _independent_path_std_error(potential, x0, params, n_slices, n_chains, n_paths,
                                 grid, master_seed):
     """Chain-spread std errors of the estimator that draws every path."""
-    edges = np.append(grid.positions - grid.spacing / 2.0,
-                      grid.positions[-1] + grid.spacing / 2.0)
+    edges = _cell_edges(grid)
     v0 = 0.5 * float(potential.func(np.array(x0)))
     rows = []
     for rng in chain_rngs(master_seed, n_chains):

@@ -8,13 +8,14 @@ from scipy import stats
 
 from fracqm import stable
 from fracqm.errors import ConfigurationError, NumericalError
-from fracqm.numerics import adaptive_quadrature, gauss_legendre
+from fracqm.numerics import PhysicalParams, adaptive_quadrature, gauss_legendre
 from fracqm.stable import (
     StableParams,
     chain_rngs,
     levy_cdf,
     levy_density,
     sample_stable,
+    thermal_law,
 )
 from oracles import bergstrom_tail, quadpack, stable_power_series
 
@@ -260,6 +261,19 @@ def test_params_validation():
         StableParams(2.3, 1.0)
     with pytest.raises(ConfigurationError):
         StableParams(1.5, 0.0)
+
+
+@pytest.mark.parametrize("hbar", [1e300, 1e-300])
+def test_thermal_scale_off_the_floats_is_a_numerical_error(hbar):
+    # a scale past the floats is a failed computation naming the keys behind
+    # it; beta = inf is still bad input
+    params = PhysicalParams(hbar, 1.0, 1.2)
+    with pytest.raises(NumericalError) as exc:
+        thermal_law(1.0, params)
+    for name in ("beta=1.0", f"hbar={hbar}", "d_alpha=1.0"):
+        assert name in str(exc.value)
+    with pytest.raises(ConfigurationError, match="^beta must be positive"):
+        thermal_law(math.inf, params)
 
 
 def test_sampler_gaussian_variance():

@@ -311,7 +311,7 @@ def test_uncertainty_exceeds_bound_for_alpha18_lattice():
     packet = PacketParams(l=1.0, p0=2.0, nu=1.8)
     for tau in (0.0, 1.0, 5.0):
         rep = uncertainty_report(1.2, tau, packet, params)
-        assert rep.exceeds_bound, f"tau={tau}: product {rep.product} <= {rep.bound}"
+        assert rep.product > rep.bound, f"tau={tau}: product {rep.product} <= {rep.bound}"
 
 
 # (alpha = nu, tau, dx_mu, product) of criterion 06's lattice at mu = 0.6 alpha,
@@ -361,7 +361,7 @@ def test_gaussian_uncertainty_product_closed_form(l, p0, hbar, mu, rel):
                              PhysicalParams.gaussian(mass=1.0, hbar=hbar))
     closed = hbar * (math.gamma((mu + 1.0) / 2.0) / math.sqrt(math.pi)) ** (2.0 / mu)
     assert rep.product == pytest.approx(closed, rel=rel)
-    assert rep.exceeds_bound == (mu < 1.847416)
+    assert (rep.product > rep.bound) == (mu < 1.847416)
 
 
 @pytest.mark.parametrize("alpha,rel", [(1.2, 1e-6), (1.5, 1e-8), (1.8, 1e-8), (2.0, 1e-8)])
