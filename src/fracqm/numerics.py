@@ -110,6 +110,9 @@ def make_grid(n_points: int, length: float) -> GridSpec:
     if not (0 < length < math.inf):
         raise ConfigurationError(f"length must be positive, got {length}")
     spacing = length / n_points
+    if spacing == 0.0:
+        raise ConfigurationError(
+            f"length {length} over n_points {n_points} gives a spacing that underflows to 0")
     return GridSpec(n_points, length, spacing, -length / 2.0 + spacing * np.arange(n_points))
 
 

@@ -448,6 +448,7 @@ def fractal_scaling_exponent(
     stable law diverge).  The fit is `np.polyfit` weighted by the inverse
     per-rung errors, taken across 16 chains (`_SCALING_CHAINS`); its
     std_error comes from the unscaled covariance, those errors propagated.
+    A rung whose moment or error is zero or not finite raises NumericalError.
     """
     if not (0.0 < mu < params.alpha):
         raise ConfigurationError(
@@ -460,11 +461,17 @@ def fractal_scaling_exponent(
     log_s, y, y_err = [], [], []
     for sigma in slice_ladder:
         law = thermal_law(sigma / params.hbar, params)
-        chain_means = np.array(
-            [np.mean(np.abs(sample_stable(law, rng, per_chain)) ** mu) for rng in rngs]
-        )
-        m = chain_means.mean()
-        se = chain_means.std(ddof=1) / math.sqrt(_SCALING_CHAINS)
+        with np.errstate(over="ignore", invalid="ignore"):
+            chain_means = np.array(
+                [np.mean(np.abs(sample_stable(law, rng, per_chain)) ** mu) for rng in rngs]
+            )
+            m = chain_means.mean()
+            se = chain_means.std(ddof=1) / math.sqrt(_SCALING_CHAINS)
+        if not (0.0 < m < math.inf and 0.0 < se < math.inf):
+            raise NumericalError(
+                f"rung sigma={sigma} gives moment E|dx|^mu = {m:.3e} with error {se:.3e}, "
+                f"which cannot be fitted: mu={mu}, sigma0={slice_ladder[0]}, "
+                f"hbar={params.hbar}, d_alpha={params.d_alpha}")
         log_s.append(math.log(sigma))
         y.append(math.log(m))
         y_err.append(se / m)

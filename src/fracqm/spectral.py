@@ -78,11 +78,14 @@ class Potential:
         return Potential(v, "harmonic", q2)
 
     def on_grid(self, grid: GridSpec) -> np.ndarray:
-        v = np.asarray(self.func(grid.positions), dtype=float)
+        """V at the grid nodes; a V that overflows there raises ConfigurationError."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = np.asarray(self.func(grid.positions), dtype=float)
         if v.shape != grid.positions.shape:
             raise ConfigurationError("potential must map the grid to a same-shape array")
         if not np.all(np.isfinite(v)):
-            raise ConfigurationError("potential is not finite on the grid domain")
+            raise ConfigurationError(
+                f"potential is not finite on the grid domain of length {grid.length}")
         return v
 
 
@@ -101,8 +104,18 @@ class EvolverConfig:
 
 
 def kinetic_symbol(grid: GridSpec, params: PhysicalParams) -> np.ndarray:
-    """D_alpha |p|^alpha on the grid momenta (Nyquist included by magnitude)."""
-    return params.d_alpha * np.abs(grid_momenta(grid, params)) ** params.alpha
+    """D_alpha |p|^alpha on the grid momenta (Nyquist included by magnitude).
+
+    Its top is at the Nyquist momentum pi hbar / spacing; one past the
+    largest double raises NumericalError naming the keys it comes from."""
+    with np.errstate(over="ignore"):
+        symbol = params.d_alpha * np.abs(grid_momenta(grid, params)) ** params.alpha
+    if not np.isfinite(symbol[grid.n_points // 2]):
+        raise NumericalError(
+            f"kinetic symbol D |p|^alpha overflows at the Nyquist momentum pi hbar / spacing: "
+            f"hbar={params.hbar}, d_alpha={params.d_alpha}, alpha={params.alpha}, "
+            f"length={grid.length}, n_points={grid.n_points}")
+    return symbol
 
 
 def apply_riesz(field: ComplexField, params: PhysicalParams) -> ComplexField:

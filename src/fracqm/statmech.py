@@ -11,10 +11,14 @@ the thermal-kernel equation
 on a periodic grid of n points.  Kernel matrices and traces diagonalize
 the Fourier-grid Hamiltonian H = U diag(E) U^T once (Marston & Balint-Kurti,
 J. Chem. Phys. 91, 3571 (1989)): rho(beta) = U e^{-beta E} U^T / dx and
-Z(beta) = sum e^{-beta E}, exact on the grid for every beta.  Single rows,
-wanted at n = 2048-4096 where a dense eigh needs O(n^2) memory and O(n^3)
-time, apply a Chebyshev series of e^{-beta H} to a delta spike; a row's
-cell means (`bin_averaged_row`) are what a PIMC endpoint histogram estimates.
+Z(beta) = sum e^{-beta E}, exact on the grid for every beta.  H commutes with
+the parity x_j -> x_{n-j} = -x_j when V is bit-even on the grid (V[j] == V[n-j],
+j = 1..n/2 - 1), so the traces take E from two blocks of size n/2 +- 1, about a
+quarter of the full solve's cost (`_grid_energies`); any other V keeps that
+solve bit for bit.  Single rows, wanted at n = 2048-4096 where a dense eigh
+needs O(n^2) memory and O(n^3) time, apply a Chebyshev series of e^{-beta H}
+to a delta spike; a row's cell means (`bin_averaged_row`) are what a PIMC
+endpoint histogram estimates.
 """
 
 from __future__ import annotations
@@ -55,11 +59,17 @@ def free_partition_function(beta: float, omega: float, params: PhysicalParams) -
     temperature beta (1/erg) and linear system size omega (cm).
 
     Linear in Omega, scaling as beta^(-1/alpha); reduces to the classical
-    ideal-gas Omega sqrt(m / 2 pi beta hbar^2) at alpha = 2.
+    ideal-gas Omega sqrt(m / 2 pi beta hbar^2) at alpha = 2.  A Z that
+    leaves the floats raises NumericalError.
     """
     if not (0 < omega < math.inf):
         raise ConfigurationError(f"omega must be positive, got {omega}")
-    return omega * peak_density(thermal_law(beta, params))
+    z = omega * peak_density(thermal_law(beta, params))
+    if not (0.0 < z < math.inf):
+        raise NumericalError(f"partition function Z = {z} leaves the floats at beta={beta}, "
+                             f"omega={omega} (the system size), hbar={params.hbar}, "
+                             f"d_alpha={params.d_alpha}")
+    return z
 
 
 def classical_partition_function(
@@ -175,15 +185,35 @@ def _grid_hamiltonian(
     return h
 
 
+def _grid_energies(potential: Potential, params: PhysicalParams, grid: GridSpec) -> np.ndarray:
+    """Sorted eigenvalues of `_grid_hamiltonian`.  A V bit-even on the grid
+    splits H by the parity j -> n - j (fixed nodes 0 and n/2) into an even
+    block, col[|j - k|] + col[j + k] with the fixed nodes' rows and columns over
+    sqrt 2, and an odd block, col[|j - k|] - col[j + k] on j, k = 1..n/2 - 1."""
+    n, v = grid.n_points, potential.on_grid(grid)
+    if not np.array_equal(v[1:n // 2], v[:n // 2:-1]):
+        return np.linalg.eigvalsh(_grid_hamiltonian(potential, params, grid))
+    col = np.fft.ifft(kinetic_symbol(grid, params)).real
+    j = np.arange(n // 2 + 1)
+    toeplitz, hankel = col[np.abs(j[:, None] - j)], col[(j[:, None] + j) % n]
+    even, odd = toeplitz + hankel, (toeplitz - hankel)[1:-1, 1:-1]
+    even[[0, -1]] *= math.sqrt(0.5)
+    even[:, [0, -1]] *= math.sqrt(0.5)
+    even[np.diag_indices_from(even)] += v[:n // 2 + 1]
+    odd[np.diag_indices_from(odd)] += v[1:n // 2]
+    return np.sort(np.concatenate([np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd)]))
+
+
 def _boltzmann_weights(energies: np.ndarray, beta: float) -> np.ndarray:
-    """e^{-beta E} for the grid energies; overflow means V is unbounded below."""
+    """e^{-beta E} for the grid energies; overflow means V is unbounded below,
+    and weights that all underflow leave a zero trace."""
     if not (0 < beta < math.inf):
         raise ConfigurationError(f"beta must be positive, got {beta}")
     with np.errstate(over="ignore"):
         weights = np.exp(-beta * energies)
-    if not np.all(np.isfinite(weights)):
+    if not (np.all(np.isfinite(weights)) and weights.any()):
         raise NumericalError(
-            f"thermal kernel diverged at beta={beta}: "
+            f"thermal weights e^(-beta E) leave the floats at beta={beta}: "
             f"lowest grid energy {float(energies[0]):.3e}"
         )
     return weights
@@ -208,8 +238,9 @@ def bloch_trace_ladder(
     params: PhysicalParams,
     grid: GridSpec,
 ) -> list[tuple[float, float]]:
-    """Traces at beta_min * 2^k, k = 0..n_doublings, from one set of grid energies."""
-    energies = np.linalg.eigvalsh(_grid_hamiltonian(potential, params, grid))
+    """Traces at beta_min * 2^k, k = 0..n_doublings, from one set of grid
+    energies (`_grid_energies`: parity blocks when V is bit-even on the grid)."""
+    energies = _grid_energies(potential, params, grid)
     betas = [beta_min * 2.0**k for k in range(n_doublings + 1)]
     return [(b, float(np.sum(_boltzmann_weights(energies, b)))) for b in betas]
 

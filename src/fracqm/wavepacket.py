@@ -113,13 +113,18 @@ def normalization_constant(packet: PacketParams) -> float:
 
 
 def packet_momentum_state(p, t: float, packet: PacketParams, params: PhysicalParams):
-    """phi(p, t); |phi| is t-independent and phi(p, 0) is real positive."""
+    """phi(p, t); |phi| is t-independent and phi(p, 0) is real positive.  A
+    weight scale l^nu or hbar^nu that leaves the floats raises NumericalError."""
     _check_nu(packet, params)
     p = np.asarray(p, dtype=float)
-    weight = np.exp(
-        -np.abs(p - packet.p0) ** packet.nu * packet.l**packet.nu
-        / (2.0 * params.hbar**packet.nu)
-    )
+    try:
+        l_nu, hbar_nu = packet.l**packet.nu, params.hbar**packet.nu
+    except OverflowError:  # a power past the largest double
+        l_nu = hbar_nu = math.inf
+    if not (0.0 < l_nu < math.inf and 0.0 < hbar_nu < math.inf):
+        raise NumericalError(f"momentum weight scale (l / hbar)^nu leaves the floats at "
+                             f"l={packet.l}, hbar={params.hbar}, nu={packet.nu}")
+    weight = np.exp(-np.abs(p - packet.p0) ** packet.nu * l_nu / (2.0 * hbar_nu))
     phase = np.exp(
         -1j * params.d_alpha * np.abs(p) ** params.alpha * t / params.hbar
     )
@@ -148,11 +153,19 @@ def reduced_carrier(packet: PacketParams, params: PhysicalParams) -> float:
 
 
 def reduced_time(t: float, packet: PacketParams, params: PhysicalParams) -> float:
-    """tau = (D t / hbar) (2^(1/nu) hbar / l)^alpha."""
-    return (
-        params.d_alpha * t / params.hbar
-        * (2.0 ** (1.0 / packet.nu) * params.hbar / packet.l) ** params.alpha
-    )
+    """tau = (D t / hbar) (2^(1/nu) hbar / l)^alpha; a tau that is not finite
+    raises NumericalError naming the keys it comes from, as `thermal_law` does."""
+    try:
+        tau = (
+            params.d_alpha * t / params.hbar
+            * (2.0 ** (1.0 / packet.nu) * params.hbar / packet.l) ** params.alpha
+        )
+    except OverflowError:  # the power past the largest double
+        tau = math.inf
+    if not math.isfinite(tau):
+        raise NumericalError(f"reduced time leaves the floats at t={t}, hbar={params.hbar}, "
+                             f"d_alpha={params.d_alpha}, l={packet.l}")
+    return tau
 
 
 def suggest_grid(
@@ -169,7 +182,8 @@ def suggest_grid(
     floor of 40 l (1 + |tau|) on each side of the drift, which then decides.
     The domain is snapped so that p0 falls exactly on the momentum grid,
     which makes grid momentum averages of the (p0-even) densities cancel
-    symmetrically.  A non-finite t raises ConfigurationError.
+    symmetrically.  A non-finite t raises ConfigurationError, and a length
+    or point count that leaves the floats raises NumericalError.
     """
     if not math.isfinite(t):
         raise ConfigurationError(f"t must be finite, got {t}")
@@ -182,10 +196,13 @@ def suggest_grid(
     length = max(length_norm, 2.0 * (drift + 40.0 * l * (1.0 + tau)))
     # snap so p0 is a momentum-grid point
     dp_unit = 2.0 * math.pi * hbar / packet.p0
-    length = max(1, round(length / dp_unit)) * dp_unit
+    length = max(1.0, round(length / dp_unit, 0)) * dp_unit  # a float: inf stays inf
     q_max = (hbar / l) * math.log(1e18) ** (1.0 / nu)
     p_need = packet.p0 + q_max + 6.0 * hbar / l
     dx_target = math.pi * hbar / p_need
+    if not math.isfinite(length / dx_target):
+        raise NumericalError(f"packet grid of length {length:.3g} and spacing {dx_target:.3g} "
+                             f"leaves the floats at l={l}, p0={packet.p0}, hbar={hbar}, t={t}")
     n = 1 << max(8, int(math.ceil(length / dx_target)) - 1).bit_length()
     return make_grid(min(n, _N_MAX), length)
 

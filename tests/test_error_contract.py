@@ -1,4 +1,5 @@
-"""The package fails in two ways, checked on the syntax trees.
+"""The package fails in two ways, checked on the syntax trees and at the
+float edges of every shipped config.
 
 `errors.py` defines ConfigurationError (bad input, a ValueError),
 NumericalError (a failed computation, a RuntimeError) and its
@@ -9,6 +10,13 @@ raises SystemExit with the CLI's exit status.
 
 import ast
 import pathlib
+import re
+import warnings
+
+import pytest
+
+from fracqm.cli import _EXPERIMENTS, parse_flat, run_experiment, validate_config
+from fracqm.errors import ConfigurationError, NumericalError
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "fracqm"
 KEPT = {"ConfigurationError", "NumericalError", "QuadraturePointError"}
@@ -43,3 +51,77 @@ def test_every_raise_names_a_kept_class():
     stray = sorted(r for r in found - ALLOWED if r[2] not in KEPT)
     assert not stray, f"raises outside the two failure kinds: {stray}"
     assert ALLOWED <= found, f"stale allowance: {sorted(ALLOWED - found)}"
+
+
+# Every shipped config with one float key pushed to a float edge: the run must
+# end as a pass, a report with failed named rows, ConfigurationError or
+# NumericalError, with no RuntimeWarning and nothing printed (LAPACK reports
+# bad arguments on stderr).  The keys are every schema key with a float
+# default, plus the derived-by-default nu, mu and t_split.
+CONFIGS = SRC.parents[1] / "configs"
+EDGES = (1e-300, 1e300, -1e300, 5e-324)
+_RIESZ = "energy_expectation's Riesz symbol |p|^alpha overflows with a RuntimeWarning"
+_GAUSS = "_run_evolve's initial Gaussian leaves the floats with a RuntimeWarning"
+_ETA0 = "eta0 near 1e300: packet_spread_factor's |eta|^alpha overflows with a RuntimeWarning"
+UNMENDED = {
+    ("evolve", "hbar", 1e300): _RIESZ,
+    ("evolve", "length", 1e-300): _RIESZ,
+    ("evolve", "length", 1e300): _GAUSS,
+    ("evolve", "x0", 1e300): _GAUSS,
+    ("evolve", "x0", -1e300): _GAUSS,
+    ("evolve", "sigma", 1e-300): _GAUSS,
+    ("evolve", "sigma", 5e-324): _GAUSS,
+    ("evolve", "sigma", 1e300): "_run_evolve's 4 sigma^2 raises a raw OverflowError",
+    ("uncertainty", "mu", 1e-300): "the bound (2 alpha)^(1/mu) raises a raw OverflowError",
+    ("uncertainty", "l", 1e300): _ETA0,
+    ("uncertainty", "p0", 1e300): _ETA0,
+    ("uncertainty", "hbar", 1e-300): _ETA0,
+}
+# the cases mended where the quantity is formed: each message names the key
+# (free_partition_function calls the system size omega)
+MENDED = {
+    ("statmech", "length", 1e-300), ("statmech", "length", 5e-324),
+    ("statmech", "length", 1e300), ("statmech", "omega_size", 5e-324),
+    ("evolve", "length", 5e-324),
+    *(("packet", k, v) for k, v in [("l", 1e-300), ("l", 1e300), ("l", 5e-324),
+                                    ("p0", 1e300), ("p0", 5e-324), ("hbar", 1e-300),
+                                    ("hbar", 1e300), ("hbar", 5e-324)]),
+    *(("scaling", k, v) for k, v in [("d_alpha", 1e-300), ("d_alpha", 1e300),
+                                     ("sigma0", 1e-300), ("sigma0", 1e300),
+                                     ("sigma0", 5e-324), ("mu", 1e-300), ("mu", 5e-324)]),
+}
+NAMED_AS = {"omega_size": "omega"}
+
+
+def _edge_cases():
+    for experiment, (_, schema) in _EXPERIMENTS.items():
+        for key, (_, default) in schema.items():
+            if isinstance(default, float) or key in ("nu", "mu", "t_split"):
+                for value in EDGES:
+                    case = (experiment, key, value)
+                    marks = ([pytest.mark.xfail(strict=True, reason=UNMENDED[case])]
+                             if case in UNMENDED else [])
+                    yield pytest.param(*case, marks=marks, id=f"{experiment}-{key}-{value!r}")
+
+
+@pytest.mark.parametrize("experiment, key, value", _edge_cases())
+def test_float_edge_ends_in_the_contract(experiment, key, value, capfd):
+    raw = parse_flat((CONFIGS / f"{experiment}.cfg").read_text())
+    raw[key] = repr(value)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            run_experiment(validate_config(raw))
+            error = None
+        except (ConfigurationError, NumericalError) as exc:
+            error = str(exc)
+    assert not [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert capfd.readouterr() == ("", "")
+    if (experiment, key, value) in MENDED:
+        assert error is not None and re.search(rf"\b{NAMED_AS.get(key, key)}\b", error), error
+
+
+def test_edge_lists_name_swept_cases():
+    swept = {tuple(p.values) for p in _edge_cases()}
+    assert len(swept) == 208
+    assert set(UNMENDED) <= swept and MENDED <= swept

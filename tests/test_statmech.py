@@ -7,6 +7,7 @@ from fracqm.errors import ConfigurationError, NumericalError
 from fracqm.numerics import PhysicalParams, adaptive_quadrature, grid_momenta, make_grid
 from fracqm.spectral import Potential, kinetic_symbol
 from fracqm.statmech import (
+    _grid_energies,
     _grid_hamiltonian,
     _scaled_bessel,
     bloch_density_matrix,
@@ -249,6 +250,69 @@ def test_grid_hamiltonian_is_circulant_plus_diagonal(params):
     col = np.fft.ifft(kinetic_symbol(grid, params)).real
     ref = linalg.circulant(col) + np.diag(pot.on_grid(grid))
     assert np.array_equal(_grid_hamiltonian(pot, params, grid), ref)
+
+
+# the parity blocks and the full solve are each backward stable, so each
+# misses the exact spectrum by a few eps ||H||_2: against each other they
+# read at most 29.4 eps ||H||_2 on the shipped grid (alpha 1.2, 1.5, 2), and
+# against a 30-digit solve at most 6.1 eps ||H||_2 on n = 32
+BLOCK_VS_FULL, VS_EXACT = 64.0, 16.0
+SHIPPED_GRID = (512, 50.0)
+
+
+def _eps_norm(h):
+    return np.finfo(float).eps * np.linalg.norm(h, 2)
+
+
+@pytest.mark.parametrize("alpha", [1.2, 1.5, 2.0])
+def test_parity_block_energies_match_full_solve(alpha):
+    params = PhysicalParams(1.0, 0.5 if alpha == 2.0 else 1.0, alpha)
+    grid, pot = make_grid(*SHIPPED_GRID), Potential.harmonic(1.0, 1.0)
+    h = _grid_hamiltonian(pot, params, grid)
+    gap = np.max(np.abs(_grid_energies(pot, params, grid) - np.linalg.eigvalsh(h)))
+    assert gap <= BLOCK_VS_FULL * _eps_norm(h)
+
+
+def test_both_routes_match_a_30_digit_solve():
+    import mpmath
+
+    grid, pot = make_grid(32, 12.0), Potential.harmonic(1.0, 1.0)
+    h = _grid_hamiltonian(pot, P15, grid)
+    lower = np.tril(h) + np.tril(h, -1).T  # the triangle eigvalsh reads
+    with mpmath.workdps(30):
+        exact = np.sort([float(e) for e in mpmath.eigsy(mpmath.matrix(lower.tolist()),
+                                                          eigvals_only=True)])
+    for energies in (_grid_energies(pot, P15, grid), np.linalg.eigvalsh(h)):
+        assert np.max(np.abs(energies - exact)) <= VS_EXACT * _eps_norm(h)
+
+
+def _eigvalsh_shapes(monkeypatch):
+    shapes, eigvalsh = [], np.linalg.eigvalsh
+
+    def spy(a):
+        shapes.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return shapes
+
+
+def test_shipped_ladder_solves_two_parity_blocks(monkeypatch):
+    shapes = _eigvalsh_shapes(monkeypatch)
+    bloch_trace_ladder(Potential.harmonic(1.0, 1.0), 0.125, 4, P15, make_grid(*SHIPPED_GRID))
+    assert shapes == [(257, 257), (255, 255)]
+
+
+@pytest.mark.parametrize("pot, n, length", [
+    (Potential(lambda x: 0.5 * np.asarray(x) ** 2 + 0.3 * np.asarray(x)), *SHIPPED_GRID),
+    (Potential.harmonic(1.0, 1.0), 1024, 37.3),  # x_{n-j} != -x_j in the last bits
+])
+def test_uneven_potential_keeps_the_full_solve(monkeypatch, pot, n, length):
+    grid = make_grid(n, length)
+    full = np.linalg.eigvalsh(_grid_hamiltonian(pot, P15, grid))
+    shapes = _eigvalsh_shapes(monkeypatch)
+    assert np.array_equal(_grid_energies(pot, P15, grid), full)
+    assert shapes == [(n, n)]
 
 
 def test_bloch_trace_unbounded_below_potential_rejected():
