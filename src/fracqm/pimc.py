@@ -10,9 +10,10 @@ exp{-(beta/N) [V(x0)/2 + V(x_1) + ... + V(x_{N-1}) + V(x_N)/2]}, the
 symmetric (trapezoid) slice rule of the primitive approximation, and the
 density-matrix row rho(x, beta | x0) is the weighted endpoint histogram.
 
-With V = 0 every weight is one and only the endpoint is binned; a sum of N
-free increments is one draw of the same law at the full beta, so a free
-chain draws each endpoint directly, x0 + one `thermal_law(beta)` variate.
+With V = 0 (q2 = 0: `Potential.free`, or `harmonic` at omega = 0) every
+weight is one and only the endpoint is binned; a sum of N free increments is
+one draw of the same law at the full beta, so a free chain draws each
+endpoint directly, x0 + one `thermal_law(beta)` variate.
 Otherwise paths are sampled `_BLOCK_PATHS` at a time, so memory per worker
 does not grow as paths x slices.  Paths come in families of four that share
 one set of increments (antithetic variates; Hammersley & Morton,

@@ -1,13 +1,12 @@
-"""Riesz fractional derivative and split-operator evolution.
+"""The fractional Hamiltonian on a periodic grid, and split-operator evolution.
 
-The kinetic operator is diagonal in momentum space with symbol -|p|^alpha
-(note the leading minus), so the Hamiltonian
-
-    H = -D_alpha (hbar nabla)^alpha + V(x)
-
-has the positive kinetic symbol +D_alpha |p|^alpha.  `evolve` integrates
-i hbar dpsi/dt = H psi in real time; the thermal kernel equation
--drho/dbeta = H rho is `statmech.bloch_density_matrix`'s.
+The Riesz derivative (hbar nabla)^alpha is diagonal in momentum space with
+symbol -|p|^alpha (note the leading minus), so the kinetic half of
+H = -D_alpha (hbar nabla)^alpha + V(x) has the positive symbol D_alpha |p|^alpha.
+`kinetic_symbol` is it on the grid momenta, the one grid kinetic symbol, which
+`evolve`, `energy_expectation` and `statmech` read; `Potential` is the other
+half.  `evolve` integrates i hbar dpsi/dt = H psi in real time; the thermal
+kernel equation -drho/dbeta = H rho is `statmech.bloch_density_matrix`'s.
 
 Stepping is symmetric Strang splitting: a half potential factor, the exact
 kinetic factor in momentum space, and another half potential factor.  Each
@@ -28,7 +27,6 @@ from .numerics import ComplexField, GridSpec, PhysicalParams, apply_symbol, grid
 __all__ = [
     "Potential",
     "EvolverConfig",
-    "apply_riesz",
     "evolve",
     "energy_expectation",
     "refine_time_step",
@@ -41,19 +39,28 @@ _MAX_HALVINGS = 30
 
 @dataclass(frozen=True)
 class Potential:
-    """External potential V(x) with a short metadata tag.
+    """External potential V(x), and its quadratic coefficient when it has one.
 
-    `q2`, when set, is V's quadratic coefficient, V(x) = q2 x^2; only
-    `harmonic` sets it, and builds `func` from it, so the two agree.
+    `q2`, when set, is V's coefficient in V(x) = q2 x^2: `free` sets 0, and
+    `harmonic` builds `func` from it, so the two agree.  `kind` is read from
+    q2, so a trap at omega = 0 is the free particle for every consumer.
     """
 
     func: Callable[[np.ndarray], np.ndarray]
-    kind: str = "custom"
     q2: float | None = None
+
+    def __post_init__(self):
+        if self.q2 is not None and not (isinstance(self.q2, float) and np.isfinite(self.q2)):
+            raise ConfigurationError(f"q2 must be None or a finite float, got {self.q2!r}")
+
+    @property
+    def kind(self) -> str:
+        """V's shape, from q2: "custom" without it, "free" at 0, else "harmonic"."""
+        return "custom" if self.q2 is None else "free" if self.q2 == 0.0 else "harmonic"
 
     @staticmethod
     def free() -> "Potential":
-        return Potential(lambda x: np.zeros_like(np.asarray(x, dtype=float)), "free")
+        return Potential(lambda x: np.zeros_like(np.asarray(x, dtype=float)), 0.0)
 
     @staticmethod
     def harmonic(mass: float, omega: float) -> "Potential":
@@ -63,7 +70,7 @@ class Potential:
             if not np.isfinite(value):
                 raise ConfigurationError(f"{name} must be finite, got {value}")
         try:
-            q2 = 0.5 * mass * omega**2
+            q2 = float(0.5 * mass * omega**2)  # a float, as Potential requires
         except OverflowError:  # a float's square past the largest double
             q2 = np.inf
         if not np.isfinite(q2):
@@ -75,7 +82,7 @@ class Potential:
             sq *= q2
             return sq
 
-        return Potential(v, "harmonic", q2)
+        return Potential(v, q2)
 
     def on_grid(self, grid: GridSpec) -> np.ndarray:
         """V at the grid nodes; a V that overflows there raises ConfigurationError."""
@@ -118,12 +125,6 @@ def kinetic_symbol(grid: GridSpec, params: PhysicalParams) -> np.ndarray:
     return symbol
 
 
-def apply_riesz(field: ComplexField, params: PhysicalParams) -> ComplexField:
-    """(hbar nabla)^alpha field: multiply by -|p|^alpha in momentum space."""
-    symbol = -np.abs(grid_momenta(field.grid, params)) ** params.alpha
-    return ComplexField(apply_symbol(field.values, symbol), field.grid)
-
-
 def evolve(
     field: ComplexField,
     potential: Potential,
@@ -152,13 +153,13 @@ def evolve(
 def energy_expectation(
     field: ComplexField, potential: Potential, params: PhysicalParams
 ) -> float:
-    """<psi| -D (hbar nabla)^alpha + V |psi> for a unit-normalized state (erg);
-    V on the grid and the Riesz symbol are real, so its imaginary part is round-off."""
+    """<psi| H |psi> for a unit-normalized state (erg), from the two real arrays
+    `evolve` steps with, `kinetic_symbol` and V on the grid."""
     nrm = field.norm()
     if not abs(nrm - 1.0) <= 1e-6:
         raise ConfigurationError(f"state must be normalized to 1, got norm {nrm}")
     v = potential.on_grid(field.grid)
-    h_psi = -params.d_alpha * apply_riesz(field, params).values + v * field.values
+    h_psi = apply_symbol(field.values, kinetic_symbol(field.grid, params)) + v * field.values
     return float(np.vdot(field.values, h_psi).real * field.grid.spacing)
 
 

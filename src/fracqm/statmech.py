@@ -154,7 +154,7 @@ def bin_averaged_row(potential: Potential, beta: float, params: PhysicalParams,
                      bin_grid: GridSpec, x0: float) -> np.ndarray:
     """rho(., beta | x0) averaged over each cell of bin_grid.
 
-    V = 0 (kind "free") gives the exact `levy_cdf` differences of
+    V = 0 (kind "free", from q2 = 0) gives the exact `levy_cdf` differences of
     `thermal_law(beta)` at the cell edges.  Otherwise the row is
     `bloch_density_matrix` on a grid 8 bin-grid lengths long, at least 1024
     nodes per length, so the power tails' periodic images stay small at

@@ -336,9 +336,10 @@ def packet_spread_factor(
     integral is closed form, h = |g|^2 and h(0) the sigma = 0 node's own value;
     the grid-moment oracle in tests/oracles.py uses the same subtraction.
     The result is self-normalized by the mu = 0 sum, which equals one exactly
-    in the continuum.  A non-finite tau raises ConfigurationError, and one
-    whose FFT would pass 2^23 points (|tau| > 3.0e5 at alpha = nu = 1.8,
-    eta0 = 1.36) raises NumericalError before any array is allocated.
+    in the continuum.  A non-finite tau raises ConfigurationError, and a phase
+    tau |eta|^alpha past the floats at the window's reach, or an FFT past 2^23
+    points (|tau| > 3.0e5 at alpha = nu = 1.8, eta0 = 1.36), NumericalError
+    before any array is allocated.
     """
     if not math.isfinite(tau):
         raise ConfigurationError(f"tau must be finite, got {tau}")
@@ -346,8 +347,13 @@ def packet_spread_factor(
         raise ConfigurationError(
             f"need 0 < mu < nu <= alpha <= 2, got mu={mu}, nu={nu}, alpha={alpha}"
         )
-    c0 = alpha * tau * eta0 ** (alpha - 1.0)
     half_width = math.log(1e16) ** (1.0 / nu) + 2.0
+    with np.errstate(over="ignore", invalid="ignore"):  # nan too: tau = 0 times inf
+        reach = abs(tau) * np.float64(abs(eta0) + half_width) ** alpha
+    if not np.isfinite(reach):
+        raise NumericalError(f"spread factor's phase tau |eta|^alpha leaves the floats at "
+                             f"the eta window's reach: tau={tau}, eta0={eta0}, alpha={alpha}")
+    c0 = alpha * tau * eta0 ** (alpha - 1.0)
     d_eta = math.pi / (1024.0 + abs(c0))
     if not 2.0 * half_width <= d_eta * (1 << 22):  # 2^23 padded points, as in `_kernel_ray`
         need = 4.0 * half_width * (1024.0 + abs(c0)) / math.pi
@@ -399,16 +405,26 @@ def uncertainty_report(
     at reduced time tau (`reduced_time` of t).
 
     dx comes from the spread-factor route, dp from the closed gamma-ratio
-    form; the bound comparison presumes nu = alpha.
+    form; the bound comparison presumes nu = alpha.  NumericalError names l,
+    p0 and hbar when the spread factor cannot be formed, and mu when dx_mu or
+    the bound leaves the floats.
     """
     _check_nu(packet, params)
     nu, l, alpha, hbar = packet.nu, packet.l, params.alpha, params.hbar
     eta0 = reduced_carrier(packet, params)
-    n_factor = packet_spread_factor(alpha, mu, nu, tau, eta0)
-    dx_mu = (l / 2.0 ** (1.0 / nu)) * n_factor ** (1.0 / mu)
+    try:
+        n_factor = packet_spread_factor(alpha, mu, nu, tau, eta0)
+    except NumericalError as exc:
+        raise NumericalError(f"{exc}; eta0 = p0 l / (2^(1/nu) hbar) at l={l}, "
+                             f"p0={packet.p0}, hbar={hbar}") from exc
+    with np.errstate(over="ignore"):  # a 1/mu-th power past the largest double
+        dx_mu = float((l / 2.0 ** (1.0 / nu)) * np.float64(n_factor) ** (1.0 / mu))
+        bound = float(hbar / np.float64(2.0 * alpha) ** (1.0 / mu))
+    if not (0.0 < dx_mu < math.inf and 0.0 < bound < math.inf):
+        raise NumericalError(f"dx_mu {dx_mu} or bound {bound} leaves the floats at mu={mu}, "
+                             f"l={l}, hbar={hbar}")
     dp_mu = gamma_ratio_deviation(mu, packet, params)
     product = dx_mu * dp_mu
-    bound = hbar / (2.0 * alpha) ** (1.0 / mu)
     return UncertaintyReport(
         dx_mu=dx_mu,
         dp_mu=dp_mu,

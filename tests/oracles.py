@@ -7,9 +7,9 @@ import numpy as np
 from scipy import integrate
 
 from fracqm.errors import ConfigurationError, NumericalError
-from fracqm.numerics import make_grid
+from fracqm.numerics import ComplexField, apply_symbol, make_grid
 from fracqm.propagator import _EPS_LADDER, _char_scales
-from fracqm.spectral import apply_riesz
+from fracqm.spectral import kinetic_symbol
 
 _TRUNC_LOG = 30.0  # keep exp(-eps p^alpha) above e^-30 on the p grid
 
@@ -25,9 +25,14 @@ def inner_product(a, b):
 
 
 def hermiticity_residual(phi, chi, params):
-    """|(phi, R chi) - (R phi, chi)| for the Riesz operator R; zero in exact arithmetic."""
-    lhs = inner_product(phi, apply_riesz(chi, params))
-    rhs = np.conj(inner_product(chi, apply_riesz(phi, params)))
+    """|(phi, K chi) - (K phi, chi)| for the grid kinetic operator K, the
+    multiplier `kinetic_symbol`; zero in exact arithmetic."""
+    def kinetic(field):
+        return ComplexField(apply_symbol(field.values, kinetic_symbol(field.grid, params)),
+                            field.grid)
+
+    lhs = inner_product(phi, kinetic(chi))
+    rhs = np.conj(inner_product(chi, kinetic(phi)))
     return abs(lhs - rhs)
 
 

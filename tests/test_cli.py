@@ -263,6 +263,15 @@ def test_packet_run_builds_the_state_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("t", ["0", "1e-12", "1e-300"])
+def test_shipped_packet_passes_at_small_t(t):
+    # the exact first-moment row is absolute above the grid mean's round-off:
+    # relative at 1e-6 it read inf at t = 0 (a zero oracle), 7.1e-5 at t = 1e-12
+    raw = {**parse_flat((CONFIGS / "packet.cfg").read_text()), "t": t}
+    report = run_experiment(validate_config(raw))
+    assert report.passed, report.comparisons
+
+
 def test_kernel_check_reuses_the_on_axis_table_value(monkeypatch):
     calls = []
     kernel = cli.free_kernel
@@ -413,6 +422,15 @@ def test_pimc_harmonic_oracle_keeps_periodic_images_out():
     reference = apply_symbol(row, box).real[nodes]
     core = np.abs(bins.positions) < 3.0
     assert np.max(np.abs(oracle[core] / reference[core] - 1.0)) <= 2e-5
+
+
+def test_pimc_trap_at_zero_omega_reports_the_free_rows():
+    # potential = harmonic at omega = 0 is the free particle: the same draws,
+    # the same exact oracle and the free anchor
+    base = {"experiment": "pimc", "n_chains": "2", "n_paths": "100"}
+    free = run_experiment(validate_config(base))
+    flat = run_experiment(validate_config({**base, "potential": "harmonic", "omega": "0"}))
+    assert flat.results == free.results and flat.comparisons == free.comparisons
 
 
 @pytest.mark.parametrize("alpha", ["1.1", "1.2", "1.8", "2"])

@@ -60,32 +60,19 @@ def test_every_raise_names_a_kept_class():
 # default, plus the derived-by-default nu, mu and t_split.
 CONFIGS = SRC.parents[1] / "configs"
 EDGES = (1e-300, 1e300, -1e300, 5e-324)
-_RIESZ = "energy_expectation's Riesz symbol |p|^alpha overflows with a RuntimeWarning"
-_GAUSS = "_run_evolve's initial Gaussian leaves the floats with a RuntimeWarning"
-_ETA0 = "eta0 near 1e300: packet_spread_factor's |eta|^alpha overflows with a RuntimeWarning"
-UNMENDED = {
-    ("evolve", "hbar", 1e300): _RIESZ,
-    ("evolve", "length", 1e-300): _RIESZ,
-    ("evolve", "length", 1e300): _GAUSS,
-    ("evolve", "x0", 1e300): _GAUSS,
-    ("evolve", "x0", -1e300): _GAUSS,
-    ("evolve", "sigma", 1e-300): _GAUSS,
-    ("evolve", "sigma", 5e-324): _GAUSS,
-    ("evolve", "sigma", 1e300): "_run_evolve's 4 sigma^2 raises a raw OverflowError",
-    ("uncertainty", "mu", 1e-300): "the bound (2 alpha)^(1/mu) raises a raw OverflowError",
-    ("uncertainty", "l", 1e300): _ETA0,
-    ("uncertainty", "p0", 1e300): _ETA0,
-    ("uncertainty", "hbar", 1e-300): _ETA0,
-}
 # the cases mended where the quantity is formed: each message names the key
 # (free_partition_function calls the system size omega)
 MENDED = {
     ("statmech", "length", 1e-300), ("statmech", "length", 5e-324),
     ("statmech", "length", 1e300), ("statmech", "omega_size", 5e-324),
-    ("evolve", "length", 5e-324),
+    *(("evolve", k, v) for k, v in [("length", 5e-324), ("length", 1e-300),
+                                    ("length", 1e300), ("hbar", 1e300), ("x0", 1e300),
+                                    ("x0", -1e300), ("sigma", 1e-300), ("sigma", 5e-324)]),
     *(("packet", k, v) for k, v in [("l", 1e-300), ("l", 1e300), ("l", 5e-324),
                                     ("p0", 1e300), ("p0", 5e-324), ("hbar", 1e-300),
                                     ("hbar", 1e300), ("hbar", 5e-324)]),
+    *(("uncertainty", k, v) for k, v in [("mu", 1e-300), ("mu", 5e-324), ("l", 1e300),
+                                         ("p0", 1e300), ("hbar", 1e-300), ("hbar", 5e-324)]),
     *(("scaling", k, v) for k, v in [("d_alpha", 1e-300), ("d_alpha", 1e300),
                                      ("sigma0", 1e-300), ("sigma0", 1e300),
                                      ("sigma0", 5e-324), ("mu", 1e-300), ("mu", 5e-324)]),
@@ -98,10 +85,7 @@ def _edge_cases():
         for key, (_, default) in schema.items():
             if isinstance(default, float) or key in ("nu", "mu", "t_split"):
                 for value in EDGES:
-                    case = (experiment, key, value)
-                    marks = ([pytest.mark.xfail(strict=True, reason=UNMENDED[case])]
-                             if case in UNMENDED else [])
-                    yield pytest.param(*case, marks=marks, id=f"{experiment}-{key}-{value!r}")
+                    yield pytest.param(experiment, key, value, id=f"{experiment}-{key}-{value!r}")
 
 
 @pytest.mark.parametrize("experiment, key, value", _edge_cases())
@@ -124,4 +108,4 @@ def test_float_edge_ends_in_the_contract(experiment, key, value, capfd):
 def test_edge_lists_name_swept_cases():
     swept = {tuple(p.values) for p in _edge_cases()}
     assert len(swept) == 208
-    assert set(UNMENDED) <= swept and MENDED <= swept
+    assert MENDED <= swept

@@ -387,6 +387,21 @@ def test_slots_match_binary_search(edges):
     assert np.array_equal(_slots(x, edges), np.searchsorted(edges, x, side="right"))
 
 
+def test_trap_at_zero_omega_is_the_free_particle():
+    # kind is read from q2, so omega = 0 takes the single-draw chains and the
+    # exact levy_cdf oracle of Potential.free(); with a "harmonic" tag it drew
+    # whole paths, and its oracle was a periodic grid row
+    flat, free, bins = Potential.harmonic(1.0, 0.0), Potential.free(), make_grid(64, 30.0)
+    assert flat.kind == free.kind == "free"
+    a, b = (estimate_density_matrix(pot, 0.3, 1.0, P15, 16, 4, 500, bins, 71)
+            for pot in (flat, free))
+    for name in ("mean", "std_error", "covered", "effective_counts"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert (a.overflow_low, a.overflow_high) == (b.overflow_low, b.overflow_high)
+    assert np.array_equal(bin_averaged_row(flat, 1.0, P15, bins, 0.3),
+                          bin_averaged_row(free, 1.0, P15, bins, 0.3))
+
+
 @pytest.mark.parametrize("potential", [Potential.free(), HARMONIC, HARMONIC_CUSTOM],
                          ids=["free", "moments", "written-out"])
 def test_pass_rows_are_each_chains_own_sums(potential):

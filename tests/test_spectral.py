@@ -1,17 +1,19 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
-from fracqm import spectral
+from fracqm import cli, spectral, statmech
+from fracqm.cli import parse_flat, validate_config
 from fracqm.errors import ConfigurationError, NumericalError
-from fracqm.numerics import ComplexField, PhysicalParams, grid_momenta, make_grid
+from fracqm.numerics import ComplexField, PhysicalParams, apply_symbol, grid_momenta, make_grid
 from fracqm.spectral import (
     EvolverConfig,
     Potential,
-    apply_riesz,
     energy_expectation,
     evolve,
+    kinetic_symbol,
     refine_time_step,
 )
 from fracqm.statmech import bloch_density_matrix
@@ -40,16 +42,16 @@ def test_riesz_plane_wave_eigenfunction():
     grid = make_grid(256, 32.0)
     params = PhysicalParams(1.0, 1.0, 1.5)
     field, p0 = plane_wave(grid, 9, params, normalized=False)
-    out = apply_riesz(field, params)
-    expected = -abs(p0) ** 1.5 * field.values
-    assert np.max(np.abs(out.values - expected)) < 1e-11 * abs(p0) ** 1.5
+    out = apply_symbol(field.values, kinetic_symbol(grid, params))
+    expected = abs(p0) ** 1.5 * field.values
+    assert np.max(np.abs(out - expected)) < 1e-11 * abs(p0) ** 1.5
 
 
 def test_riesz_annihilates_constants():
     grid = make_grid(64, 8.0)
     params = PhysicalParams(1.0, 1.0, 1.7)
-    out = apply_riesz(ComplexField(np.ones(64, dtype=complex), grid), params)
-    assert np.max(np.abs(out.values)) < 1e-13
+    out = apply_symbol(np.ones(64, dtype=complex), kinetic_symbol(grid, params))
+    assert np.max(np.abs(out)) < 1e-13
 
 
 def test_riesz_alpha2_matches_finite_difference_second_order():
@@ -58,9 +60,9 @@ def test_riesz_alpha2_matches_finite_difference_second_order():
     for n in (256, 512, 1024):
         grid = make_grid(n, 30.0)
         psi = np.exp(-(grid.positions**2)).astype(complex)
-        spectral = apply_riesz(ComplexField(psi, grid), params).values
+        spectral = apply_symbol(psi, kinetic_symbol(grid, params))  # -psi'' at alpha 2, D 1
         dx = grid.spacing
-        fd = (np.roll(psi, -1) - 2.0 * psi + np.roll(psi, 1)) / dx**2
+        fd = -(np.roll(psi, -1) - 2.0 * psi + np.roll(psi, 1)) / dx**2
         errs.append(np.max(np.abs(spectral - fd)))
     # central difference error is O(dx^2): halving dx divides the error by ~4
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
@@ -73,9 +75,9 @@ def test_riesz_alpha2_spectrally_exact_for_band_limited_field():
     p = grid_momenta(grid, params)
     ks = [p[2], p[5], p[-7]]
     psi = sum(np.exp(1j * k * grid.positions) for k in ks)
-    exact = sum(-(k**2) * np.exp(1j * k * grid.positions) for k in ks)
-    out = apply_riesz(ComplexField(psi, grid), params)
-    assert np.max(np.abs(out.values - exact)) < 1e-10
+    exact = sum(k**2 * np.exp(1j * k * grid.positions) for k in ks)
+    out = apply_symbol(psi, kinetic_symbol(grid, params))
+    assert np.max(np.abs(out - exact)) < 1e-10
 
 
 def test_riesz_linear():
@@ -84,9 +86,10 @@ def test_riesz_linear():
     rng = np.random.default_rng(1)
     a = ComplexField(rng.normal(size=128) + 1j * rng.normal(size=128), grid)
     b = ComplexField(rng.normal(size=128) + 1j * rng.normal(size=128), grid)
-    lhs = apply_riesz(ComplexField(2.0 * a.values - 3j * b.values, grid), params)
-    rhs = 2.0 * apply_riesz(a, params).values - 3j * apply_riesz(b, params).values
-    assert np.max(np.abs(lhs.values - rhs)) < 1e-11
+    kin = kinetic_symbol(grid, params)
+    lhs = apply_symbol(2.0 * a.values - 3j * b.values, kin)
+    rhs = 2.0 * apply_symbol(a.values, kin) - 3j * apply_symbol(b.values, kin)
+    assert np.max(np.abs(lhs - rhs)) < 1e-11
 
 
 @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8, 2.0])
@@ -100,6 +103,41 @@ def test_free_evolution_equals_spectral_multiplier(alpha):
     phase = np.exp(-1j * np.abs(grid_momenta(grid, params)) ** alpha * t)
     direct = np.fft.ifft(phase * phi)
     assert np.max(np.abs(stepped.values - direct)) < 1e-12
+
+
+@pytest.mark.parametrize("alpha", ["1.2", "1.5", "2"])
+def test_shipped_evolve_runs_forward_for_its_time(alpha):
+    # the shipped config (D = 1/(2m) at alpha 2) against the exact propagator
+    # of the grid Hamiltonian the Strang steps split, U e^{-iEt/hbar} U^T.
+    # Strang's global error is C dt^2: the runs at dt, dt/2 and dt/4 must show
+    # that order, and (4/3) |psi_dt - psi_dt/2| then estimates the error, so
+    # the gap to the exact state is held to twice it.  Both read 7.2e-6,
+    # 1.02e-5 and 7.6e-6; a time-reversed phase reads gaps of 1.10-1.41, and
+    # half the time 1.41-1.53, while both pass the CLI's norm and energy rows.
+    raw = parse_flat((pathlib.Path(__file__).parents[1] / "configs" / "evolve.cfg").read_text())
+    p = validate_config({**raw, "alpha": alpha}).parameters
+    params, pot = cli._physical(p), cli._potential(p)
+    grid = make_grid(p["n_points"], p["length"])
+    field = gaussian_state(grid, x0=p["x0"], sigma=p["sigma"])
+    t = p["dt"] * p["n_steps"]
+    psi = [evolve(field, pot, params, EvolverConfig(p["dt"] / k, k * p["n_steps"])).values
+           for k in (1, 2, 4)]
+    energies, vecs = np.linalg.eigh(statmech._grid_hamiltonian(pot, params, grid))
+    exact = vecs @ (np.exp(-1j * energies * t / params.hbar) * (vecs.T @ field.values))
+
+    def l2(d):
+        return math.sqrt(float(np.sum(np.abs(d) ** 2) * grid.spacing))
+
+    assert l2(psi[0] - psi[1]) / l2(psi[1] - psi[2]) == pytest.approx(4.0, rel=0.1)
+    estimate = 4.0 / 3.0 * l2(psi[0] - psi[1])
+    assert l2(psi[0] - exact) <= 2.0 * estimate
+    if alpha == "2":
+        # Ehrenfest in V = x^2 / 2: <x>(t) = x0 cos t; Strang reads 0.2836671799.
+        # |<x>_a - <x>_b| <= |a - b| (|x a| + |x b|), with |x psi| the rms position
+        rho = np.abs(psi[0]) ** 2 * grid.spacing
+        rms = math.sqrt(float(np.sum(grid.positions**2 * rho)))
+        mean_x = float(np.sum(grid.positions * rho))
+        assert abs(mean_x - p["x0"] * math.cos(t)) <= 2.0 * rms * 2.0 * estimate
 
 
 def test_zero_steps_returns_input_bit_identical():
@@ -122,7 +160,7 @@ def test_in_place_steps_match_written_out_steps_bitwise():
     dt = 0.01
     out = evolve(field, pot, params, EvolverConfig(dt, 200))
     half_v = np.exp(-0.5j * pot.on_grid(grid) * dt)
-    kin_fac = np.exp(-1j * spectral.kinetic_symbol(grid, params) * dt)
+    kin_fac = np.exp(-1j * kinetic_symbol(grid, params) * dt)
     psi = field.values.copy()
     for _ in range(200):
         psi = half_v * psi
@@ -294,7 +332,7 @@ def test_self_inner_product_is_real():
     params = PhysicalParams(1.0, 1.0, 1.5)
     rng = np.random.default_rng(5)
     a = ComplexField(rng.normal(size=128) + 1j * rng.normal(size=128), grid)
-    val = inner_product(a, apply_riesz(a, params))
+    val = inner_product(a, ComplexField(apply_symbol(a.values, kinetic_symbol(grid, params)), grid))
     assert abs(val.imag) < 1e-12 * abs(val.real)
 
 
@@ -349,3 +387,18 @@ def test_harmonic_rejects_coefficient_that_is_not_finite(mass, omega, match):
     # a chain reads the coefficient, not V on its paths, so it must be finite
     with pytest.raises(ConfigurationError, match=match):
         Potential.harmonic(mass, omega)
+
+
+def test_potential_kind_is_read_from_q2():
+    assert Potential(lambda x: x).kind == "custom"
+    assert Potential.free().kind == "free" and Potential.free().q2 == 0.0
+    assert Potential.harmonic(1.0, 0.0).kind == "free"
+    assert Potential.harmonic(1.0, 1.0).kind == "harmonic"
+    assert Potential.harmonic(1.0, 1.0).q2 == 0.5
+
+
+@pytest.mark.parametrize("q2", ["free", "harmonic", math.inf, math.nan])
+def test_potential_rejects_q2_that_is_not_a_finite_float(q2):
+    # the old Potential(func, "free") call would otherwise be read as a coefficient
+    with pytest.raises(ConfigurationError, match="^q2 must be None or a finite float"):
+        Potential(lambda x: x, q2)
