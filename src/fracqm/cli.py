@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError, NumericalError, within_floats
 from .numerics import ComplexField, PhysicalParams, gauss_legendre, make_grid
 from .propagator import _composition_legs, _kernel_ray, chapman_kolmogorov_residual, free_kernel
 from .pimc import estimate_density_matrix, fractal_scaling_exponent
@@ -182,6 +182,15 @@ def validate_config(raw: dict) -> ExperimentConfig:
             f"key 't_split' must lie in (0, {t_values[0]}), the first t_values entry; "
             f"got {t_split}"
         )
+    if "sigma" in schema and not errors:
+        # the periodic grid stands in for the line only while the state is negligible at its
+        # edges: 12 sigma from x0 the amplitude e^{-d^2 / 4 sigma^2} is e^-36 = 2.3e-16 of its
+        # peak, a double's resolution (the shipped 0.7 at x0 = 1 reaches 9.4 of length / 2 = 20)
+        sigma, x0, length = params["sigma"], params["x0"], params["length"]
+        if not abs(x0) + 12.0 * sigma <= length / 2.0:
+            errors.append(f"keys 'sigma', 'x0' and 'length' must keep the initial Gaussian "
+                          f"negligible at the nearer domain edge (|x0| + 12 sigma <= length / 2), "
+                          f"got sigma={sigma}, x0={x0}, length={length}")
     if "dx_values" in schema and not errors:
         errors += _kernel_grid_errors(params, user_keys)  # reads every kernel-check key
 
@@ -337,11 +346,8 @@ def _run_evolve(p, seed):
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         field = ComplexField(np.exp(-((grid.positions - p["x0"]) ** 2)
                                     / (4.0 * np.float64(p["sigma"]) ** 2)), grid)
-        norm = field.norm()
-    if not 0.0 < norm < math.inf:
-        raise NumericalError(f"initial Gaussian has grid norm {norm} at x0={p['x0']}, "
-                             f"sigma={p['sigma']}, length={grid.length}")
-    field.values /= norm
+    field.values /= within_floats("initial Gaussian's grid norm", field.norm, positive=True,
+                                  x0=p["x0"], sigma=p["sigma"], length=grid.length)
     e0 = energy_expectation(field, pot, params)
     cfg = EvolverConfig(dt=p["dt"], n_steps=p["n_steps"])
     out = evolve(field, pot, params, cfg)

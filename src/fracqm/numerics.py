@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError, QuadraturePointError
+from .errors import ConfigurationError, NumericalError, QuadraturePointError, require_positive
 
 __all__ = [
     "GridSpec",
@@ -63,10 +63,8 @@ class PhysicalParams:
     alpha: float = 2.0
 
     def __post_init__(self):
-        if not (0 < self.hbar < math.inf):
-            raise ConfigurationError(f"hbar must be positive, got {self.hbar}")
-        if not (0 < self.d_alpha < math.inf):
-            raise ConfigurationError(f"d_alpha must be positive, got {self.d_alpha}")
+        require_positive("hbar", self.hbar)
+        require_positive("d_alpha", self.d_alpha)
         if not (1.0 < self.alpha <= 2.0):
             raise ConfigurationError(
                 f"alpha must lie in (1, 2], got {self.alpha}"
@@ -107,8 +105,7 @@ def make_grid(n_points: int, length: float) -> GridSpec:
         raise ConfigurationError(
             f"n_points must be a power of two >= 8, got {n_points}"
         )
-    if not (0 < length < math.inf):
-        raise ConfigurationError(f"length must be positive, got {length}")
+    require_positive("length", length)
     spacing = length / n_points
     if spacing == 0.0:
         raise ConfigurationError(

@@ -68,7 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError, NumericalError, within_floats
 from .numerics import GridSpec, PhysicalParams, _cell_edges
 from .spectral import Potential
 from .stable import chain_rngs, sample_stable, thermal_law
@@ -394,7 +394,8 @@ def estimate_density_matrix(
     spread = 2.0 * wander_scale(beta, params)
     if bin_grid.length / 2.0 < spread:
         raise ConfigurationError(
-            f"bin grid must cover the free-path spread (need half-length >= {spread:.3g})"
+            f"bin grid must cover the free-path spread (need half-length >= {spread:.3g}) "
+            f"at beta={beta}, hbar={params.hbar}, d_alpha={params.d_alpha}"
         )
     edges = _cell_edges(bin_grid)
     rngs = chain_rngs(master_seed, n_chains)
@@ -461,18 +462,17 @@ def fractal_scaling_exponent(
     rngs = chain_rngs(master_seed, _SCALING_CHAINS)
     log_s, y, y_err = [], [], []
     for sigma in slice_ladder:
-        law = thermal_law(sigma / params.hbar, params)
+        keys = {"sigma": sigma, "mu": mu, "sigma0": slice_ladder[0], "hbar": params.hbar,
+                "d_alpha": params.d_alpha}
+        law = thermal_law(within_floats("rung's sigma / hbar", lambda: sigma / params.hbar,
+                                        positive=True, **keys), params)
         with np.errstate(over="ignore", invalid="ignore"):
             chain_means = np.array(
                 [np.mean(np.abs(sample_stable(law, rng, per_chain)) ** mu) for rng in rngs]
             )
-            m = chain_means.mean()
-            se = chain_means.std(ddof=1) / math.sqrt(_SCALING_CHAINS)
-        if not (0.0 < m < math.inf and 0.0 < se < math.inf):
-            raise NumericalError(
-                f"rung sigma={sigma} gives moment E|dx|^mu = {m:.3e} with error {se:.3e}, "
-                f"which cannot be fitted: mu={mu}, sigma0={slice_ladder[0]}, "
-                f"hbar={params.hbar}, d_alpha={params.d_alpha}")
+            m, se = chain_means.mean(), chain_means.std(ddof=1) / math.sqrt(_SCALING_CHAINS)
+        for what, value in (("rung's moment E|dx|^mu", m), ("rung's moment error", se)):
+            within_floats(what, lambda: value, positive=True, **keys)
         log_s.append(math.log(sigma))
         y.append(math.log(m))
         y_err.append(se / m)

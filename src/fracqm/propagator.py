@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError, NumericalError, within_floats
 from .numerics import (
     ComplexField,
     GridSpec,
@@ -76,15 +76,15 @@ class KernelEstimate:
     error: float
 
 
-def _char_scales(t: float, params: PhysicalParams):
-    """Phase strength A = D t / hbar and the kernel length scale; raises
-    NumericalError when either leaves the positive finite floats."""
-    a_phase = params.d_alpha * t / params.hbar
-    x_c = params.hbar * a_phase ** (1.0 / params.alpha)
-    if not (0.0 < a_phase < math.inf and 0.0 < x_c < math.inf):
-        raise NumericalError(f"kernel scales at t={t} are not finite and positive "
-                             f"(A = {a_phase:.3g}, length {x_c:.3g})")
-    return a_phase, x_c
+def _char_scales(t: float, params: PhysicalParams) -> float:
+    """Phase strength A = D t / hbar; raises NumericalError when it or the
+    kernel length scale hbar A^(1/alpha) leaves the positive finite floats."""
+    keys = {"t": t, "hbar": params.hbar, "d_alpha": params.d_alpha}
+    a_phase = within_floats("kernel phase strength D t / hbar",
+                            lambda: params.d_alpha * t / params.hbar, positive=True, **keys)
+    within_floats("kernel length scale hbar (D t / hbar)^(1/alpha)",
+                  lambda: params.hbar * a_phase ** (1.0 / params.alpha), positive=True, **keys)
+    return a_phase
 
 
 def _kernel_ray(dx: float, t: float, params: PhysicalParams):
@@ -95,7 +95,7 @@ def _kernel_ray(dx: float, t: float, params: PhysicalParams):
     tilted by f = min(1, 2 / g), g that exponent's peak there, and the ray ends
     where it falls to -40."""
     alpha = params.alpha
-    a_phase, _ = _char_scales(t, params)
+    a_phase = _char_scales(t, params)
     b = dx / params.hbar
     phi_full = math.pi / (2.0 * alpha)
     log_g = -math.inf if b == 0.0 else (
@@ -112,9 +112,7 @@ def _kernel_ray(dx: float, t: float, params: PhysicalParams):
         q = s1 * math.exp(y) + _RAY_CUT_LOG
         step = (math.log(q / s2) - alpha * y) / (alpha - 1.0 + _RAY_CUT_LOG / q)
         y += step
-    r_max = math.exp(y)
-    if not 0.0 < r_max < math.inf:
-        raise NumericalError(f"kernel ray at dx={dx}, t={t} has no finite reach ({r_max})")
+    r_max = within_floats("kernel ray's reach", lambda: math.exp(y), positive=True, dx=dx, t=t)
     return phi, r_max, panels
 
 
@@ -129,7 +127,7 @@ def free_kernel(dx: float, t: float, params: PhysicalParams) -> KernelEstimate:
     if not (t > 0):
         raise ConfigurationError(f"kernel time must be strictly positive, got {t}")
     dx = abs(dx)
-    a_phase, _ = _char_scales(t, params)
+    a_phase = _char_scales(t, params)
     phi, r_max, panels = _kernel_ray(dx, t, params)
     # on the ray dp = 2 u e^{-i phi} du, and cos z = (e^{iz} + e^{-iz}) / 2
     rot = cmath.exp(-1j * phi)
@@ -152,7 +150,7 @@ def _ladder_symbol(t: float, params: PhysicalParams, momenta: np.ndarray,
     """Grid multiplier e^{-i A |p|^alpha} sum_i w_i e^{-eps_i A |p|^alpha},
     A = D t / hbar, eps_i = _EPS_LADDER; raises NumericalError when the
     weakest rung is not damped below 1e-10 at the largest momentum."""
-    a_phase, _ = _char_scales(t, params)
+    a_phase = _char_scales(t, params)
     r = a_phase * np.abs(momenta) ** params.alpha
     floor = math.exp(-_EPS_LADDER[-1] * float(np.max(r)))
     if floor > 1e-10:
@@ -213,6 +211,10 @@ def chapman_kolmogorov_residual(t_total: float, t_split: float, params: Physical
         raise ConfigurationError("need 0 < t_split < t_total")
     law_a, law_b = (thermal_law(t / params.hbar, params)
                     for t in _composition_legs(t_total, t_split, params))
-    composed = 2.0 * adaptive_quadrature(
-        lambda s: levy_density(s, law_a) * levy_density(s, law_b), 0.0, math.inf, 1e-12)
+    try:
+        composed = 2.0 * adaptive_quadrature(
+            lambda s: levy_density(s, law_a) * levy_density(s, law_b), 0.0, math.inf, 1e-12)
+    except NumericalError as exc:
+        raise NumericalError(f"{exc}; composition at t_total={t_total}, t_split={t_split}, "
+                             f"hbar={params.hbar}, d_alpha={params.d_alpha}") from exc
     return abs(peak_density(thermal_law(t_total / params.hbar, params)) - composed)

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError, NumericalError, require_positive, within_floats
 from .numerics import ComplexField, GridSpec, PhysicalParams, apply_symbol, grid_momenta
 
 __all__ = [
@@ -69,13 +69,11 @@ class Potential:
         for name, value in (("mass", mass), ("omega", omega)):
             if not np.isfinite(value):
                 raise ConfigurationError(f"{name} must be finite, got {value}")
-        try:
-            q2 = float(0.5 * mass * omega**2)  # a float, as Potential requires
-        except OverflowError:  # a float's square past the largest double
-            q2 = np.inf
-        if not np.isfinite(q2):
-            raise ConfigurationError(
-                f"mass {mass} and omega {omega} give a coefficient m omega^2 / 2 that overflows")
+        try:  # a float, as Potential requires
+            q2 = float(within_floats("coefficient m omega^2 / 2", lambda: 0.5 * mass * omega**2,
+                                     mass=mass, omega=omega))
+        except NumericalError as exc:  # a coefficient past the largest double is bad input
+            raise ConfigurationError(f"{exc}: it overflows") from None
 
         def v(x):
             sq = np.square(np.asarray(x, dtype=float))  # one temporary, scaled in place
@@ -104,8 +102,7 @@ class EvolverConfig:
     n_steps: int
 
     def __post_init__(self):
-        if not (0 < self.dt < np.inf):
-            raise ConfigurationError(f"dt must be positive, got {self.dt}")
+        require_positive("dt", self.dt)
         if self.n_steps < 0:
             raise ConfigurationError(f"n_steps must be >= 0, got {self.n_steps}")
 
@@ -141,7 +138,8 @@ def evolve(
         half_v = np.exp(-0.5j * v * config.dt / params.hbar)
         kin_fac = np.exp(-1j * kin * config.dt / params.hbar)
     if not all(np.isfinite(f).all() for f in (half_v, kin_fac, field.values)):
-        raise ConfigurationError("phase factors or initial field not finite")
+        raise ConfigurationError(
+            f"phase factors or initial field not finite at dt={config.dt}, hbar={params.hbar}")
     psi = field.values.copy()
     for _ in range(config.n_steps):
         np.multiply(half_v, psi, out=psi)

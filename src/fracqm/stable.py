@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError, NumericalError, require_positive, within_floats
 from .numerics import PhysicalParams, gauss_legendre
 
 __all__ = [
@@ -69,23 +69,16 @@ class StableParams:
     def __post_init__(self):
         if not (0.0 < self.alpha <= 2.0):
             raise ConfigurationError(f"alpha must lie in (0, 2], got {self.alpha}")
-        if not (0.0 < self.scale < math.inf):
-            raise ConfigurationError(f"scale must be positive, got {self.scale}")
+        require_positive("scale", self.scale)
 
 
 def thermal_law(beta: float, params: PhysicalParams) -> StableParams:
     """Law of x - x0 under the free thermal kernel: scale beta D_alpha hbar^alpha;
     a scale that overflows or underflows the floats raises NumericalError."""
-    if not (0 < beta < math.inf):
-        raise ConfigurationError(f"beta must be positive, got {beta}")
-    try:
-        scale = beta * params.d_alpha * params.hbar**params.alpha
-    except OverflowError:  # hbar^alpha past the largest double
-        scale = math.inf
-    if not (0.0 < scale < math.inf):
-        raise NumericalError(f"thermal scale leaves the floats at beta={beta}, "
-                             f"hbar={params.hbar}, d_alpha={params.d_alpha}")
-    return StableParams(params.alpha, scale)
+    require_positive("beta", beta)
+    return StableParams(params.alpha, within_floats(
+        "thermal scale", lambda: beta * params.d_alpha * params.hbar**params.alpha,
+        positive=True, beta=beta, hbar=params.hbar, d_alpha=params.d_alpha))
 
 
 @functools.cache

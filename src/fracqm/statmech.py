@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError, require_positive, within_floats
 from .numerics import (GridSpec, PhysicalParams, _cell_edges, adaptive_quadrature, apply_symbol,
                        grid_momenta, make_grid)
 from .spectral import Potential, kinetic_symbol
@@ -62,33 +62,23 @@ def free_partition_function(beta: float, omega: float, params: PhysicalParams) -
     ideal-gas Omega sqrt(m / 2 pi beta hbar^2) at alpha = 2.  A Z that
     leaves the floats raises NumericalError.
     """
-    if not (0 < omega < math.inf):
-        raise ConfigurationError(f"omega must be positive, got {omega}")
-    z = omega * peak_density(thermal_law(beta, params))
-    if not (0.0 < z < math.inf):
-        raise NumericalError(f"partition function Z = {z} leaves the floats at beta={beta}, "
-                             f"omega={omega} (the system size), hbar={params.hbar}, "
-                             f"d_alpha={params.d_alpha}")
-    return z
+    require_positive("omega", omega)
+    return within_floats("partition function Z of system size omega",
+                         lambda: omega * peak_density(thermal_law(beta, params)), positive=True,
+                         beta=beta, omega=omega, hbar=params.hbar, d_alpha=params.d_alpha)
 
 
-def classical_partition_function(
-    potential: Potential,
-    beta: float,
-    params: PhysicalParams,
-    domain: tuple[float, float] | None = None,
-) -> float:
-    """Z_cl = [free-kernel diagonal] * integral e^{-beta V} over the domain.
+def classical_partition_function(potential: Potential, beta: float,
+                                 params: PhysicalParams) -> float:
+    """Z_cl = [free-kernel diagonal] * integral e^{-beta V} over the line.
 
-    Valid when V changes little over the thermal wander scale; with V = 0 on
-    a finite domain this reproduces free_partition_function.  Raises
-    NumericalError when e^{-beta V} is not integrable on the domain.
+    Valid when V changes little over the thermal wander scale.  Raises
+    NumericalError when e^{-beta V} is not integrable.
     """
     law = thermal_law(beta, params)
-    lo, hi = domain if domain is not None else (-np.inf, np.inf)
     val = adaptive_quadrature(
         lambda x: np.exp(-beta * potential.func(x)),
-        lo, hi, rel_tol=1e-11, abs_tol=1e-12,
+        -np.inf, np.inf, rel_tol=1e-11, abs_tol=1e-12,
     )
     return peak_density(law) * val
 
@@ -126,8 +116,7 @@ def bloch_density_matrix(
     if not (-grid.length / 2.0 <= x0 < grid.length / 2.0):
         raise ConfigurationError(
             f"x0 = {x0} lies off the grid domain [{-grid.length / 2.0}, {grid.length / 2.0})")
-    if not (0 < beta < math.inf):
-        raise ConfigurationError(f"beta must be positive, got {beta}")
+    require_positive("beta", beta)
     n, v = grid.n_points, potential.on_grid(grid)
     spike = np.zeros(n)
     spike[int(round((x0 + grid.length / 2.0) / grid.spacing)) % n] = 1.0 / grid.spacing
@@ -135,9 +124,8 @@ def bloch_density_matrix(
     if not v.any():
         return np.fft.irfft(np.exp(-beta * kin) * np.fft.rfft(spike), n)
     lo, hi = float(v.min()), float(kin.max() + v.max())
-    if -beta * lo > math.log(np.finfo(float).max):
-        raise NumericalError(
-            f"thermal kernel diverged at beta={beta}: lowest grid potential {lo:.3e}")
+    e_lo = within_floats(f"thermal kernel's factor e^(-beta min V), min V = {lo:.3e},",
+                         lambda: math.exp(-beta * lo), beta=beta)
     a, b = 0.5 * (hi + lo), 0.5 * (hi - lo)
     coef = 2.0 * _scaled_bessel(beta * b)  # c_0 doubled, halved in row's start
     # the series in y = (a - H) / b: T_k(-y) = (-1)^k T_k(y) absorbs the signs of c_k
@@ -147,7 +135,7 @@ def bloch_density_matrix(
         y_cur = np.fft.irfft(kin_b * np.fft.rfft(cur), n) + v_b * cur
         prev, cur = cur, (2.0 if k else 1.0) * y_cur - prev
         row += c * cur
-    return math.exp(-beta * lo) * row
+    return e_lo * row
 
 
 def bin_averaged_row(potential: Potential, beta: float, params: PhysicalParams,
@@ -204,19 +192,15 @@ def _grid_energies(potential: Potential, params: PhysicalParams, grid: GridSpec)
     return np.sort(np.concatenate([np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd)]))
 
 
-def _boltzmann_weights(energies: np.ndarray, beta: float) -> np.ndarray:
-    """e^{-beta E} for the grid energies; overflow means V is unbounded below,
-    and weights that all underflow leave a zero trace."""
-    if not (0 < beta < math.inf):
-        raise ConfigurationError(f"beta must be positive, got {beta}")
-    with np.errstate(over="ignore"):
-        weights = np.exp(-beta * energies)
-    if not (np.all(np.isfinite(weights)) and weights.any()):
-        raise NumericalError(
-            f"thermal weights e^(-beta E) leave the floats at beta={beta}: "
-            f"lowest grid energy {float(energies[0]):.3e}"
-        )
-    return weights
+def _boltzmann_weights(energies: np.ndarray, beta: float, params: PhysicalParams) -> np.ndarray:
+    """e^{-beta E} for the ascending grid energies, checked at the largest, E_0's: its
+    overflow means V is unbounded below, and its underflow leaves a zero trace."""
+    require_positive("beta", beta)
+    e_0 = float(energies[0])
+    within_floats(f"thermal weight e^(-beta E_0) at the lowest grid energy {e_0:.3e}",
+                  lambda: math.exp(-beta * e_0), positive=True,
+                  beta=beta, hbar=params.hbar, d_alpha=params.d_alpha)
+    return np.exp(-beta * energies)
 
 
 def bloch_matrix(
@@ -227,7 +211,7 @@ def bloch_matrix(
 ) -> np.ndarray:
     """Kernel matrix rho[i, j] = rho(x_i, beta | x_j) = [U e^{-beta E} U^T]_ij / dx."""
     energies, vecs = np.linalg.eigh(_grid_hamiltonian(potential, params, grid))
-    weights = _boltzmann_weights(energies, beta)
+    weights = _boltzmann_weights(energies, beta, params)
     return (vecs * weights) @ vecs.T / grid.spacing
 
 
@@ -242,5 +226,5 @@ def bloch_trace_ladder(
     energies (`_grid_energies`: parity blocks when V is bit-even on the grid)."""
     energies = _grid_energies(potential, params, grid)
     betas = [beta_min * 2.0**k for k in range(n_doublings + 1)]
-    return [(b, float(np.sum(_boltzmann_weights(energies, b)))) for b in betas]
+    return [(b, float(np.sum(_boltzmann_weights(energies, b, params)))) for b in betas]
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError, NumericalError, require_positive, within_floats
 from .numerics import (
     ComplexField,
     GridSpec,
@@ -82,10 +82,8 @@ class PacketParams:
     nu: float
 
     def __post_init__(self):
-        if not (0 < self.l < math.inf):
-            raise ConfigurationError(f"l must be positive, got {self.l}")
-        if not (0 < self.p0 < math.inf):
-            raise ConfigurationError(f"p0 must be positive, got {self.p0}")
+        require_positive("l", self.l)
+        require_positive("p0", self.p0)
         if not (1.0 < self.nu <= 2.0):
             raise ConfigurationError(f"nu must lie in (1, 2], got {self.nu}")
 
@@ -117,13 +115,9 @@ def packet_momentum_state(p, t: float, packet: PacketParams, params: PhysicalPar
     weight scale l^nu or hbar^nu that leaves the floats raises NumericalError."""
     _check_nu(packet, params)
     p = np.asarray(p, dtype=float)
-    try:
-        l_nu, hbar_nu = packet.l**packet.nu, params.hbar**packet.nu
-    except OverflowError:  # a power past the largest double
-        l_nu = hbar_nu = math.inf
-    if not (0.0 < l_nu < math.inf and 0.0 < hbar_nu < math.inf):
-        raise NumericalError(f"momentum weight scale (l / hbar)^nu leaves the floats at "
-                             f"l={packet.l}, hbar={params.hbar}, nu={packet.nu}")
+    l_nu, hbar_nu = (within_floats("momentum weight scale (l / hbar)^nu", lambda: x**packet.nu,
+                                   positive=True, l=packet.l, hbar=params.hbar, nu=packet.nu)
+                     for x in (packet.l, params.hbar))
     weight = np.exp(-np.abs(p - packet.p0) ** packet.nu * l_nu / (2.0 * hbar_nu))
     phase = np.exp(
         -1j * params.d_alpha * np.abs(p) ** params.alpha * t / params.hbar
@@ -155,24 +149,12 @@ def reduced_carrier(packet: PacketParams, params: PhysicalParams) -> float:
 def reduced_time(t: float, packet: PacketParams, params: PhysicalParams) -> float:
     """tau = (D t / hbar) (2^(1/nu) hbar / l)^alpha; a tau that is not finite
     raises NumericalError naming the keys it comes from, as `thermal_law` does."""
-    try:
-        tau = (
-            params.d_alpha * t / params.hbar
-            * (2.0 ** (1.0 / packet.nu) * params.hbar / packet.l) ** params.alpha
-        )
-    except OverflowError:  # the power past the largest double
-        tau = math.inf
-    if not math.isfinite(tau):
-        raise NumericalError(f"reduced time leaves the floats at t={t}, hbar={params.hbar}, "
-                             f"d_alpha={params.d_alpha}, l={packet.l}")
-    return tau
+    return within_floats("reduced time", lambda: params.d_alpha * t / params.hbar
+                         * (2.0 ** (1.0 / packet.nu) * params.hbar / packet.l) ** params.alpha,
+                         t=t, hbar=params.hbar, d_alpha=params.d_alpha, l=packet.l)
 
 
-def suggest_grid(
-    packet: PacketParams,
-    params: PhysicalParams,
-    t: float = 0.0,
-) -> GridSpec:
+def suggest_grid(packet: PacketParams, params: PhysicalParams, t: float) -> GridSpec:
     """Grid sized so the packet's wrapped tails stay below 1e-9 of its norm
     (`_NORM_TOL`), with at most 2^20 points (`_N_MAX`).
 
@@ -200,10 +182,9 @@ def suggest_grid(
     q_max = (hbar / l) * math.log(1e18) ** (1.0 / nu)
     p_need = packet.p0 + q_max + 6.0 * hbar / l
     dx_target = math.pi * hbar / p_need
-    if not math.isfinite(length / dx_target):
-        raise NumericalError(f"packet grid of length {length:.3g} and spacing {dx_target:.3g} "
-                             f"leaves the floats at l={l}, p0={packet.p0}, hbar={hbar}, t={t}")
-    n = 1 << max(8, int(math.ceil(length / dx_target)) - 1).bit_length()
+    count = within_floats(f"packet grid of length {length:.3g} and spacing {dx_target:.3g}",
+                          lambda: length / dx_target, l=l, p0=packet.p0, hbar=hbar, t=t)
+    n = 1 << max(8, int(math.ceil(count)) - 1).bit_length()
     return make_grid(min(n, _N_MAX), length)
 
 
@@ -247,7 +228,8 @@ def packet_position_state(
     tail = tail_mass_estimate(psi, packet, params)
     if not tail <= _TAIL_TOL:
         raise NumericalError(
-            f"estimated off-grid probability mass {tail:.3e} exceeds {_TAIL_TOL:.1e}; "
+            f"estimated off-grid probability mass {tail:.3e} exceeds {_TAIL_TOL:.1e} at t={t}, "
+            f"l={packet.l}, p0={packet.p0}, hbar={params.hbar}, d_alpha={params.d_alpha}; "
             "enlarge the domain", residual=tail,
         )
     return psi, tail
@@ -348,11 +330,9 @@ def packet_spread_factor(
             f"need 0 < mu < nu <= alpha <= 2, got mu={mu}, nu={nu}, alpha={alpha}"
         )
     half_width = math.log(1e16) ** (1.0 / nu) + 2.0
-    with np.errstate(over="ignore", invalid="ignore"):  # nan too: tau = 0 times inf
-        reach = abs(tau) * np.float64(abs(eta0) + half_width) ** alpha
-    if not np.isfinite(reach):
-        raise NumericalError(f"spread factor's phase tau |eta|^alpha leaves the floats at "
-                             f"the eta window's reach: tau={tau}, eta0={eta0}, alpha={alpha}")
+    within_floats("spread factor's phase tau |eta|^alpha at the eta window's reach",
+                  lambda: abs(tau) * (abs(eta0) + half_width) ** alpha,  # nan: tau = 0 times inf
+                  tau=tau, eta0=eta0, alpha=alpha)
     c0 = alpha * tau * eta0 ** (alpha - 1.0)
     d_eta = math.pi / (1024.0 + abs(c0))
     if not 2.0 * half_width <= d_eta * (1 << 22):  # 2^23 padded points, as in `_kernel_ray`
@@ -417,12 +397,11 @@ def uncertainty_report(
     except NumericalError as exc:
         raise NumericalError(f"{exc}; eta0 = p0 l / (2^(1/nu) hbar) at l={l}, "
                              f"p0={packet.p0}, hbar={hbar}") from exc
-    with np.errstate(over="ignore"):  # a 1/mu-th power past the largest double
-        dx_mu = float((l / 2.0 ** (1.0 / nu)) * np.float64(n_factor) ** (1.0 / mu))
-        bound = float(hbar / np.float64(2.0 * alpha) ** (1.0 / mu))
-    if not (0.0 < dx_mu < math.inf and 0.0 < bound < math.inf):
-        raise NumericalError(f"dx_mu {dx_mu} or bound {bound} leaves the floats at mu={mu}, "
-                             f"l={l}, hbar={hbar}")
+    keys = {"mu": mu, "l": l, "hbar": hbar}
+    dx_mu = within_floats("dx_mu", lambda: (l / 2.0 ** (1.0 / nu)) * n_factor ** (1.0 / mu),
+                          positive=True, **keys)
+    bound = within_floats("bound hbar / (2 alpha)^(1/mu)",
+                          lambda: hbar / (2.0 * alpha) ** (1.0 / mu), positive=True, **keys)
     dp_mu = gamma_ratio_deviation(mu, packet, params)
     product = dx_mu * dp_mu
     return UncertaintyReport(

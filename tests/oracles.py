@@ -177,9 +177,8 @@ def _composition_size(t_min, t_alias, params):
     the power of two at momentum spacing 2 pi hbar / length whose reach holds
     exp(-eps |p|^alpha) of the weakest rung at t_min down to e^-30; raises
     NumericalError past 2^23 points or when the count is not finite."""
-    a_min, _ = _char_scales(t_min, params)
-    _, x_c = _char_scales(t_alias, params)
-    length = 400.0 * x_c
+    a_min = _char_scales(t_min, params)
+    length = 400.0 * params.hbar * _char_scales(t_alias, params) ** (1.0 / params.alpha)
     eps_min = _EPS_LADDER[-1] * a_min
     p_max = (_TRUNC_LOG / eps_min) ** (1.0 / params.alpha) if eps_min > 0.0 else math.inf
     dp = 2.0 * math.pi * params.hbar / length

@@ -9,14 +9,16 @@ raises SystemExit with the CLI's exit status.
 """
 
 import ast
+import math
 import pathlib
 import re
 import warnings
 
+import numpy as np
 import pytest
 
 from fracqm.cli import _EXPERIMENTS, parse_flat, run_experiment, validate_config
-from fracqm.errors import ConfigurationError, NumericalError
+from fracqm.errors import ConfigurationError, NumericalError, require_positive, within_floats
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "fracqm"
 KEPT = {"ConfigurationError", "NumericalError", "QuadraturePointError"}
@@ -53,6 +55,80 @@ def test_every_raise_names_a_kept_class():
     assert ALLOWED <= found, f"stale allowance: {sorted(ALLOWED - found)}"
 
 
+# the float-edge rule has one owner: only errors.py's two guards catch a
+# Python-float OverflowError or word "leaves the floats" / "must be positive"
+GUARDS = {("errors", "require_positive"), ("errors", "within_floats")}
+EDGE_TEXT = ("the floats", "must be positive")
+
+
+def _docstrings(tree):
+    """ids of the docstring nodes: prose about the rule is not a copy of it."""
+    return {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.body and isinstance(node.body[0], ast.Expr)}
+
+
+def _edge_rule_copies(tree, skip, scope="<module>"):
+    """(enclosing def, what) for each `except OverflowError` and each string
+    outside `skip` that words the float-edge rule."""
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = node.name if scope == "<module>" else f"{scope}.{node.name}"
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(isinstance(t, ast.Name) and t.id == "OverflowError" for t in caught):
+                yield scope, "except OverflowError"
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in skip:
+            yield from ((scope, text) for text in EDGE_TEXT if text in node.value)
+        yield from _edge_rule_copies(node, skip, inner)
+
+
+def test_float_edge_rule_lives_only_in_the_guards():
+    found = {
+        (path.stem, scope, what)
+        for path in SRC.glob("*.py")
+        for tree in [ast.parse(path.read_text())]
+        for scope, what in _edge_rule_copies(tree, _docstrings(tree))
+    }
+    stray = sorted(r for r in found if r[:2] not in GUARDS)
+    assert not stray, f"float-edge checks outside errors.py's guards: {stray}"
+    assert {r[:2] for r in found} == GUARDS, "a guard no longer words the rule"
+
+
+def test_require_positive_words_the_input_rule():
+    require_positive("dt", 5e-324)
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ConfigurationError, match=rf"^dt must be positive, got {bad}$"):
+            require_positive("dt", bad)
+
+
+@pytest.mark.parametrize("compute", [
+    lambda: 10.0 ** 400,  # Python-float overflow raises OverflowError
+    lambda: math.exp(1e3),
+    lambda: 1e300 * 1e300,  # a product overflows to inf without raising
+    lambda: math.inf - math.inf,
+])
+def test_within_floats_names_its_keys_without_warning(compute):
+    state = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError,
+                           match=r"^thermal scale leaves the floats at beta=1e\+300, hbar=2\.0$"):
+            within_floats("thermal scale", compute, beta=1e300, hbar=2.0)
+    assert np.geterr() == state
+
+
+def test_within_floats_returns_the_value_it_formed():
+    assert within_floats("sum", lambda: 0.1 + 0.2) == 0.1 + 0.2
+    assert within_floats("tau", lambda: -3.0, t=-1.0) == -3.0  # finite is enough
+    assert within_floats("tau", lambda: 0.0, t=0.0) == 0.0
+    with pytest.raises(NumericalError, match=r"^scale leaves the floats at t=5e-324$"):
+        within_floats("scale", lambda: 5e-324 * 0.5, positive=True, t=5e-324)  # underflow
+    with pytest.raises(NumericalError, match="at t=-1.0$"):
+        within_floats("scale", lambda: -3.0, positive=True, t=-1.0)
+
+
 # Every shipped config with one float key pushed to a float edge: the run must
 # end as a pass, a report with failed named rows, ConfigurationError or
 # NumericalError, with no RuntimeWarning and nothing printed (LAPACK reports
@@ -65,15 +141,19 @@ EDGES = (1e-300, 1e300, -1e300, 5e-324)
 MENDED = {
     ("statmech", "length", 1e-300), ("statmech", "length", 5e-324),
     ("statmech", "length", 1e300), ("statmech", "omega_size", 5e-324),
+    ("statmech", "d_alpha", 1e300), ("kernel-check", "d_alpha", 1e300),
+    ("pimc", "d_alpha", 1e300), ("pimc", "beta", 1e300),
     *(("evolve", k, v) for k, v in [("length", 5e-324), ("length", 1e-300),
-                                    ("length", 1e300), ("hbar", 1e300), ("x0", 1e300),
-                                    ("x0", -1e300), ("sigma", 1e-300), ("sigma", 5e-324)]),
+                                    ("length", 1e300), ("hbar", 1e300), ("hbar", 5e-324),
+                                    ("x0", 1e300), ("x0", -1e300), ("sigma", 1e-300),
+                                    ("sigma", 5e-324), ("sigma", 1e300)]),
     *(("packet", k, v) for k, v in [("l", 1e-300), ("l", 1e300), ("l", 5e-324),
-                                    ("p0", 1e300), ("p0", 5e-324), ("hbar", 1e-300),
-                                    ("hbar", 1e300), ("hbar", 5e-324)]),
+                                    ("p0", 1e-300), ("p0", 1e300), ("p0", 5e-324),
+                                    ("hbar", 1e-300), ("hbar", 1e300), ("hbar", 5e-324),
+                                    ("d_alpha", 1e300), ("t", 1e300), ("t", -1e300)]),
     *(("uncertainty", k, v) for k, v in [("mu", 1e-300), ("mu", 5e-324), ("l", 1e300),
                                          ("p0", 1e300), ("hbar", 1e-300), ("hbar", 5e-324)]),
-    *(("scaling", k, v) for k, v in [("d_alpha", 1e-300), ("d_alpha", 1e300),
+    *(("scaling", k, v) for k, v in [("d_alpha", 1e-300), ("d_alpha", 1e300), ("hbar", 5e-324),
                                      ("sigma0", 1e-300), ("sigma0", 1e300),
                                      ("sigma0", 5e-324), ("mu", 1e-300), ("mu", 5e-324)]),
 }

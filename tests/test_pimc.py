@@ -517,13 +517,7 @@ def _independent_path_std_error(potential, x0, params, n_slices, n_chains, n_pat
 def test_path_pairs_no_noisier_than_independent_paths(params, x0, n_slices, seed):
     grid = make_grid(64, 20.0)
     pot = Potential.harmonic(1.0, 1.0)
-    if params.alpha == 2.0:
-        oracle = mehler_bin_averages(grid.positions, grid.spacing, 1.0)
-    else:
-        # means of the 8 nodes of a 1024-point row on length 40 in each cell;
-        # the first cell edge, -10.15625, is node 252
-        row = bloch_density_matrix(pot, 1.0, params, make_grid(1024, 40.0), x0)
-        oracle = row[252:252 + 512].reshape(64, 8).mean(axis=1)
+    oracle = bin_averaged_row(pot, 1.0, params, grid, x0)
     core = oracle >= 0.01 * oracle.max()
     paired = estimate_density_matrix(pot, x0, 1.0, params, n_slices, 64, 1500, grid, seed)
     independent = _independent_path_std_error(pot, x0, params, n_slices, 64, 1500, grid, seed)

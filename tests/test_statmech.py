@@ -86,12 +86,6 @@ def test_partition_function_scalings():
     )
 
 
-def test_classical_partition_free_consistency():
-    z_cl = classical_partition_function(Potential.free(), 1.0, P15, (0.0, 5.0))
-    z = free_partition_function(1.0, 5.0, P15)
-    assert z_cl == pytest.approx(z, rel=1e-10)
-
-
 def test_classical_partition_harmonic_alpha2():
     z = classical_partition_function(Potential.harmonic(1.0, 1.0), 1.0, P2)
     assert z == pytest.approx(1.0, rel=1e-10)  # 1/(beta hbar omega)
