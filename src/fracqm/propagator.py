@@ -88,8 +88,9 @@ def _char_scales(t: float, params: PhysicalParams) -> float:
 
 
 def _kernel_ray(dx: float, t: float, params: PhysicalParams):
-    """free_kernel's ray angle phi, reach r_max and panel count at offset |dx|
-    and time t; raises NumericalError past 2^23 nodes or with no finite reach.
+    """free_kernel's phase strength A (`_char_scales`), ray angle phi, reach
+    r_max and panel count at offset |dx| and time t; raises NumericalError
+    past 2^23 nodes or with no finite reach.
     On p = r e^{-i phi} the integrand is at most e^{s1 r - s2 r^alpha},
     s1 = |dx| sin(phi) / hbar, s2 = A sin(alpha phi); phi is pi / (2 alpha)
     tilted by f = min(1, 2 / g), g that exponent's peak there, and the ray ends
@@ -113,7 +114,7 @@ def _kernel_ray(dx: float, t: float, params: PhysicalParams):
         step = (math.log(q / s2) - alpha * y) / (alpha - 1.0 + _RAY_CUT_LOG / q)
         y += step
     r_max = within_floats("kernel ray's reach", lambda: math.exp(y), positive=True, dx=dx, t=t)
-    return phi, r_max, panels
+    return a_phase, phi, r_max, panels
 
 
 def free_kernel(dx: float, t: float, params: PhysicalParams) -> KernelEstimate:
@@ -127,8 +128,7 @@ def free_kernel(dx: float, t: float, params: PhysicalParams) -> KernelEstimate:
     if not (t > 0):
         raise ConfigurationError(f"kernel time must be strictly positive, got {t}")
     dx = abs(dx)
-    a_phase = _char_scales(t, params)
-    phi, r_max, panels = _kernel_ray(dx, t, params)
+    a_phase, phi, r_max, panels = _kernel_ray(dx, t, params)
     # on the ray dp = 2 u e^{-i phi} du, and cos z = (e^{iz} + e^{-iz}) / 2
     rot = cmath.exp(-1j * phi)
     c1, c3 = 1j * dx / params.hbar * rot, -1j * a_phase * rot**params.alpha

@@ -50,6 +50,14 @@ def mehler_bin_averages(centers, width, beta):
     return amp * math.sqrt(math.pi / 2.0) * sd * np.diff(cdf)[::2] / width
 
 
+def fraction_within_3se(mean, oracle, std_error, covered):
+    """Share of the covered bins whose estimate lies within 3 std errors of
+    its oracle; 0 when no bin is covered."""
+    if not np.any(covered):
+        return 0.0
+    return float(np.mean(np.abs(mean[covered] - oracle[covered]) <= 3.0 * std_error[covered]))
+
+
 def _cusp_moment(u, h, du, mu):
     """Normalised moment sum |u|^mu h(u) du / sum h(u) du, each sum with the
     |u|^mu cusp removed by subtraction.

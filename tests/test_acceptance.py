@@ -42,7 +42,7 @@ from fracqm.wavepacket import (
     suggest_grid,
     uncertainty_report,
 )
-from oracles import hermiticity_residual, mehler_bin_averages
+from oracles import fraction_within_3se, hermiticity_residual, mehler_bin_averages
 
 ALPHAS = (1.2, 1.5, 1.8, 2.0)
 
@@ -320,10 +320,7 @@ def test_criterion_10_path_integral_monte_carlo():
         Potential.free(), 0.0, 1.0, p15, 64, 64, 10_000, bins, 20240809
     )
     oracle = bin_averaged_row(Potential.free(), 1.0, p15, bins, 0.0)
-    cov = est.covered
-    frac_free = float(
-        np.mean(np.abs(est.mean[cov] - oracle[cov]) <= 3.0 * est.std_error[cov])
-    )
+    frac_free = fraction_within_3se(est.mean, oracle, est.std_error, est.covered)
 
     p2 = PhysicalParams.gaussian(mass=1.0)
     pot = Potential.harmonic(1.0, 1.0)
@@ -332,10 +329,7 @@ def test_criterion_10_path_integral_monte_carlo():
         pot, 0.0, 1.0, p2, 256, 64, 10_000, bins_h, 20240810
     )
     oracle_h = mehler_bin_averages(bins_h.positions, bins_h.spacing, 1.0)
-    cov_h = est_h.covered
-    frac_h = float(
-        np.mean(np.abs(est_h.mean[cov_h] - oracle_h[cov_h]) <= 3.0 * est_h.std_error[cov_h])
-    )
+    frac_h = fraction_within_3se(est_h.mean, oracle_h, est_h.std_error, est_h.covered)
     elapsed = time.perf_counter() - start
     ok = frac_free >= 0.95 and frac_h >= 0.95 and elapsed < 600.0
     report(

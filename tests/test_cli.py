@@ -5,6 +5,7 @@ import pathlib
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from fracqm import cli, wavepacket
 from fracqm.cli import (
@@ -439,6 +440,44 @@ def test_shipped_pimc_passes_across_alpha(alpha):
     raw = {**parse_flat((CONFIGS / "pimc.cfg").read_text()), "alpha": alpha}
     report = run_experiment(validate_config(raw))
     assert report.passed, report.comparisons
+
+
+@pytest.mark.parametrize("t", [0.5, 3.0])
+def test_t_tail_matches_scipy(t):
+    # the closed forms of both parities against scipy's incomplete beta
+    for nu in range(1, 201):
+        assert cli._t_tail(t, nu) == pytest.approx(2.0 * stats.t.sf(t, nu), rel=1e-11, abs=0.0)
+
+
+@pytest.mark.parametrize("nu", [1, 15, 63])
+@pytest.mark.parametrize("n", [1, 10, 27, 43, 64, 1000])
+def test_allowed_misses_is_least_at_the_false_alarm_rate(n, nu):
+    p = 2.0 * stats.t.sf(3.0, nu)
+    k = cli._allowed_misses(n, p)
+    assert stats.binom.sf(k, n, p) <= 1e-3
+    assert k == 0 or stats.binom.sf(k - 1, n, p) > 1e-3
+
+
+@pytest.mark.parametrize("overrides", [{}, {"x0": "1.3"}, {"potential": "harmonic"}],
+                         ids=["free", "free-x0", "harmonic"])
+def test_pimc_row_allows_the_calibrated_miss_count(overrides):
+    # the row re-derived from the histogram table: a free row is even about
+    # x0, so it judges the covered bins at or right of x0, a harmonic row
+    # every covered bin; it allows the least k misses past 3 se with
+    # P(Binomial(n, P(|t_15| > 3)) > k) <= 1e-3 over n judged bins
+    raw = {**parse_flat((CONFIGS / "pimc.cfg").read_text()), **overrides}
+    report = run_experiment(validate_config(raw))
+    x, rho, se, oracle, covered = np.array(report.results["histogram"]["rows"]).T
+    judged = covered == 1
+    if "potential" not in overrides:
+        judged &= x >= float(raw.get("x0", 0.0))
+    n = int(judged.sum())
+    p = 2.0 * stats.t.sf(3.0, int(raw["n_chains"]) - 1)
+    k = next(k for k in range(n + 1) if stats.binom.sf(k, n, p) <= 1e-3)
+    row = report.comparisons[0]
+    assert 16 <= n < 64 and row["kind"] == "ge" and row["tolerance"] == 0.0
+    assert row["value"] == np.mean(np.abs(rho - oracle)[judged] <= 3.0 * se[judged])
+    assert row["oracle"] == pytest.approx(1.0 - k / n, abs=1e-15)
 
 
 def test_pimc_harmonic_alpha15_matches_oracle():

@@ -22,7 +22,7 @@ from fracqm.pimc import (
 from fracqm.spectral import Potential
 from fracqm.statmech import bin_averaged_row, bloch_density_matrix, bloch_trace_ladder
 from fracqm.stable import StableParams, chain_rngs, sample_stable, thermal_law
-from oracles import mehler_bin_averages
+from oracles import fraction_within_3se, mehler_bin_averages
 
 P15 = PhysicalParams(1.0, 1.0, 1.5)
 P2 = PhysicalParams.gaussian(mass=1.0)
@@ -109,8 +109,7 @@ def test_free_density_matrix_row_alpha15():
         Potential.free(), 0.0, 1.0, P15, 32, 32, 4000, grid, 991
     )
     oracle = bin_averaged_row(Potential.free(), 1.0, P15, grid, 0.0)
-    cov = est.covered
-    frac = np.mean(np.abs(est.mean[cov] - oracle[cov]) <= 3.0 * est.std_error[cov])
+    frac = fraction_within_3se(est.mean, oracle, est.std_error, est.covered)
     assert frac >= 0.95
     # endpoint mass is conserved: histogram integral + overflow = 1
     total = float(np.sum(est.mean) * grid.spacing) + est.overflow_low + est.overflow_high
@@ -123,8 +122,7 @@ def test_free_density_matrix_row_alpha2_gaussian():
         Potential.free(), 0.3, 1.0, P2, 32, 32, 4000, grid, 17
     )
     oracle = bin_averaged_row(Potential.free(), 1.0, P2, grid, 0.3)
-    cov = est.covered
-    frac = np.mean(np.abs(est.mean[cov] - oracle[cov]) <= 3.0 * est.std_error[cov])
+    frac = fraction_within_3se(est.mean, oracle, est.std_error, est.covered)
     assert frac >= 0.95
 
 
@@ -135,8 +133,7 @@ def test_harmonic_row_matches_thermal_kernel():
         pot, 0.0, 1.0, P2, 128, 32, 4000, grid, 55
     )
     oracle = mehler_bin_averages(grid.positions, grid.spacing, 1.0)
-    cov = est.covered
-    frac = np.mean(np.abs(est.mean[cov] - oracle[cov]) <= 3.0 * est.std_error[cov])
+    frac = fraction_within_3se(est.mean, oracle, est.std_error, est.covered)
     assert frac >= 0.95
 
 
@@ -147,8 +144,7 @@ def test_trapezoid_rule_harmonic_16_slices():
     pot = Potential.harmonic(1.0, 1.0)
     est = estimate_density_matrix(pot, 0.0, 1.0, P2, 16, 64, 10_000, grid, 20240810)
     oracle = mehler_bin_averages(grid.positions, grid.spacing, 1.0)
-    cov = est.covered
-    frac = np.mean(np.abs(est.mean[cov] - oracle[cov]) <= 3.0 * est.std_error[cov])
+    frac = fraction_within_3se(est.mean, oracle, est.std_error, est.covered)
     assert frac >= 0.95
 
 
@@ -162,9 +158,8 @@ def test_row_with_potential_matches_thermal_kernel_alpha15(potential, seed):
     grid = make_grid(64, 20.0)
     est = estimate_density_matrix(potential, 0.0, 1.0, params, 64, 64, 1500, grid, seed)
     oracle = bin_averaged_row(potential, 1.0, params, grid, 0.0)
-    cov = est.covered
-    frac = np.mean(np.abs(est.mean[cov] - oracle[cov]) <= 3.0 * est.std_error[cov])
-    assert cov.sum() >= 16
+    frac = fraction_within_3se(est.mean, oracle, est.std_error, est.covered)
+    assert est.covered.sum() >= 16
     assert frac >= 0.95
 
 
@@ -192,9 +187,8 @@ def test_slice_number_convergence():
     pot = Potential.harmonic(1.0, 1.0)
     a = estimate_density_matrix(pot, 0.0, 1.0, P2, 64, 24, 4000, grid, 101)
     b = estimate_density_matrix(pot, 0.0, 1.0, P2, 128, 24, 4000, grid, 202)
-    cov = a.covered & b.covered
-    comb = np.hypot(a.std_error[cov], b.std_error[cov])
-    frac = np.mean(np.abs(a.mean[cov] - b.mean[cov]) <= 3.0 * comb)
+    frac = fraction_within_3se(a.mean, b.mean, np.hypot(a.std_error, b.std_error),
+                               a.covered & b.covered)
     assert frac >= 0.95
 
 
@@ -221,19 +215,24 @@ def test_unbounded_below_potential_rejected():
 
 
 def test_bin_without_chain_spread_is_not_covered(monkeypatch):
-    # 16 chains each put one unit-weight hit in the same bin: its effective
-    # sample size is 16, but every chain reads alike, so it has no error bar;
-    # the chain spread is round-off (5.7e-17 here), not zero
+    # 16 chains each draw one free endpoint at bin 16's centre.  From x0 at
+    # that centre its mirror shares the bin: one entry of weight 1 per chain.
+    # From x0 half a bin lower the mirror lands one bin below: an entry of
+    # weight 1/2 in each bin.  Either way each bin's effective sample size
+    # counts 16 samples, but every chain reads alike, so no bin has an error
+    # bar; the chain spread is round-off (5.7e-17 here), not zero
     grid = make_grid(32, 24.0)
 
     def one_hit(rng, potential, x0, beta, params, n_slices, n_samples):
-        return grid.positions[16:17]  # the one free endpoint, at bin 16's centre
+        return grid.positions[16:17]
 
     monkeypatch.setattr("fracqm.pimc._chain_histogram", one_hit)
-    est = estimate_density_matrix(Potential.free(), 0.0, 1.0, P15, 4, 16, 1, grid, 1)
-    assert est.effective_counts[16] == 16.0
-    assert est.std_error[16] < 1e-15
-    assert not est.covered.any()
+    for x0, bins in ((grid.positions[16], [16]), (grid.positions[16] - grid.spacing / 2, [15, 16])):
+        est = estimate_density_matrix(Potential.free(), x0, 1.0, P15, 4, 16, 1, grid, 1)
+        assert np.flatnonzero(est.mean).tolist() == bins
+        assert np.all(est.effective_counts[bins] == 16.0)
+        assert np.all(est.std_error[bins] < 1e-15)
+        assert not est.covered.any()
 
 
 @pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf])
@@ -363,13 +362,27 @@ def test_unpaired_path_counts_once(n_paths):
 
 @pytest.mark.parametrize("potential", [Potential.free(), ZERO], ids=["free", "sampled"])
 def test_chain_returns_raw_slot_sums(potential):
-    # V = 0: every weight is one, so both sums are hit counts and the slots,
-    # the under- and overflow included, hold every path once
+    # V = 0: the slots, the under- and overflow included, hold every path
+    # once.  A sampled path puts weight one in one slot, so both sums are hit
+    # counts.  A free endpoint x puts 1/2 in its slot and 1/2 in the slot of
+    # 2 x0 - x, and a sample whose two points share a slot is one entry of
+    # weight 1 there; only x0's own slot (slot 5) can hold both
     edges = np.linspace(-2.0, 2.0, 9)
     w_sum, w_sq = chain_sums(chain_rngs(65, 1)[0], potential, 0.3, 1.0, P15, 8, 601, edges)
     assert w_sum.shape == w_sq.shape == (len(edges) + 1,)
-    assert np.array_equal(w_sum, w_sq) and np.array_equal(w_sum, np.round(w_sum))
     assert w_sum.sum() == 601 and w_sum[0] > 0 and w_sum[-1] > 0
+    if potential.kind != "free":
+        assert np.array_equal(w_sum, w_sq) and np.array_equal(w_sum, np.round(w_sum))
+        return
+    x = 0.3 + sample_stable(thermal_law(1.0, P15), chain_rngs(65, 1)[0], 601)
+    want_sum, want_sq = np.zeros(len(edges) + 1), np.zeros(len(edges) + 1)
+    for point in x:
+        entry = 0.5 * np.bincount(np.searchsorted(edges, [point, 0.6 - point], side="right"),
+                                  minlength=len(edges) + 1)
+        want_sum += entry
+        want_sq += entry * entry
+    assert np.array_equal(w_sum, want_sum) and np.array_equal(w_sq, want_sq)
+    assert np.flatnonzero(w_sq != 0.5 * w_sum).tolist() == [5]
 
 
 @pytest.mark.parametrize("edges", [
@@ -400,6 +413,48 @@ def test_trap_at_zero_omega_is_the_free_particle():
     assert (a.overflow_low, a.overflow_high) == (b.overflow_low, b.overflow_high)
     assert np.array_equal(bin_averaged_row(flat, 1.0, P15, bins, 0.3),
                           bin_averaged_row(free, 1.0, P15, bins, 0.3))
+
+
+def _free_row_within_3se(x0, seed):
+    """fraction_within_3se of the shipped free config's row started at x0."""
+    grid = make_grid(64, 30.0)
+    est = estimate_density_matrix(Potential.free(), x0, 1.0, P15, 32, 16, 2000, grid, seed)
+    oracle = bin_averaged_row(Potential.free(), 1.0, P15, grid, x0)
+    return fraction_within_3se(est.mean, oracle, est.std_error, est.covered)
+
+
+def test_free_row_off_origin_matches_oracle():
+    # x0 = 1.3 is not on the shipped grid's mirror axis: each endpoint's
+    # mirror 2 x0 - x lands in a bin that is no bin's mirror about 0
+    assert _free_row_within_3se(1.3, 4242) >= 0.95
+
+
+@pytest.mark.parametrize("mutant", ["draws-about-0", "mirrors-about-0"])
+def test_free_row_off_origin_fails_x0_mutants(monkeypatch, mutant):
+    # the test above must see x0 lost on either side of the estimate: the
+    # draws made about 0, or the mirror taken about 0
+    import fracqm.pimc as pimc
+
+    if mutant == "draws-about-0":
+        draw = pimc._chain_histogram
+        monkeypatch.setattr(pimc, "_chain_histogram",
+                            lambda rng, pot, x0, *rest: draw(rng, pot, 0.0, *rest))
+    else:
+        bin_sums = pimc._group_sums
+        monkeypatch.setattr(pimc, "_group_sums",
+                            lambda draws, pot, x0, *rest: bin_sums(draws, pot, 0.0, *rest))
+    assert _free_row_within_3se(1.3, 4242) < 0.95
+
+
+def test_free_row_is_even_about_x0():
+    # at x0 = 0 the shipped grid's cells are mirror images, bin k of bin
+    # 64 - k, so each endpoint's mirror lands in the mirror bin and the two
+    # bins carry the same sums
+    grid = make_grid(64, 30.0)
+    est = estimate_density_matrix(Potential.free(), 0.0, 1.0, P15, 32, 16, 2000, grid, 4243)
+    for name in ("mean", "std_error", "covered", "effective_counts"):
+        row = getattr(est, name)
+        assert np.array_equal(row[1:], row[:0:-1]), name
 
 
 @pytest.mark.parametrize("potential", [Potential.free(), HARMONIC, HARMONIC_CUSTOM],

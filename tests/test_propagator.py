@@ -56,7 +56,7 @@ def test_gaussian_reduction_small_lattice():
 
 def ray_quad_mpmath(dx, t, params):
     """The kernel on free_kernel's own ray, by mpmath quad at 25 digits."""
-    phi, r_max, _ = _kernel_ray(dx, t, params)
+    _, phi, r_max, _ = _kernel_ray(dx, t, params)
     with mpmath.workdps(25):
         a_phase = mpmath.mpf(params.d_alpha) * t / params.hbar
         b = mpmath.mpf(dx) / params.hbar
