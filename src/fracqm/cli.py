@@ -152,7 +152,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
             params[key] = default
     if raw:
         errors.append(f"unknown keys: {', '.join(sorted(raw))}")
-    seed, out, fmt = (params.pop(key, None) for key in _RUN)
+    run = {key: params.pop(key, None) for key in _RUN}
 
     # every key's own range is checked by its converter; the rules below tie keys together
     alpha = params.get("alpha")
@@ -196,9 +196,9 @@ def validate_config(raw: dict) -> ExperimentConfig:
 
     if errors:
         raise ConfigurationError("invalid config:\n  - " + "\n  - ".join(errors))
-    if out is None:
-        out = experiment.replace("-", "_")
-    return ExperimentConfig(experiment, seed, out, fmt, params)
+    if run["out"] is None:
+        run["out"] = experiment.replace("-", "_")
+    return ExperimentConfig(experiment, **run, parameters=params)
 
 
 def _t_split(p) -> float:
@@ -236,23 +236,19 @@ def _kernel_grid_errors(p, user_keys) -> list[str]:
     return errors
 
 
+# a comparison row's keys, in the order the CSV comparisons table writes them
+_CMP_COLUMNS = ("name", "value", "oracle", "abs_dev", "rel_dev", "tolerance", "kind", "passed",
+                "anchor")
+
+
 def _cmp(name, value, oracle, tol, kind, anchor):
     value, oracle = float(value), float(oracle)
     abs_dev = abs(value - oracle)
     rel_dev = abs_dev / abs(oracle) if oracle != 0 else math.inf
     passed = {"abs": abs_dev <= tol, "rel": rel_dev <= tol,
               "ge": value >= oracle - tol, "gt": value > oracle}[kind]
-    return {
-        "name": name,
-        "value": value,
-        "oracle": oracle,
-        "abs_dev": abs_dev,
-        "rel_dev": rel_dev,
-        "tolerance": tol,
-        "kind": kind,
-        "passed": bool(passed),
-        "anchor": anchor,
-    }
+    return dict(zip(_CMP_COLUMNS, (name, value, oracle, abs_dev, rel_dev, tol, kind,
+                                   bool(passed), anchor)))
 
 
 def _table(anchor, columns, rows):
@@ -457,12 +453,16 @@ def _allowed_misses(n: int, p: float) -> int:
 
 def _run_pimc(p, seed):
     params = _physical(p)
-    bin_grid = make_grid(p["bin_points"], p["bin_length"])
     pot = _potential(p)
-    est = estimate_density_matrix(
-        pot, p["x0"], p["beta"], params, p["n_slices"], p["n_chains"],
-        p["n_paths"], bin_grid, seed,
-    )
+    try:  # bin_length reaches the library only inside the bin grid
+        bin_grid = make_grid(p["bin_points"], p["bin_length"])
+        est = estimate_density_matrix(
+            pot, p["x0"], p["beta"], params, p["n_slices"], p["n_chains"],
+            p["n_paths"], bin_grid, seed,
+        )
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{exc}; the bin grid of bin_points={p['bin_points']}, "
+                                 f"bin_length={p['bin_length']}") from exc
     # the histogram holds bin averages, so the oracle is a bin average too
     oracle = bin_averaged_row(pot, p["beta"], params, bin_grid, p["x0"])
     anchor = ("free_thermal_kernel_bin_average" if pot.kind == "free"
@@ -498,10 +498,14 @@ def _run_statmech(p, seed):
     z_free = free_partition_function(beta, p["omega_size"], params)
     grid = make_grid(p["n_points"], p["length"])
     pot = Potential.harmonic(p["mass"], p["omega"])
-    ladder = bloch_trace_ladder(pot, 0.125, 4, params, grid)
-    ratios = [
-        classical_partition_function(pot, b, params) / tr for b, tr in ladder
-    ][::-1]  # descending beta
+    try:  # mass and omega reach the physics only as V's coefficient
+        ladder = bloch_trace_ladder(pot, 0.125, 4, params, grid)
+        ratios = [
+            classical_partition_function(pot, b, params) / tr for b, tr in ladder
+        ][::-1]  # descending beta
+    except NumericalError as exc:
+        raise NumericalError(f"{exc}; the trap V = mass omega^2 x^2 / 2 at "
+                             f"mass={p['mass']}, omega={p['omega']}") from exc
     gaps = [abs(r - 1.0) for r in ratios]
     mono = all(gaps[i] > gaps[i + 1] for i in range(len(gaps) - 1))
     diag = free_density_matrix(0.0, 0.0, beta, params)
@@ -652,10 +656,8 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     wall = time.perf_counter() - start
     config_echo = {
         "experiment": config.experiment,
-        "seed": config.seed,
-        "out": config.out,
-        "format": config.format,
-        **{k: v for k, v in sorted(config.parameters.items())},
+        **{key: getattr(config, key) for key in _RUN},
+        **dict(sorted(config.parameters.items())),
     }
     provenance = {
         "library": "fracqm",
@@ -687,7 +689,6 @@ def _atomic_write(path: str, data: str) -> None:
 
 def write_report(report: RunReport, prefix: str, fmt: str) -> list[str]:
     """Write output files (atomically); returns the paths written."""
-    written = []
     if fmt == "json":
         payload = {
             "config": report.config,
@@ -695,26 +696,18 @@ def write_report(report: RunReport, prefix: str, fmt: str) -> list[str]:
             "comparisons": report.comparisons,
             "provenance": report.provenance,
         }
-        path = f"{prefix}.json"
-        _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        written.append(path)
+        files = {f"{prefix}.json": json.dumps(payload, indent=2, sort_keys=True) + "\n"}
     else:
-        for name, table in report.results.items():
-            lines = [",".join(table["columns"])]
-            for row in table["rows"]:
-                lines.append(",".join(_fmt(v) for v in row))
-            path = f"{prefix}_{name}.csv"
-            _atomic_write(path, "\n".join(lines) + "\n")
-            written.append(path)
-        cols = ["name", "value", "oracle", "abs_dev", "rel_dev", "tolerance",
-                "kind", "passed", "anchor"]
-        lines = [",".join(cols)]
-        for row in report.comparisons:
-            lines.append(",".join(_fmt(row[c]) for c in cols))
-        path = f"{prefix}_comparisons.csv"
-        _atomic_write(path, "\n".join(lines) + "\n")
-        written.append(path)
-    return written
+        comparisons = _table(None, _CMP_COLUMNS,
+                             [[row[c] for c in _CMP_COLUMNS] for row in report.comparisons])
+        files = {}
+        for name, table in {**report.results, "comparisons": comparisons}.items():
+            lines = [table["columns"], *table["rows"]]
+            files[f"{prefix}_{name}.csv"] = "".join(",".join(map(_fmt, row)) + "\n"
+                                                    for row in lines)
+    for path, data in files.items():
+        _atomic_write(path, data)
+    return list(files)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -726,7 +719,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--config", required=True, help="flat key=value config file")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
     parser.add_argument("--out", default=None, help="output path prefix")
-    parser.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None)
+    parser.add_argument("--format", choices=("csv", "json"), default=None)
     args = parser.parse_args(argv)
 
     try:
@@ -738,12 +731,8 @@ def main(argv: list[str] | None = None) -> int:
                 f"config names experiment {raw['experiment']!r}, "
                 f"command line says {args.experiment!r}"
             )
-        if args.seed is not None:
-            raw["seed"] = str(args.seed)
-        if args.out is not None:
-            raw["out"] = args.out
-        if args.fmt is not None:
-            raw["format"] = args.fmt
+        raw.update({key: str(value) for key in _RUN
+                    if (value := getattr(args, key)) is not None})
         config = validate_config(raw)
         report = run_experiment(config)
         paths = write_report(report, config.out, config.format)

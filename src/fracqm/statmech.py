@@ -102,8 +102,11 @@ def bloch_density_matrix(
     grid: GridSpec,
     x0: float,
 ) -> np.ndarray:
-    """Row rho(., beta | x0): e^{-beta H} on a unit-mass spike at the node nearest x0.
+    """Row rho(., beta | x0): e^{-beta H} on a unit-mass delta at x0 itself.
 
+    The delta is the spike on the node nearest x0, its spectrum times
+    e^{-2 pi i k (x0 - x_node) / L}, k = 0..n/2: the band-limited delta at x0
+    (irfft keeps the Nyquist term's real part); on a node the factor is exactly 1.
     V = 0 on the grid is the exact multiplier e^{-beta D |p|^alpha}.  Otherwise
     the spectrum of H lies in [lo, hi] = [min V, max D|p|^alpha + max V]; with
     centre a, half-width b and z = beta b, e^{-beta H} = e^{-beta lo} sum_k
@@ -118,11 +121,15 @@ def bloch_density_matrix(
             f"x0 = {x0} lies off the grid domain [{-grid.length / 2.0}, {grid.length / 2.0})")
     require_positive("beta", beta)
     n, v = grid.n_points, potential.on_grid(grid)
+    node = round((x0 + grid.length / 2.0) / grid.spacing)
     spike = np.zeros(n)
-    spike[int(round((x0 + grid.length / 2.0) / grid.spacing)) % n] = 1.0 / grid.spacing
+    spike[node % n] = 1.0 / grid.spacing
+    # the factor that moves the spike from its node to x0
+    shift = x0 + grid.length / 2.0 - node * grid.spacing
+    start = np.fft.rfft(spike) * np.exp(-2j * np.pi * np.arange(n // 2 + 1) * shift / grid.length)
     kin = kinetic_symbol(grid, params)[: n // 2 + 1]  # rfft layout
     if not v.any():
-        return np.fft.irfft(np.exp(-beta * kin) * np.fft.rfft(spike), n)
+        return np.fft.irfft(np.exp(-beta * kin) * start, n)
     lo, hi = float(v.min()), float(kin.max() + v.max())
     e_lo = within_floats(f"thermal kernel's factor e^(-beta min V), min V = {lo:.3e},",
                          lambda: math.exp(-beta * lo), beta=beta)
@@ -130,7 +137,8 @@ def bloch_density_matrix(
     coef = 2.0 * _scaled_bessel(beta * b)  # c_0 doubled, halved in row's start
     # the series in y = (a - H) / b: T_k(-y) = (-1)^k T_k(y) absorbs the signs of c_k
     kin_b, v_b = -kin / b, (a - v) / b
-    prev, cur, row = np.zeros(n), spike, 0.5 * coef[0] * spike
+    delta = np.fft.irfft(start, n)
+    prev, cur, row = np.zeros(n), delta, 0.5 * coef[0] * delta
     for k, c in enumerate(coef[1:int(np.argmax(coef < 1e-17))]):
         y_cur = np.fft.irfft(kin_b * np.fft.rfft(cur), n) + v_b * cur
         prev, cur = cur, (2.0 if k else 1.0) * y_cur - prev
@@ -144,7 +152,8 @@ def bin_averaged_row(potential: Potential, beta: float, params: PhysicalParams,
 
     V = 0 (kind "free", from q2 = 0) gives the exact `levy_cdf` differences of
     `thermal_law(beta)` at the cell edges.  Otherwise the row is
-    `bloch_density_matrix` on a grid 8 bin-grid lengths long, at least 1024
+    `bloch_density_matrix`, started at x0 itself whether or not x0 is one of
+    its nodes, on a grid 8 bin-grid lengths long, at least 1024
     nodes per length, so the power tails' periodic images stay small at
     alpha < 2; a cell of width w multiplies its spectrum by
     sin(p w / 2 hbar) / (p w / 2 hbar), read at the bin centres.

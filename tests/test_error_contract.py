@@ -143,6 +143,11 @@ MENDED = {
     ("statmech", "length", 1e300), ("statmech", "omega_size", 5e-324),
     ("statmech", "d_alpha", 1e300), ("kernel-check", "d_alpha", 1e300),
     ("pimc", "d_alpha", 1e300), ("pimc", "beta", 1e300),
+    # re-raised by the CLI, which alone sees these keys: mass and omega reach the
+    # physics only inside V, bin_length only as the bin grid
+    *(("statmech", k, v) for k, v in [("mass", 1e-300), ("mass", 5e-324), ("mass", 1e300),
+                                      ("omega", 1e-300), ("omega", 5e-324)]),
+    ("pimc", "bin_length", 1e-300), ("pimc", "bin_length", 5e-324),
     *(("evolve", k, v) for k, v in [("length", 5e-324), ("length", 1e-300),
                                     ("length", 1e300), ("hbar", 1e300), ("hbar", 5e-324),
                                     ("x0", 1e300), ("x0", -1e300), ("sigma", 1e-300),

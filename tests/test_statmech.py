@@ -10,6 +10,7 @@ from fracqm.statmech import (
     _grid_energies,
     _grid_hamiltonian,
     _scaled_bessel,
+    bin_averaged_row,
     bloch_density_matrix,
     bloch_matrix,
     bloch_trace_ladder,
@@ -17,6 +18,7 @@ from fracqm.statmech import (
     free_density_matrix,
     free_partition_function,
 )
+from oracles import mehler_bin_averages
 
 P15 = PhysicalParams(1.0, 1.0, 1.5)
 P2 = PhysicalParams.gaussian(mass=1.0)
@@ -174,12 +176,36 @@ def test_scaled_bessel_matches_scipy(z):
 
 
 def test_bloch_harmonic_matches_mehler():
+    # x0 = 0.3 is off the grid's nodes: the row starts at x0 itself (a row
+    # started at the nearest node read 2.7e-3 against this reference)
     grid = make_grid(512, 40.0)
     x0 = 0.3
     row = bloch_density_matrix(Potential.harmonic(1.0, 1.0), 1.0, P2, grid, x0)
-    x0_snap = grid.positions[int(np.argmin(np.abs(grid.positions - x0)))]
-    ref = np.array([mehler_kernel(x, x0_snap, 1.0) for x in grid.positions])
+    ref = np.array([mehler_kernel(x, x0, 1.0) for x in grid.positions])
     assert np.max(np.abs(row - ref)) < 1e-5
+
+
+@pytest.mark.parametrize("x0", [0.3, 1.3, -2.71])
+def test_bin_averaged_harmonic_row_off_the_nodes_matches_mehler(x0):
+    # the oracle of the CLI's harmonic pimc row: a row started at the node
+    # nearest x0 read 1.6e-2 (x0 = 0.3) and 2.6e-2 (x0 = 1.3) in its core
+    bins = make_grid(64, 20.0)
+    row = bin_averaged_row(Potential.harmonic(1.0, 1.0), 1.0, P2, bins, x0)
+    ref = mehler_bin_averages(bins.positions, bins.spacing, 1.0, x0)
+    core = ref >= 0.01 * ref.max()
+    assert np.max(np.abs(row[core] / ref[core] - 1.0)) <= 1e-10
+
+
+@pytest.mark.parametrize("x0", [0.3, 1.3])
+def test_bin_averaged_grid_row_off_the_nodes_matches_levy_cdf_row(x0):
+    # a custom zero V takes the grid route, Potential.free() the exact levy_cdf
+    # one; their gap is the periodic images' floor, 2.7e-4 at x0 = 0 (a row
+    # started at the node nearest x0 read 7.1e-3 and 1.1e-2)
+    bins, zero = make_grid(64, 30.0), Potential(lambda x: np.zeros_like(np.asarray(x, float)))
+    row = bin_averaged_row(zero, 1.0, P15, bins, x0)
+    ref = bin_averaged_row(Potential.free(), 1.0, P15, bins, x0)
+    core = ref >= 0.01 * ref.max()
+    assert np.max(np.abs(row[core] / ref[core] - 1.0)) <= 1e-3
 
 
 @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8, 2.0])
