@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import csv
+import io
 import json
 import math
 import os
@@ -702,9 +704,10 @@ def write_report(report: RunReport, prefix: str, fmt: str) -> list[str]:
                              [[row[c] for c in _CMP_COLUMNS] for row in report.comparisons])
         files = {}
         for name, table in {**report.results, "comparisons": comparisons}.items():
-            lines = [table["columns"], *table["rows"]]
-            files[f"{prefix}_{name}.csv"] = "".join(",".join(map(_fmt, row)) + "\n"
-                                                    for row in lines)
+            text = io.StringIO()  # minimal quoting: a field with a comma is quoted
+            csv.writer(text, lineterminator="\n").writerows(
+                map(_fmt, row) for row in [table["columns"], *table["rows"]])
+            files[f"{prefix}_{name}.csv"] = text.getvalue()
     for path, data in files.items():
         _atomic_write(path, data)
     return list(files)

@@ -44,19 +44,31 @@ the benchmark holds to a grid row with a small bias, and each pair would
 count that bias twice in the benchmark's RMS z check, which would then fail
 an estimated 2e-4 of its passes.
 
-Under V = q2 x^2 (`Potential.harmonic`, which carries q2) no partner path is
-written out: on each segment a member is sign * x + shift, so its action
-follows from three moments of the drawn path, its weighted sum of squares
-and its weighted sums over segments B and C (`_quadratic_family`).  Any other
-V writes each block's families out and evaluates V on them
+Under V = q2 x^2 (`Potential.harmonic`, which carries q2) at alpha < 2 no
+partner path is written out: on each segment a member is sign * x + shift,
+so its action follows from three moments of the drawn path, its weighted sum
+of squares and its weighted sums over segments B and C (`_quadratic_family`).
+Any other V writes each block's families out and evaluates V on them
 (`_materialised_family`).
 
+Under V = q2 x^2 at alpha = 2 no path is drawn either.  The increments are
+Gaussian, so given its endpoint x_N a path is a Gaussian bridge, and the
+weight's expectation over that bridge, w(x) = E[e^{-eps S} | x_N = x] with
+eps = beta / N, has a closed form: N scalar steps integrate the slices out
+one at a time (`_bridge`).  A chain draws each endpoint as a free chain
+does, x0 + one `thermal_law(beta)` variate, and the calling thread bins it
+with weight w(x), without the mirror.  This is conditioning (Owen, *Monte
+Carlo theory, methods and examples*, 2013, ch. 8): the same estimand, no
+more variance, and one variate per path instead of N.  The endpoint stays
+sampled: integrating it as well would leave the row with no randomness, so
+every chain would read alike and no bin would have an error bar.
+
 The work is split by what needs a chain's generator.  Worker threads only
-draw: `_chain_histogram` returns one chain's endpoints (V = 0), its drawn
-paths' moments (V = q2 x^2) or its family members' endpoints and actions.
-The calling thread takes the chains in index order, `_GROUP_CHAINS` at a
-time, and forms the mirrors, the family actions, the weights
-exp(-(beta/N) action) and the histogram (`_group_sums`), its bins found by
+draw: `_chain_histogram` returns one chain's endpoints (V = 0, and V = q2 x^2
+at alpha = 2), its drawn paths' moments (V = q2 x^2 at alpha < 2) or its
+family members' endpoints and actions.  The calling thread takes the chains
+in index order, `_GROUP_CHAINS` at a time, and forms the mirrors, the family
+actions, the weights and the histogram (`_group_sums`), its bins found by
 arithmetic on the evenly spaced edges (`_slots`).  That tail is many small
 numpy calls that hold the interpreter lock; run in the workers, it
 serialised them.  At most two groups of chains are queued ahead of the one
@@ -313,6 +325,54 @@ def _quadratic_family(moments, n_samples, x0, n_slices, q2, v0):
     return ends[:, keep], v0 + q2 * quads[:, keep]
 
 
+def _bridged(potential: Potential, params: PhysicalParams) -> bool:
+    """Whether chains draw endpoints alone and `_bridge` weighs them: V = q2 x^2
+    with q2 != 0, at alpha = 2."""
+    return potential.kind == "harmonic" and params.alpha == 2.0
+
+
+def _bridge(potential, x0, beta, params, n_slices):
+    """log w(x) = log E[e^{-eps S} | x_N = x] under V = q2 x^2 at alpha = 2, as
+    a function of endpoints x, where eps S is the N-slice trapezoid action of
+    a Gaussian walk from x0 with slice variance v = 2 `thermal_law(eps).scale`;
+    None unless `_bridged`.
+
+    E[e^{-eps S}; x_k in dx] is Z N(x; mu, s) dx at every slice k: from s = 0,
+    mu = x0 and log Z = -eps q2 x0^2 / 2, slice k adds v to s and multiplies
+    by e^{-h x^2}, h = eps q2 (halved at the last slice), which with
+    d = 1 + 2 h s gives log Z -= log(d) / 2 + h mu^2 / d, mu /= d and s /= d.
+    w is that row over the free endpoint density N(x; x0, v_N).  A d <= 0
+    means the integral over the slice diverges, V unbounded below.
+    """
+    if not _bridged(potential, params):
+        return None
+    eps, q2 = beta / n_slices, potential.q2
+    v = 2.0 * thermal_law(eps, params).scale
+    v_n = 2.0 * thermal_law(beta, params).scale
+    s, mu, log_z = 0.0, x0, -0.5 * eps * q2 * x0 * x0
+    for k in range(1, n_slices + 1):
+        h = eps * q2 * (0.5 if k == n_slices else 1.0)
+        s += v
+        d = 1.0 + 2.0 * h * s
+        if not d > 0.0:
+            raise NumericalError(
+                "potential appears unbounded below: the weight's integral over the "
+                f"Gaussian paths diverges at slice {k} of {n_slices} (q2 {q2:.3e})")
+        log_z -= 0.5 * math.log(d) + h * mu * mu / d
+        mu /= d
+        s /= d
+    keys = {"q2": q2, "x0": x0, "beta": beta, "n_slices": n_slices}
+    for what, value in (("bridge log Z", log_z), ("bridge mean", mu)):
+        within_floats(what, lambda: value, **keys)
+    within_floats("bridge variance", lambda: s, positive=True, **keys)
+    log_c = log_z - 0.5 * (math.log(s) - math.log(v_n))
+
+    def log_weight(x: np.ndarray) -> np.ndarray:
+        return log_c - (x - mu) ** 2 / (2.0 * s) + (x - x0) ** 2 / (2.0 * v_n)
+
+    return log_weight
+
+
 def _chain_histogram(
     rng: np.random.Generator,
     potential: Potential,
@@ -322,13 +382,14 @@ def _chain_histogram(
     n_slices: int,
     n_samples: int,
 ) -> np.ndarray:
-    """One chain's draws, reduced only as far as a worker must: with V = 0
-    its n_samples endpoints; under V = q2 x^2 the (6, drawn paths) moments
-    `_quadratic_family` reads, one matmul and one vecdot per block; otherwise
-    the (2, n_samples) endpoints and trapezoid actions of every family member.
-    `_group_sums` weights and bins them in the calling thread.
+    """One chain's draws, reduced only as far as a worker must: with V = 0, or
+    when `_bridged`, its n_samples endpoints; under V = q2 x^2 at alpha < 2
+    the (6, drawn paths) moments `_quadratic_family` reads, one matmul and one
+    vecdot per block; otherwise the (2, n_samples) endpoints and trapezoid
+    actions of every family member.  `_group_sums` weights and bins them in
+    the calling thread.
     """
-    if potential.kind == "free":
+    if potential.kind == "free" or _bridged(potential, params):
         return x0 + sample_stable(thermal_law(beta, params), rng, n_samples)
     pivots, sizes, drawn = _family_layout(n_slices, n_samples)
     if potential.q2 is not None:
@@ -354,28 +415,33 @@ def _chain_histogram(
     return out
 
 
-def _group_sums(draws, potential, x0, beta, n_slices, n_samples, edges):
+def _group_sums(draws, potential, x0, beta, n_slices, n_samples, edges, log_weight):
     """Raw (sum w, sum w^2) in `_row_slots`, under- and overflow included,
     one row per chain, of consecutive chains' `_chain_histogram` draws; with
     V = 0 each endpoint and its mirror weigh 1/2, and each row sums to
-    n_samples."""
+    n_samples.  `log_weight` is `_bridge`'s, or None when chains draw paths."""
     if potential.kind == "free":
         return _mirror_binned(np.stack(draws), x0, edges)
-    if potential.q2 is None:
-        endpoints, action = np.stack(draws, axis=1)
+    if log_weight is not None:
+        endpoints = np.stack(draws)
+        log_w = log_weight(endpoints)
     else:
-        v0 = 0.5 * float(potential.func(np.array(x0)))
-        endpoints, action = _quadratic_family(np.stack(draws, axis=1), n_samples, x0, n_slices,
-                                              potential.q2, v0)
+        if potential.q2 is None:
+            endpoints, action = np.stack(draws, axis=1)
+        else:
+            v0 = 0.5 * float(potential.func(np.array(x0)))
+            endpoints, action = _quadratic_family(np.stack(draws, axis=1), n_samples, x0,
+                                                  n_slices, potential.q2, v0)
+        log_w = -(beta / n_slices) * action
     with np.errstate(over="ignore"):
-        weights = np.exp(-(beta / n_slices) * action)
+        weights = np.exp(log_w)
     finite = np.isfinite(weights)
     if not finite.all():
         chain = int(np.argmin(finite.all(axis=1)))  # the first chain that overflowed
         raise NumericalError(
             "potential appears unbounded below on the sampled support: "
             f"{int(np.sum(~finite[chain]))} of {n_samples} path weights overflowed "
-            f"(least action {float(np.min(action[chain])):.3e})"
+            f"(largest log weight {float(np.max(log_w[chain])):.3e})"
         )
     return _binned(endpoints, weights, edges)
 
@@ -430,6 +496,7 @@ def estimate_density_matrix(
         )
     edges = _cell_edges(bin_grid)
     rngs = chain_rngs(master_seed, n_chains)
+    log_weight = _bridge(potential, x0, beta, params, n_slices)
 
     def run(i: int):
         return _chain_histogram(rngs[i], potential, x0, beta, params, n_slices, n_samples_per_chain)
@@ -438,7 +505,7 @@ def estimate_density_matrix(
         draws = _in_order(pool, run, n_chains)
         groups = [
             _group_sums(list(itertools.islice(draws, _GROUP_CHAINS)), potential, x0, beta,
-                        n_slices, n_samples_per_chain, edges)
+                        n_slices, n_samples_per_chain, edges, log_weight)
             for _ in range(0, n_chains, _GROUP_CHAINS)
         ]
 

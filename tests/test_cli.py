@@ -391,10 +391,7 @@ def test_main_flag_overrides_only_its_config_key(flag, tmp_path, monkeypatch):
     assert pathlib.Path(expected.out + suffix).exists()
 
 
-@pytest.mark.parametrize("experiment", [
-    pytest.param(e, marks=pytest.mark.xfail(
-        strict=True, reason="its row names hold a comma, written unquoted"))
-    if e == "kernel-check" else e for e in EXPERIMENTS])
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
 def test_csv_comparisons_carry_the_json_rows(experiment, tmp_path):
     # the CSV file has a comparison row's keys as its columns, in the row's
     # order, and each value round-trips from its 17 digits
@@ -489,7 +486,8 @@ def test_shipped_pimc_passes_across_alpha(alpha, potential):
     # the shipped config with only alpha and potential changed, at its seed 42:
     # every comparison passes.  The harmonic rows' false-alarm rate, measured
     # at seeds 1000-1199 for each of these five alphas, is 4 in 1,000 runs
-    # (the miss rule is designed for 1 in 1,000)
+    # (the miss rule is designed for 1 in 1,000); at alpha 2, where the
+    # Gaussian bridge now makes the rows, it is 0 in 1,000 (seeds 1000-1999)
     raw = {**parse_flat((CONFIGS / "pimc.cfg").read_text()), "alpha": alpha,
            "potential": potential}
     report = run_experiment(validate_config(raw))

@@ -10,6 +10,7 @@ from scipy import stats
 from fracqm.errors import ConfigurationError, NumericalError
 from fracqm.numerics import PhysicalParams, _cell_edges, make_grid
 from fracqm.pimc import (
+    _bridge,
     _chain_histogram,
     _group_sums,
     _max_workers,
@@ -26,6 +27,7 @@ from oracles import fraction_within_3se, mehler_bin_averages
 
 P15 = PhysicalParams(1.0, 1.0, 1.5)
 P2 = PhysicalParams.gaussian(mass=1.0)
+P18 = PhysicalParams(1.0, 0.5, 1.8)
 # V = 0 but not kind "free", so chains take the sampled-path branch
 ZERO = Potential(lambda x: np.zeros_like(np.asarray(x, dtype=float)))
 HARMONIC = Potential.harmonic(1.0, 1.0)
@@ -41,7 +43,9 @@ def chain_sums(rng, potential, x0, beta, params, n_slices, n_samples, edges):
     """One chain's raw (sum w, sum w^2) in the pass's slots, under- and
     overflow included: its draws, weighted and binned as a pass bins them."""
     draws = _chain_histogram(rng, potential, x0, beta, params, n_slices, n_samples)
-    w_sum, w_sq = _group_sums([draws], potential, x0, beta, n_slices, n_samples, edges)
+    log_weight = _bridge(potential, x0, beta, params, n_slices)
+    w_sum, w_sq = _group_sums([draws], potential, x0, beta, n_slices, n_samples, edges,
+                              log_weight)
     return w_sum[0], w_sq[0]
 
 
@@ -199,8 +203,10 @@ def test_unbounded_below_potential_rejected():
     sinkhole = Potential(lambda x: -np.asarray(x, dtype=float) ** 4)
     with pytest.raises(NumericalError):
         estimate_density_matrix(sinkhole, 0.0, 5.0, P15, 16, 4, 4000, grid, 3)
-    with pytest.raises(NumericalError, match="unbounded below"):  # the quadratic branch
-        estimate_density_matrix(Potential.harmonic(-1.0, 1.0), 0.0, 5.0, P15, 16, 4, 4000, grid, 3)
+    for params in (P15, P2):  # the moments branch, and the bridge's diverging integral
+        with pytest.raises(NumericalError, match="unbounded below"):
+            estimate_density_matrix(Potential.harmonic(-1.0, 1.0), 0.0, 5.0, params, 16, 4, 4000,
+                                    grid, 3)
     with pytest.raises(NumericalError):
         bloch_density_matrix(sinkhole, 5.0, P15, grid, 0.0)
     with pytest.raises(NumericalError):
@@ -301,19 +307,20 @@ def test_worker_default_is_available_cores(monkeypatch):
 
 
 def test_deterministic_rows_independent_of_thread_count(monkeypatch):
-    # unset, one and four workers; 600 or 601 paths per chain span three path
-    # blocks in the harmonic case, and at 601 the last block of 89 paths
-    # fills the second reflection level only in part
+    # unset, one, two and four workers; 600 or 601 paths per chain span three
+    # path blocks in the alpha 1.5 harmonic case, and at 601 the last block of
+    # 89 paths fills the second reflection level only in part; at alpha 2 the
+    # harmonic chains draw endpoints alone
     grid = make_grid(32, 24.0)
-    for pot, n_paths in itertools.product((Potential.free(), Potential.harmonic(1.0, 1.0)),
-                                          (600, 601)):
+    cases = ((Potential.free(), P15), (HARMONIC, P15), (HARMONIC, P2))
+    for (pot, params), n_paths in itertools.product(cases, (600, 601)):
         rows = []
-        for threads in (None, "1", "4"):
+        for threads in (None, "1", "2", "4"):
             if threads is None:
                 monkeypatch.delenv("FRACQM_THREADS", raising=False)
             else:
                 monkeypatch.setenv("FRACQM_THREADS", threads)
-            rows.append(estimate_density_matrix(pot, 0.0, 1.0, P15, 16, 8, n_paths, grid, 77))
+            rows.append(estimate_density_matrix(pot, 0.0, 1.0, params, 16, 8, n_paths, grid, 77))
         for est in rows[1:]:
             assert np.array_equal(est.mean, rows[0].mean)
             assert np.array_equal(est.std_error, rows[0].std_error)
@@ -506,7 +513,7 @@ def test_family_of_four_sign_patterns(n_slices):
 
 
 @pytest.mark.parametrize("n_slices", [1, 2, 3, 4, 5, 8, 256])
-@pytest.mark.parametrize("params", [P2, P15], ids=["alpha2", "alpha1.5"])
+@pytest.mark.parametrize("params", [P18, P15], ids=["alpha1.8", "alpha1.5"])
 def test_quadratic_family_matches_written_out_family(params, n_slices):
     # a harmonic chain sums its family's actions from moments of the drawn
     # path (below four slices with the quarter level empty); the same V
@@ -522,16 +529,94 @@ def test_quadratic_family_matches_written_out_family(params, n_slices):
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-def test_harmonic_chain_keeps_no_family_rows():
-    # one block of 256 paths at 256 slices draws 64 paths, a 128 KiB buffer;
-    # writing the family out takes four such buffers, and V on them four more
+def _dense_log_weight(x, x0, beta, params, n_slices, q2):
+    """log E[e^{-eps S} | x_N = x] for the alpha = 2 walk from x0, from the
+    dense (N - 1)-dimensional Gaussian integral over y = x_1, ..., x_{N-1}:
+    with T = tridiag(-1, 2, -1) the integrand is exp(-y M y / (2 v) + b y / v)
+    times exp(-(x0^2 + x^2) / (2 v) - eps q2 (x0^2 + x^2) / 2), where
+    M = T + 2 eps q2 v and b = x0 e_1 + x e_{N-1}."""
+    eps = beta / n_slices
+    v, v_n = 2.0 * thermal_law(eps, params).scale, 2.0 * thermal_law(beta, params).scale
+    h = eps * q2
+    log_free = -0.5 * math.log(2.0 * math.pi * v_n) - (x - x0) ** 2 / (2.0 * v_n)
+    ends = 0.5 * h * (x0 * x0 + x * x)
+    m = n_slices - 1
+    if m == 0:
+        log_row = -0.5 * math.log(2.0 * math.pi * v) - (x - x0) ** 2 / (2.0 * v) - ends
+        return log_row - log_free
+    mat = (2.0 + 2.0 * h * v) * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)
+    b = np.zeros(m)
+    b[0] += x0
+    b[-1] += x
+    log_det = np.linalg.slogdet(mat)[1]
+    log_row = (-0.5 * math.log(2.0 * math.pi * v) - 0.5 * log_det
+               + (b @ np.linalg.solve(mat, b) - x0 * x0 - x * x) / (2.0 * v) - ends)
+    return log_row - log_free
+
+
+@pytest.mark.parametrize("x0", [0.0, 0.3])
+@pytest.mark.parametrize("n_slices", [1, 2, 3, 4, 5, 8, 256])
+def test_bridge_weight_matches_dense_gaussian_integral(n_slices, x0):
+    # the N scalar steps integrate the slices out exactly; at one slice the
+    # weight is the trapezoid weight of the endpoints alone
+    x = np.linspace(-3.0, 3.0, 13)
+    got = _bridge(HARMONIC, x0, 1.0, P2, n_slices)(x)
+    want = [_dense_log_weight(e, x0, 1.0, P2, n_slices, HARMONIC.q2) for e in x]
+    assert np.max(np.abs(got - want)) <= 1e-12
+    if n_slices == 1:
+        assert np.max(np.abs(got + 0.5 * HARMONIC.q2 * (x0 * x0 + x * x))) <= 1e-12
+
+
+@pytest.mark.parametrize("x0", [0.0, 1.3])
+def test_bridge_row_approaches_mehler_as_slices_squared(x0):
+    # the bridge's row w(x) N(x; x0, v_N) is the exact N-slice trapezoid row:
+    # its deviation from Mehler's kernel falls as N^-2, 16-fold per 4x in N
+    x = np.linspace(-3.0, 3.0, 601)
+    sh, ch = math.sinh(1.0), math.cosh(1.0)
+    mehler = (np.exp(-((x * x + x0 * x0) * ch - 2.0 * x * x0) / (2.0 * sh))
+              / math.sqrt(2.0 * math.pi * sh))
+    dev = []
+    for n_slices in (64, 256):
+        row = np.exp(_bridge(HARMONIC, x0, 1.0, P2, n_slices)(x) - (x - x0) ** 2 / 2.0)
+        dev.append(np.max(np.abs(row / math.sqrt(2.0 * math.pi) - mehler)))
+    assert dev[0] / dev[1] == pytest.approx(16.0, abs=0.2)
+
+
+def test_bridged_chain_draws_the_free_endpoints():
+    # at alpha 2 a harmonic chain makes the free chain's one draw per path;
+    # the calling thread weighs each endpoint by the bridge, with no mirror
+    edges = np.linspace(-4.0, 4.0, 33)
+    rng, fresh = chain_rngs(70, 1)[0], chain_rngs(70, 1)[0]
+    x = _chain_histogram(rng, HARMONIC, 0.3, 1.0, P2, 256, 601)
+    assert np.array_equal(x, _chain_histogram(fresh, Potential.free(), 0.3, 1.0, P2, 256, 601))
+    assert rng.bit_generator.state == fresh.bit_generator.state
+    log_weight = _bridge(HARMONIC, 0.3, 1.0, P2, 256)
+    w_sum, w_sq = _group_sums([x], HARMONIC, 0.3, 1.0, 256, 601, edges, log_weight)
+    w = np.exp(log_weight(x))
+    slot = np.searchsorted(edges, x, side="right")
+    for got, entry in ((w_sum[0], w), (w_sq[0], w * w)):
+        want = np.bincount(slot, entry, minlength=len(edges) + 1)
+        assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+def _traced_peak(fn):
     tracemalloc.start()
     try:
-        _chain_histogram(chain_rngs(67, 1)[0], HARMONIC, 0.0, 1.0, P2, 256, 1500)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * 64 * 256 * 8
+
+
+def test_harmonic_chain_keeps_no_family_rows():
+    # one block of 256 paths at 256 slices draws 64 paths, a 128 KiB buffer;
+    # writing the family out takes four such buffers, and V on them four more.
+    # The alpha 1.5 draw of one block alone peaks near five buffers (the
+    # sampler's temporaries), so three buffers are allowed above that draw
+    draw = _traced_peak(lambda: sample_free_paths(P15, 1.0, 256, 0.0, chain_rngs(67, 1)[0], 64))
+    peak = _traced_peak(
+        lambda: _chain_histogram(chain_rngs(67, 1)[0], HARMONIC, 0.0, 1.0, P15, 256, 1500))
+    assert peak < draw + 3 * 64 * 256 * 8
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
