@@ -61,7 +61,11 @@ with weight w(x), without the mirror.  This is conditioning (Owen, *Monte
 Carlo theory, methods and examples*, 2013, ch. 8): the same estimand, no
 more variance, and one variate per path instead of N.  The endpoint stays
 sampled: integrating it as well would leave the row with no randomness, so
-every chain would read alike and no bin would have an error bar.
+every chain would read alike and no bin would have an error bar.  Its error
+bar is the pooled variance of all n_chains * n_samples weighted endpoints,
+which are independent: the spread of the chain means estimates the same
+quantity with n_chains - 1 degrees of freedom (about 9% noise per bin at 64
+chains), and that noise fattens the tail of any RMS z taken over many bins.
 
 The work is split by what needs a chain's generator.  Worker threads only
 draw: `_chain_histogram` returns one chain's endpoints (V = 0, and V = q2 x^2
@@ -118,7 +122,8 @@ _GROUP_CHAINS = 4
 
 @dataclass
 class McEstimate:
-    """A PIMC density-matrix row per bin; std_error is across chain means.
+    """A PIMC density-matrix row per bin; std_error is across chain means,
+    or, when every endpoint is an independent draw (`_bridged`), over them all.
 
     `covered` is the one usable-bin rule: two or more chains hit the bin, its
     effective sample size is 16 or more and not every chain reads alike, so
@@ -476,8 +481,9 @@ def estimate_density_matrix(
     Endpoint binning on bin_grid cells; mass landing outside the grid is
     accumulated in the overflow fields, never silently dropped.  Bins without
     a usable error bar are marked uncovered (`McEstimate.covered`), not
-    zero-filled silently.  The error bar is the spread of the chain means, so
-    n_chains must be at least 2, and x0 must be finite.
+    zero-filled silently.  The error bar is the spread of the chain means
+    (pooled over every endpoint when `_bridged`), so n_chains must be at
+    least 2, and x0 must be finite.
     """
     if not math.isfinite(x0):
         raise ConfigurationError(f"x0 must be finite, got {x0}")
@@ -514,7 +520,15 @@ def estimate_density_matrix(
     overflow = sums[:, [0, -1]] / n_samples_per_chain
     w_sum, w_sq_sum = sums[:, 1:-1].sum(axis=0), sq_sums[:, 1:-1].sum(axis=0)
     mean = rows.mean(axis=0)
-    std_error = rows.std(axis=0, ddof=1) / math.sqrt(n_chains)
+    if log_weight is None:
+        std_error = rows.std(axis=0, ddof=1) / math.sqrt(n_chains)
+    else:
+        # every bridged endpoint is an independent draw, so the error bar is
+        # the pooled variance of all n_chains * n_samples terms, with that
+        # many degrees of freedom rather than n_chains - 1
+        n_all, width = n_chains * n_samples_per_chain, edges[1] - edges[0]
+        var = (w_sq_sum / (n_all * width * width) - mean * mean) * (n_all / (n_all - 1))
+        std_error = np.sqrt(np.maximum(var, 0.0) / n_all)
     # a bin is statistically usable once several chains hit it and the
     # effective sample size of its weights, (sum w)^2 / sum w^2, is large
     # enough for the chain spread to estimate the error; with V = 0 this is

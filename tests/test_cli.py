@@ -487,7 +487,8 @@ def test_shipped_pimc_passes_across_alpha(alpha, potential):
     # every comparison passes.  The harmonic rows' false-alarm rate, measured
     # at seeds 1000-1199 for each of these five alphas, is 4 in 1,000 runs
     # (the miss rule is designed for 1 in 1,000); at alpha 2, where the
-    # Gaussian bridge now makes the rows, it is 0 in 1,000 (seeds 1000-1999)
+    # Gaussian bridge now makes the rows with its pooled error bar, it is 0
+    # in 1,000 (seeds 1000-1999)
     raw = {**parse_flat((CONFIGS / "pimc.cfg").read_text()), "alpha": alpha,
            "potential": potential}
     report = run_experiment(validate_config(raw))
